@@ -17,20 +17,15 @@ All objects are immutable after construction and evaluation is pure.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from . import jets
-from .errors import DomainError, SingularPointError
+from .errors import CriticalPointError, DomainError, SingularPointError
 from .fields import ScalarField, as_points, constant_field, radial_log_field
 
 SINGULAR_EXCLUSION = 1e-9
-
-
-class Point2(NamedTuple):
-    x: float
-    y: float
+CRITICAL_GRAD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -88,27 +83,26 @@ class ConformalChart:
 
     # -- metric data ---------------------------------------------------------
 
-    def conf(self, p):
-        pts, single = as_points(p)
-        v = np.exp(2.0 * self.factor.jet(pts).value)
-        return float(v[0]) if single else v
+    @staticmethod
+    def _curvature(j):
+        """(e^{-2 phi}, K, grad K) from a jet of the factor phi."""
+        e2 = np.exp(-2.0 * j.value)
+        lap = j.laplacian()
+        # d_i lap(phi) from third derivatives: (f_xxx + f_xyy, f_xxy + f_yyy)
+        dlap = np.stack([j.third[:, 0] + j.third[:, 2],
+                         j.third[:, 1] + j.third[:, 3]], axis=-1)
+        return e2, -e2 * lap, e2[:, None] * (2.0 * j.grad * lap[:, None] - dlap)
 
     def gauss_curvature(self, p):
         pts = self.check_points(p)
         _, single = as_points(p)
-        j = self.factor.jet(pts)
-        K = -np.exp(-2.0 * j.value) * j.laplacian()
+        K = self._curvature(self.factor.jet(pts))[1]
         return float(K[0]) if single else K
 
     def grad_gauss_curvature(self, p):
         pts = self.check_points(p)
         _, single = as_points(p)
-        j = self.factor.jet(pts)
-        lap = j.laplacian()
-        # d_i lap(phi) from third derivatives: (f_xxx + f_xyy, f_xxy + f_yyy)
-        dlap = np.stack([j.third[:, 0] + j.third[:, 2],
-                         j.third[:, 1] + j.third[:, 3]], axis=-1)
-        g = np.exp(-2.0 * j.value)[:, None] * (2.0 * j.grad * lap[:, None] - dlap)
+        g = self._curvature(self.factor.jet(pts))[2]
         return g[0] if single else g
 
     def christoffels(self, p):
@@ -178,19 +172,22 @@ class WarpedChart:
         return (s * j.value, s * j.grad[:, 0], s * j.hess[:, 0, 0],
                 s * j.third[:, 0], s * j.fourth[:, 0])
 
+    @staticmethod
+    def _curvature(w, w1, w2, w3):
+        """(K, grad K) from w and its first three t-derivatives."""
+        dK = -(w3 * w - w2 * w1) / w**2
+        return -w2 / w, np.stack([dK, np.zeros_like(dK)], axis=-1)
+
     def gauss_curvature(self, p):
         pts = self.check_points(p)
         _, single = as_points(p)
-        w, _, w2, _, _ = self.warp_jet(pts[:, 0])
-        K = -w2 / w
+        K = self._curvature(*self.warp_jet(pts[:, 0])[:4])[0]
         return float(K[0]) if single else K
 
     def grad_gauss_curvature(self, p):
         pts = self.check_points(p)
         _, single = as_points(p)
-        w, w1, w2, w3, _ = self.warp_jet(pts[:, 0])
-        dK = -(w3 * w - w2 * w1) / w**2
-        out = np.stack([dK, np.zeros_like(dK)], axis=-1)
+        out = self._curvature(*self.warp_jet(pts[:, 0])[:4])[1]
         return out[0] if single else out
 
     def christoffels(self, p):
@@ -242,20 +239,92 @@ def grad_gauss_curvature(chart, p):
 
 
 def metric_gradient_norm(u, chart, p):
-    """|grad u| in the surface metric.
+    """|grad u| in the surface metric, read from :func:`local_geometry`.
 
     Conformal charts: e^{-phi} |grad_0 u|; warped charts (radial u): |u'(t)|.
     """
-    pts = chart.check_points(p)
     _, single = as_points(p)
-    if chart.kind == "conformal":
-        phi = chart.factor.jet(pts).value
-        g = u.jet(pts).grad
-        out = np.exp(-phi) * np.hypot(g[:, 0], g[:, 1])
-    else:
-        _require_radial(u)
-        out = np.abs(u.jet(pts).grad[:, 0])
+    out = local_geometry(u, chart, p).G
     return float(out[0]) if single else out
+
+
+@dataclass(frozen=True)
+class LocalGeometry:
+    """Metric and curvature data of a field u at a batch of points, all from
+    one jet of u and one of the chart's factor or warp (:func:`local_geometry`).
+
+    ``pairing`` is <grad K, grad u>_g / |grad u|_g^2, ``pairing_star`` the
+    same with star grad u = (u_y, -u_x); ``lap_weight`` is what an FD metric
+    Laplacian applies at a point (e^{-2 phi} conformal, w'/w warped) and
+    ``level_weight`` the length element of a level curve per coordinate
+    length (e^phi conformal, w warped, where radial levels run in theta).
+    """
+
+    pts: np.ndarray
+    G: np.ndarray
+    k: np.ndarray
+    h: np.ndarray
+    K: np.ndarray
+    gradK: np.ndarray
+    pairing: np.ndarray
+    pairing_star: np.ndarray
+    lap_weight: np.ndarray
+    level_weight: np.ndarray
+
+
+def local_geometry(u, chart, p) -> LocalGeometry:
+    """|grad u|, the curvatures k and h, K, grad K and the pairings at p.
+
+    k = -div(grad u / |grad u|) is the geodesic curvature of the level
+    curve, h = -div((u_2, -u_1) / |grad u|) that of the steepest-descent
+    line.  Raises :class:`CriticalPointError` where |grad_0 u| < 1e-8
+    (|u'(t)| on warped charts).
+    """
+    pts = chart.check_points(p)
+    if chart.kind == "warped":
+        return _warped_geometry(u, chart, pts)
+    ju = u.jet(pts)
+    jp = chart.factor.jet(pts)
+    g = ju.grad
+    q = g[:, 0] ** 2 + g[:, 1] ** 2
+    if np.any(q < CRITICAL_GRAD**2):
+        raise CriticalPointError("curvature evaluation at a critical point")
+    g0 = np.sqrt(q)
+    div_unit = ju.laplacian() / g0 - _bilinear(g, ju.hess, g) / g0**3
+    rot = np.stack([g[:, 1], -g[:, 0]], axis=-1)
+    hrg = _bilinear(rot, ju.hess, g)
+    e_mphi = np.exp(-jp.value)
+    e2, K, dK = chart._curvature(jp)
+    return LocalGeometry(
+        pts=pts, G=e_mphi * np.hypot(g[:, 0], g[:, 1]),
+        k=-e_mphi * (div_unit + np.einsum("ni,ni->n", jp.grad, g) / g0),
+        h=-e_mphi * (-hrg / g0**3 + np.einsum("ni,ni->n", jp.grad, rot) / g0),
+        K=K, gradK=dK,
+        # the conformal factors of the metric pairing and |grad u|_g^2 cancel
+        pairing=np.einsum("ni,ni->n", dK, g) / q,
+        pairing_star=(dK[:, 0] * g[:, 1] - dK[:, 1] * g[:, 0]) / q,
+        lap_weight=e2, level_weight=np.exp(jp.value))
+
+
+def _bilinear(a, H, b):
+    """a^T H b per row, in the order a batched einsum sums it; a one-row
+    einsum pairs the terms differently, and a row must not depend on its batch."""
+    return (a[:, 0] * H[:, 0, 0] * b[:, 0] + a[:, 0] * H[:, 0, 1] * b[:, 1]
+            + a[:, 1] * H[:, 1, 0] * b[:, 0] + a[:, 1] * H[:, 1, 1] * b[:, 1])
+
+
+def _warped_geometry(u, chart, pts):
+    _require_radial(u)
+    u1 = u.jet(pts).grad[:, 0]
+    if np.any(np.abs(u1) < CRITICAL_GRAD):
+        raise CriticalPointError("curvature evaluation at a critical point")
+    w, w1, w2, w3, _ = chart.warp_jet(pts[:, 0])
+    K, dK = chart._curvature(w, w1, w2, w3)
+    k = -np.sign(u1) * w1 / w
+    return LocalGeometry(pts=pts, G=np.abs(u1), k=k, h=np.zeros_like(k), K=K,
+                         gradK=dK, pairing=dK[:, 0] / u1,
+                         pairing_star=np.zeros(pts.shape[0]),
+                         lap_weight=w1 / w, level_weight=w)
 
 
 def _require_radial(u):

@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -189,38 +187,16 @@ def _write_profile(prof, out_dir: Path, fmt: str) -> None:
         _write_report(doc, out_dir, "profile.json")
 
 
-def _profile_with_threads(u, chart, grid, n_samples, method, threads):
-    if threads <= 1:
-        return ls.length_profile(u, chart, grid, n_samples=n_samples, method=method)
-    # per-level tasks are independent; assembling in index order keeps the
-    # output byte-identical for any thread count
-    chunks = np.array_split(np.asarray(grid, dtype=float), threads)
-    h = 1e-3 * (grid.max() - grid.min())
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        parts = list(pool.map(
-            lambda c: ls.length_profile(u, chart, c, n_samples=n_samples,
-                                        method=method, fd_step=h)
-            if c.size >= 8 else None, chunks))
-    if any(p is None for p in parts):
-        return ls.length_profile(u, chart, grid, n_samples=n_samples, method=method)
-    out = parts[0]
-    for p in parts[1:]:
-        for name in ("t_grid", "L", "Lp", "Lpp", "lnL_pp", "L_fd_p", "L_fd_pp",
-                     "aux_invgrad2"):
-            setattr(out, name, np.concatenate([getattr(out, name), getattr(p, name)]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_profile(cfg, out_dir, tol, fmt, threads):
+def cmd_profile(cfg, out_dir, tol, fmt):
     chart = build_chart(cfg)
     u = build_field(cfg)
     grid = _grid_from_config(cfg, chart, u)
     n_samples = int(cfg["analysis"].get("n_samples", 512))
-    prof = _profile_with_threads(u, chart, grid, n_samples, "auto", threads)
+    prof = ls.length_profile(u, chart, grid, n_samples=n_samples)
     rel = np.max(np.abs(prof.Lp - prof.L_fd_p) / np.maximum(np.abs(prof.Lp), 1e-30))
     rel2 = np.max(np.abs(prof.Lpp - prof.L_fd_pp) / np.maximum(np.abs(prof.Lpp), 1e-30))
     ok = bool(rel <= tol["cross_check_rel"] and rel2 <= tol["cross_check_rel"])
@@ -239,14 +215,14 @@ def cmd_profile(cfg, out_dir, tol, fmt, threads):
     return (0 if ok else 1), report
 
 
-def cmd_convexity(cfg, out_dir, tol, fmt, threads):
+def cmd_convexity(cfg, out_dir, tol, fmt):
     chart = build_chart(cfg)
     if isinstance(chart, bic_mod.ConicalFactor):
         return _conical_convexity(cfg, chart, out_dir, tol, fmt)
     u = build_field(cfg)
     grid = _grid_from_config(cfg, chart, u)
     n_samples = int(cfg["analysis"].get("n_samples", 512))
-    prof = _profile_with_threads(u, chart, grid, n_samples, "auto", threads)
+    prof = ls.length_profile(u, chart, grid, n_samples=n_samples)
     rep = ls.log_convexity_check(prof, tol["convexity"])
     report = {
         "subcommand": "convexity",
@@ -281,7 +257,7 @@ def _conical_convexity(cfg, factor, out_dir, tol, fmt="csv"):
     return (0 if rep.passed else 1), report
 
 
-def cmd_residuals(cfg, out_dir, tol, fmt, threads):
+def cmd_residuals(cfg, out_dir, tol, fmt):
     chart = build_chart(cfg)
     u = build_field(cfg)
     n = int(cfg["analysis"].get("points", 100))
@@ -329,7 +305,7 @@ def cmd_residuals(cfg, out_dir, tol, fmt, threads):
     return (0 if ok else 1), report
 
 
-def cmd_audit(cfg, out_dir, tol, fmt, threads):
+def cmd_audit(cfg, out_dir, tol, fmt):
     chart = build_chart(cfg)
     u = build_field(cfg)
     acfg = cfg["analysis"]
@@ -347,7 +323,7 @@ def cmd_audit(cfg, out_dir, tol, fmt, threads):
     return (0 if rep.verdict == "pass" else 1), report
 
 
-def cmd_bic(cfg, out_dir, tol, fmt, threads):
+def cmd_bic(cfg, out_dir, tol, fmt):
     factor = build_chart(cfg)
     if not isinstance(factor, bic_mod.ConicalFactor):
         raise ConfigError("the bic subcommand needs a conical chart")
@@ -384,7 +360,7 @@ def cmd_bic(cfg, out_dir, tol, fmt, threads):
     return (0 if ok else 1), report
 
 
-def cmd_counterexample(cfg, out_dir, tol, fmt, threads):
+def cmd_counterexample(cfg, out_dir, tol, fmt):
     acfg = cfg["analysis"]
     c = float(acfg.get("factor_c", -0.1))
     factor = radial_log_field(0.0, 1.0, c)
@@ -535,11 +511,13 @@ def cmd_examples(name, out_dir, tol):
 def run(subcommand: str, config_path: str | None, *, out: str = ".",
         tol_scale: float = 1.0, threads: int | None = None,
         fmt: str = "json", example_name: str | None = None) -> int:
-    """Programmatic entry point mirroring the CLI; returns the exit code."""
+    """Programmatic entry point mirroring the CLI; returns the exit code.
+
+    ``threads`` (and the LEVELFLOW_THREADS variable) is accepted and has no
+    effect: everything runs on one thread.
+    """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if threads is None:
-        threads = int(os.environ.get("LEVELFLOW_THREADS", "1"))
     try:
         if subcommand == "examples":
             if not example_name:
@@ -561,7 +539,7 @@ def run(subcommand: str, config_path: str | None, *, out: str = ".",
             }.get(subcommand)
             if handler is None:
                 raise ConfigError(f"unknown subcommand {subcommand!r}")
-            code, report = handler(cfg, out_dir, tol, fmt, threads)
+            code, report = handler(cfg, out_dir, tol, fmt)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -589,7 +567,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiply all default tolerances")
     parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: LEVELFLOW_THREADS or 1)")
+                        help="accepted for compatibility; has no effect (as "
+                             "LEVELFLOW_THREADS): everything runs on one thread")
     parser.add_argument("--format", dest="fmt", choices=["csv", "json"],
                         default="json", help="preferred report format")
     args = parser.parse_args(argv)

@@ -21,10 +21,16 @@ The sign of the star pairing above is itself pinned numerically (variable-
 curvature chart with non-radial u); with this star convention the h-equation
 carries the same pairing sign as the k-equation.
 
+Every pointwise quantity (k, h, |grad u|, K, grad K, both pairings) comes
+from one :func:`~levelflow.charts.local_geometry` per point batch: a single
+jet of u and of the chart's factor or warp.  A principle audit takes one
+over its interior and boundary grids together.
+
 Outer Laplacians and gradients of derived fields (k/|grad u|, ln|k|, ...)
-use central differences with step 1e-3 and one Richardson level; the inner
-pointwise evaluations are closed-form, which keeps the noise at the
-documented tol_fd = 1e-4 * (1 + |field|) level.
+use central differences with step 1e-3 and one Richardson level, each
+residual's whole stencil (centre, +-h/2 and +-h points) in one geometry;
+the inner pointwise evaluations are closed-form, which keeps the noise at
+the documented tol_fd = 1e-4 * (1 + |field|) level.
 """
 
 from __future__ import annotations
@@ -34,12 +40,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import metric_gradient_norm
-from .errors import CriticalPointError, DomainError, PreconditionError
+from .charts import local_geometry
+from .errors import DomainError, LevelFlowError, PreconditionError
 from .fields import as_points
 from .levelsets import LengthProfile, extract_level_curve
 
-_CRITICAL_GRAD = 1e-8
 _ZERO_CURV = 1e-6
 
 AUDIT_QUANTITIES = ("k", "h", "phi_k", "phi_h", "ln_abs_k", "ln_abs_h")
@@ -49,50 +54,17 @@ AUDIT_QUANTITIES = ("k", "h", "phi_k", "phi_h", "ln_abs_k", "ln_abs_h")
 # pointwise curvatures
 # ---------------------------------------------------------------------------
 
-def _conformal_k_h(u, chart, pts):
-    ju = u.jet(pts)
-    jp = chart.factor.jet(pts)
-    g = ju.grad
-    q = g[:, 0] ** 2 + g[:, 1] ** 2
-    if np.any(q < _CRITICAL_GRAD**2):
-        raise CriticalPointError("curvature evaluation at a critical point")
-    g0 = np.sqrt(q)
-    lap_u = ju.laplacian()
-    hgg = np.einsum("ni,nij,nj->n", g, ju.hess, g)
-    div_unit = lap_u / g0 - hgg / g0**3
-    rot = np.stack([g[:, 1], -g[:, 0]], axis=-1)
-    hrg = np.einsum("ni,nij,nj->n", rot, ju.hess, g)
-    e_mphi = np.exp(-jp.value)
-    k = -e_mphi * (div_unit + np.einsum("ni,ni->n", jp.grad, g) / g0)
-    h = -e_mphi * (-hrg / g0**3 + np.einsum("ni,ni->n", jp.grad, rot) / g0)
-    return k, h
-
-
-def _warped_k_h(u, chart, pts):
-    from .charts import _require_radial
-    _require_radial(u)
-    ju = u.jet(pts)
-    u1 = ju.grad[:, 0]
-    if np.any(np.abs(u1) < _CRITICAL_GRAD):
-        raise CriticalPointError("curvature evaluation at a critical point")
-    w, w1, _, _, _ = chart.warp_jet(pts[:, 0])
-    k = -np.sign(u1) * w1 / w
-    return k, np.zeros_like(k)
-
-
 def level_curvature_k(u, chart, p):
     """Geodesic curvature of the level curve through p."""
-    pts = chart.check_points(p)
     _, single = as_points(p)
-    k, _ = (_conformal_k_h if chart.kind == "conformal" else _warped_k_h)(u, chart, pts)
+    k = local_geometry(u, chart, p).k
     return float(k[0]) if single else k
 
 
 def steepest_descent_curvature_h(u, chart, p):
     """Geodesic curvature of the steepest-descent line through p."""
-    pts = chart.check_points(p)
     _, single = as_points(p)
-    _, h = (_conformal_k_h if chart.kind == "conformal" else _warped_k_h)(u, chart, pts)
+    h = local_geometry(u, chart, p).h
     return float(h[0]) if single else h
 
 
@@ -109,45 +81,79 @@ class CurvatureSample:
 
 
 def curvature_sample(u, chart, p) -> CurvatureSample:
-    pts = chart.check_points(p)
-    k = level_curvature_k(u, chart, pts)[0]
-    h = steepest_descent_curvature_h(u, chart, pts)[0]
-    g = metric_gradient_norm(u, chart, pts)[0]
-    return CurvatureSample(tuple(np.asarray(pts[0])), float(k), float(h), float(g),
-                           float(k / g), float(h / g),
-                           float(chart.gauss_curvature(pts)[0]),
-                           chart.grad_gauss_curvature(pts)[0])
+    g = local_geometry(u, chart, p)
+    k, h, G = g.k[0], g.h[0], g.G[0]
+    return CurvatureSample(tuple(np.asarray(g.pts[0])), float(k), float(h), float(G),
+                           float(k / G), float(h / G), float(g.K[0]), g.gradK[0])
+
+
+def _phi_k_field(u, chart):
+    """k/|grad u| as a pointwise field."""
+    def f(pts):
+        g = local_geometry(u, chart, pts)
+        return g.k / g.G
+    return f
 
 
 # ---------------------------------------------------------------------------
 # finite-difference outer derivatives
 # ---------------------------------------------------------------------------
+# A stencil is p, then p +- h e_x and p +- h e_y for each step h: (h/2, h)
+# with Richardson extrapolation, (h,) without.  The operators take values on it.
+
+def _steps(step, richardson):
+    return (step / 2.0, step) if richardson else (step,)
+
+
+def _stencil(p, steps):
+    p = np.asarray(p, dtype=float)
+    rows = [p]
+    for h in steps:
+        rows += [p + (h, 0), p - (h, 0), p + (0, h), p - (0, h)]
+    return np.array(rows)
+
+
+def _richardson(diff, steps):
+    if len(steps) == 1:
+        return diff(0, steps[0])
+    return (4.0 * diff(0, steps[0]) - diff(1, steps[1])) / 3.0
+
+
+def _lap0(v, steps):
+    def lap(i, h):
+        a = v[1 + 4 * i:]
+        return (a[0] + a[1] + a[2] + a[3] - 4.0 * v[0]) / h**2
+    return _richardson(lap, steps)
+
+
+def _grad0(v, steps):
+    def grad(i, h):
+        a = v[1 + 4 * i:]
+        return np.array([a[0] - a[1], a[2] - a[3]]) / (2.0 * h)
+    return _richardson(grad, steps)
+
+
+def _metric_lap(v, steps, kind, weight):
+    """Metric Laplacian at the centre; ``weight`` is e^{-2 phi} there
+    (conformal) or w'/w (warped, radial fields: f'' + (w'/w) f')."""
+    if kind == "conformal":
+        return weight * _lap0(v, steps)
+
+    def d2(i, h):
+        a = v[1 + 4 * i:]
+        return (a[0] - 2.0 * v[0] + a[1]) / h**2
+    return _richardson(d2, steps) + weight * _grad0(v, steps)[0]
+
 
 def fd_laplacian0(f, p, step: float, richardson: bool = True) -> float:
     """Coordinate 5-point Laplacian of a pointwise field at p."""
-    p = np.asarray(p, dtype=float)
-
-    def lap(h):
-        pts = np.array([p + (h, 0), p - (h, 0), p + (0, h), p - (0, h), p])
-        v = f(pts)
-        return (v[0] + v[1] + v[2] + v[3] - 4.0 * v[4]) / h**2
-
-    if not richardson:
-        return float(lap(step))
-    return float((4.0 * lap(step / 2.0) - lap(step)) / 3.0)
+    steps = _steps(step, richardson)
+    return float(_lap0(f(_stencil(p, steps)), steps))
 
 
 def fd_gradient0(f, p, step: float, richardson: bool = True) -> np.ndarray:
-    p = np.asarray(p, dtype=float)
-
-    def grad(h):
-        pts = np.array([p + (h, 0), p - (h, 0), p + (0, h), p - (0, h)])
-        v = f(pts)
-        return np.array([v[0] - v[1], v[2] - v[3]]) / (2.0 * h)
-
-    if not richardson:
-        return grad(step)
-    return (4.0 * grad(step / 2.0) - grad(step)) / 3.0
+    steps = _steps(step, richardson)
+    return _grad0(f(_stencil(p, steps)), steps)
 
 
 def metric_laplacian_fd(f, chart, p, step: float = 1e-3,
@@ -155,92 +161,74 @@ def metric_laplacian_fd(f, chart, p, step: float = 1e-3,
     """Metric Laplacian of a pointwise-evaluable field by central differences."""
     p = np.asarray(p, dtype=float)
     if chart.kind == "conformal":
-        phi = chart.factor.value(p)
-        return float(np.exp(-2.0 * phi) * fd_laplacian0(f, p, step, richardson))
-    w, w1, _, _, _ = chart.warp_jet(np.array([p[0]]))
-
-    def d2(h):
-        ts = np.array([[p[0] + h, 0.0], [p[0] - h, 0.0], [p[0], 0.0]])
-        v = f(ts)
-        return (v[0] - 2.0 * v[2] + v[1]) / h**2
-
-    def d1(h):
-        ts = np.array([[p[0] + h, 0.0], [p[0] - h, 0.0]])
-        v = f(ts)
-        return (v[0] - v[1]) / (2.0 * h)
-
-    if richardson:
-        f2 = (4.0 * d2(step / 2.0) - d2(step)) / 3.0
-        f1 = (4.0 * d1(step / 2.0) - d1(step)) / 3.0
+        weight = np.exp(-2.0 * chart.factor.value(p))
     else:
-        f2, f1 = d2(step), d1(step)
-    return float(f2 + (w1[0] / w[0]) * f1)
+        w, w1, _, _, _ = chart.warp_jet(p[:1])
+        weight = w1[0] / w[0]
+    steps = _steps(step, richardson)
+    return float(_metric_lap(f(_stencil(p, steps)), steps, chart.kind, weight))
 
 
 # ---------------------------------------------------------------------------
-# derived fields and PDE residuals
+# PDE residuals
 # ---------------------------------------------------------------------------
 
-def _phi_k_field(u, chart):
-    def f(pts):
-        return level_curvature_k(u, chart, pts) / metric_gradient_norm(u, chart, pts)
-    return f
+_NONZERO = {"k": "level-curvature log inequality needs k != 0",
+            "h": "steepest-descent log inequality needs h != 0"}
 
 
-def _phi_h_field(u, chart):
-    def f(pts):
-        return steepest_descent_curvature_h(u, chart, pts) / metric_gradient_norm(u, chart, pts)
-    return f
+def _require_nonzero(geo, curvature):
+    if curvature is not None and abs(getattr(geo, curvature)[0]) < _ZERO_CURV:
+        raise PreconditionError(_NONZERO[curvature])
 
 
-def _pairing_grad_u(u, chart, pts):
-    """<grad K, grad u>_g / |grad u|_g^2 (conformal factors cancel)."""
-    dK = chart.grad_gauss_curvature(pts)
-    ju = u.jet(pts)
-    if chart.kind == "conformal":
-        q = ju.grad[:, 0] ** 2 + ju.grad[:, 1] ** 2
-        return np.einsum("ni,ni->n", dK, ju.grad) / q
-    return dK[:, 0] / ju.grad[:, 0]
+def _stencil_geometry(u, chart, centre, step, richardson, nonzero=None):
+    """One geometry over the stencil around ``centre`` (its row 0), and the steps.
+
+    ``nonzero`` names the curvature ("k" or "h") a log identity divides by.
+    The centre's own errors (a critical point, then that curvature below
+    1e-6) are raised before any error of the rest of the stencil.
+    """
+    steps = _steps(step, richardson)
+    try:
+        geo = local_geometry(u, chart, _stencil(centre, steps))
+    except LevelFlowError:
+        _require_nonzero(local_geometry(u, chart, centre), nonzero)
+        raise
+    _require_nonzero(geo, nonzero)
+    return geo, steps
 
 
-def _pairing_star_u(u, chart, pts):
-    """<grad K, star grad u>_g / |grad u|_g^2 with star grad u = (u_y, -u_x)."""
-    if chart.kind == "warped":
-        return np.zeros(pts.shape[0])
-    dK = chart.grad_gauss_curvature(pts)
-    g = u.jet(pts).grad
-    q = g[:, 0] ** 2 + g[:, 1] ** 2
-    return (dK[:, 0] * g[:, 1] - dK[:, 1] * g[:, 0]) / q
+def _pde1(u, chart, p, step, richardson, star):
+    pts = chart.check_points(p)
+    if pts.shape[0] != 1:
+        raise ValueError("pde residuals take a single point")
+    geo, steps = _stencil_geometry(u, chart, pts[0], step, richardson)
+    ratio = (geo.h if star else geo.k) / geo.G
+    rhs = (geo.pairing_star if star else geo.pairing)[0]
+    lap = _metric_lap(ratio, steps, chart.kind, geo.lap_weight[0])
+    return float(lap + 2.0 * geo.K[0] * ratio[0] - rhs)
 
 
 def pde1_residual(u, chart, p, step: float = 1e-3, richardson: bool = True) -> float:
     """Residual of lap(k/|grad u|) + 2 K k/|grad u| - <grad K, grad u>/|grad u|^2."""
-    pts = chart.check_points(p)
-    if pts.shape[0] != 1:
-        raise ValueError("pde residuals take a single point")
-    lap = metric_laplacian_fd(_phi_k_field(u, chart), chart, pts[0], step, richardson)
-    K = chart.gauss_curvature(pts)[0]
-    phik = _phi_k_field(u, chart)(pts)[0]
-    rhs = _pairing_grad_u(u, chart, pts)[0]
-    return float(lap + 2.0 * K * phik - rhs)
+    return _pde1(u, chart, p, step, richardson, star=False)
 
 
 def pde1_star_residual(u, chart, p, step: float = 1e-3, richardson: bool = True) -> float:
     """Residual of lap(h/|grad u|) + 2 K h/|grad u| - <grad K, star grad u>/|grad u|^2."""
+    return _pde1(u, chart, p, step, richardson, star=True)
+
+
+def _log_gap(u, chart, p, step, richardson, curvature):
     pts = chart.check_points(p)
-    if pts.shape[0] != 1:
-        raise ValueError("pde residuals take a single point")
-    lap = metric_laplacian_fd(_phi_h_field(u, chart), chart, pts[0], step, richardson)
-    K = chart.gauss_curvature(pts)[0]
-    phih = _phi_h_field(u, chart)(pts)[0]
-    rhs = _pairing_star_u(u, chart, pts)[0]
-    return float(lap + 2.0 * K * phih - rhs)
-
-
-def _log_abs_field(base):
-    def f(pts):
-        return np.log(np.abs(base(pts)))
-    return f
+    geo, steps = _stencil_geometry(u, chart, pts[0], step, richardson, curvature)
+    c = getattr(geo, curvature)
+    rhs = (geo.pairing if curvature == "k" else geo.pairing_star)[0]
+    lap = _metric_lap(np.log(np.abs(c)), steps, chart.kind, geo.lap_weight[0])
+    gap = -lap - geo.K[0] + rhs * geo.G[0] / c[0]
+    theo = _theoretical_gap(c / geo.G, steps, chart.kind, geo.lap_weight[0])
+    return float(gap), float(theo)
 
 
 def pde2_gap(u, chart, p, step: float = 1e-3, richardson: bool = True
@@ -251,18 +239,7 @@ def pde2_gap(u, chart, p, step: float = 1e-3, richardson: bool = True
     theoretical_gap = |grad(k/|grad u|)|^2 / (k/|grad u|)^2; the two agree
     to finite-difference accuracy and are nonnegative.
     """
-    pts = chart.check_points(p)
-    k = level_curvature_k(u, chart, pts)[0]
-    if abs(k) < _ZERO_CURV:
-        raise PreconditionError("level-curvature log inequality needs k != 0")
-    k_field = lambda q: level_curvature_k(u, chart, q)
-    lap = metric_laplacian_fd(_log_abs_field(k_field), chart, pts[0], step, richardson)
-    K = chart.gauss_curvature(pts)[0]
-    gn = metric_gradient_norm(u, chart, pts)[0]
-    pairing = _pairing_grad_u(u, chart, pts)[0] * gn  # <grad K, grad u/|grad u|>_g
-    gap = -lap - K + pairing / k
-    theo = _theoretical_gap(_phi_k_field(u, chart), chart, pts[0], step, richardson)
-    return float(gap), float(theo)
+    return _log_gap(u, chart, p, step, richardson, "k")
 
 
 def pde2_star_gap(u, chart, p, step: float = 1e-3, richardson: bool = True
@@ -271,29 +248,17 @@ def pde2_star_gap(u, chart, p, step: float = 1e-3, richardson: bool = True
 
     gap = -lap ln|h| - K + <grad K, star grad u/|grad u|> / h (signed h).
     """
-    pts = chart.check_points(p)
-    h = steepest_descent_curvature_h(u, chart, pts)[0]
-    if abs(h) < _ZERO_CURV:
-        raise PreconditionError("steepest-descent log inequality needs h != 0")
-    h_field = lambda q: steepest_descent_curvature_h(u, chart, q)
-    lap = metric_laplacian_fd(_log_abs_field(h_field), chart, pts[0], step, richardson)
-    K = chart.gauss_curvature(pts)[0]
-    gn = metric_gradient_norm(u, chart, pts)[0]
-    pairing = _pairing_star_u(u, chart, pts)[0] * gn
-    gap = -lap - K + pairing / h
-    theo = _theoretical_gap(_phi_h_field(u, chart), chart, pts[0], step, richardson)
-    return float(gap), float(theo)
+    return _log_gap(u, chart, p, step, richardson, "h")
 
 
-def _theoretical_gap(phi_field, chart, p, step, richardson):
-    val = phi_field(np.asarray([p]))[0]
-    grad0 = fd_gradient0(phi_field, p, step, richardson)
-    if chart.kind == "conformal":
-        phi = chart.factor.value(np.asarray(p))
-        grad_sq = np.exp(-2.0 * phi) * float(grad0 @ grad0)
+def _theoretical_gap(ratio, steps, kind, weight):
+    """|grad p|^2 / p^2 at the centre, from p's values on the stencil."""
+    grad0 = _grad0(ratio, steps)
+    if kind == "conformal":
+        grad_sq = weight * float(grad0 @ grad0)
     else:
         grad_sq = float(grad0[0] ** 2)
-    return grad_sq / val**2
+    return grad_sq / ratio[0] ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -348,20 +313,13 @@ class PrincipleAuditReport:
         return json.dumps(doc, indent=2)
 
 
-def _quantity_field(u, chart, quantity):
-    if quantity in ("k", "ln_abs_k"):
-        base = lambda pts: level_curvature_k(u, chart, pts)
-    elif quantity in ("h", "ln_abs_h"):
-        base = lambda pts: steepest_descent_curvature_h(u, chart, pts)
-    elif quantity == "phi_k":
-        base = _phi_k_field(u, chart)
-    elif quantity == "phi_h":
-        base = _phi_h_field(u, chart)
-    else:
-        raise DomainError(f"unknown audit quantity {quantity!r}")
+def _audit_values(geo, quantity):
+    c = geo.h if quantity in ("h", "phi_h", "ln_abs_h") else geo.k
+    if quantity.startswith("phi"):
+        return c / geo.G
     if quantity.startswith("ln_abs"):
-        return _log_abs_field(base)
-    return base
+        return np.log(np.abs(c))
+    return c
 
 
 def _audit_grids(chart, domain_spec, n_interior, n_boundary):
@@ -410,24 +368,19 @@ def principle_audit(u, chart, domain_spec, quantity: str, corollary_case: str,
     rule = AUDIT_CASES[corollary_case]
     interior, boundary, (nr, nt), spacing = _audit_grids(
         chart, domain_spec, n_interior, n_boundary)
-    fld = _quantity_field(u, chart, quantity)
-    vi = fld(interior)
-    vb = fld(boundary)
+    geo = local_geometry(u, chart, np.concatenate([interior, boundary], axis=0))
+    vi, vb = np.split(_audit_values(geo, quantity), [interior.shape[0]])
     if not (np.all(np.isfinite(vi)) and np.all(np.isfinite(vb))):
         raise DomainError(
             f"audit quantity {quantity!r} is not finite on the sampled domain "
             "(vanishing curvature under a log?)")
 
-    all_pts = np.concatenate([interior, boundary], axis=0)
-    K = chart.gauss_curvature(all_pts)
-    p_grad = _pairing_grad_u(u, chart, all_pts)
-    p_star = _pairing_star_u(u, chart, all_pts)
-    scale = max(1.0, float(np.max(np.abs(K))))
+    scale = max(1.0, float(np.max(np.abs(geo.K))))
     slack = 1e-10 * scale
     flags = {
-        "K": _sign_flags(K, slack),
-        "pairing_grad_u": _sign_flags(p_grad, slack),
-        "pairing_star_u": _sign_flags(p_star, slack),
+        "K": _sign_flags(geo.K, slack),
+        "pairing_grad_u": _sign_flags(geo.pairing, slack),
+        "pairing_star_u": _sign_flags(geo.pairing_star, slack),
     }
 
     grid_vals = vi.reshape(nr, nt)
@@ -452,13 +405,12 @@ def principle_audit(u, chart, domain_spec, quantity: str, corollary_case: str,
         if attained:
             notes.append("minimum attained on the boundary; interior-minimum premise vacuous")
         else:
-            y = np.asarray(interior_ext[0])
-            Ky = float(chart.gauss_curvature(y))
+            Ky = float(geo.K[ii])
             if Ky <= 0:
                 verdict = "hypotheses_unmet"
                 notes.append("curvature bound |grad K|/K undefined (K <= 0 at the argmin)")
             else:
-                bound = float(np.hypot(*chart.grad_gauss_curvature(y))) / Ky
+                bound = float(np.hypot(*geo.gradK[ii])) / Ky
                 if interior_ext[1] > bound + tol:
                     verdict = "fail"
                     notes.append(f"interior minimum {interior_ext[1]:.6g} exceeds |grad K|/K = {bound:.6g}")
@@ -546,30 +498,21 @@ def logL_slope_bound(u, chart, profile: LengthProfile, boundary_samples: int = 1
         span = chart.t_max - chart.t_min
         lo, hi = chart.t_min + 1e-7 * span, chart.t_max - 1e-7 * span
     interior, boundary, _, _ = _audit_grids(chart, (lo, hi), (64, 128), boundary_samples)
-    pts = np.concatenate([interior, boundary], axis=0)
-    K = chart.gauss_curvature(pts)
-    pairing = _pairing_grad_u(u, chart, pts)
-    kvals = level_curvature_k(u, chart, pts)
-    slack = 1e-10 * max(1.0, float(np.max(np.abs(K))))
-    flags = {"K": _sign_flags(K, slack), "pairing_grad_u": _sign_flags(pairing, slack),
-             "k": _sign_flags(kvals, slack)}
-
-    phi_k = _phi_k_field(u, chart)
+    geo = local_geometry(u, chart, np.concatenate([interior, boundary], axis=0))
+    slack = 1e-10 * max(1.0, float(np.max(np.abs(geo.K))))
+    flags = {"K": _sign_flags(geo.K, slack), "pairing_grad_u": _sign_flags(geo.pairing, slack),
+             "k": _sign_flags(geo.k, slack)}
 
     # the representation L'(t) = -integral of k/|grad u| holds with no sign
     # hypotheses; verify it on every level of the profile
     ident_err = 0.0
     for t, lp in zip(profile.t_grid, profile.Lp):
         curve = extract_level_curve(u, chart, float(t), n_samples)
-        if chart.kind == "warped":
-            w = chart.warp_jet(curve.points[:1, 0])[0][0]
-            dh1 = np.full(curve.points.shape[0], w) * curve.weights
-        else:
-            dh1 = np.exp(chart.factor.jet(curve.points).value) * curve.weights
-        ident = float(np.sum(phi_k(curve.points) * dh1))
+        g = local_geometry(u, chart, curve.points)
+        ident = float(np.sum(g.k / g.G * (g.level_weight * curve.weights)))
         ident_err = max(ident_err, abs(lp + ident))
 
-    inf_bnd = float(np.min(phi_k(boundary)))
+    inf_bnd = float(np.min((geo.k / geo.G)[interior.shape[0]:]))
     if flags["K"]["nonpos"] and flags["pairing_grad_u"]["nonpos"]:
         variant = "nonpos_K"
         bound = max(-inf_bnd, 0.0)

@@ -129,8 +129,9 @@ def _bracketed_newton(u, ts, a, b, fa, max_iter=60):
 
     Every level runs its own scalar iteration; the live levels only share
     one jet call per iteration, so a root does not depend on its batch.  A
-    level whose step is still above 1e-15 relative after ``max_iter``
-    iterations raises :class:`SolverError`.
+    Newton step of at most 1e-15 relative ends the iteration, even one that
+    leaves the bracket; a level whose step is still above that after
+    ``max_iter`` iterations raises :class:`SolverError`.
     """
     a, b, fa = a.copy(), b.copy(), fa.copy()
     x = 0.5 * (a + b)
@@ -150,8 +151,12 @@ def _bracketed_newton(u, ts, a, b, fa, max_iter=60):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(d != 0, f / d, np.inf)
         x_new = xl - step
-        x_new = np.where((al < x_new) & (x_new < bl), x_new, 0.5 * (al + bl))
-        done = np.abs(x_new - xl) <= 1e-15 * np.maximum(1.0, np.abs(xl))
+        tol = 1e-15 * np.maximum(1.0, np.abs(xl))
+        # x is now a bracket end, so a converged sub-ulp step can land just
+        # outside the bracket: keep it rather than restart by bisection
+        keep = (np.abs(x_new - xl) <= tol) | ((al < x_new) & (x_new < bl))
+        x_new = np.where(keep, x_new, 0.5 * (al + bl))
+        done = np.abs(x_new - xl) <= tol
         root[live] = np.where(hit, xl, x_new)
         a[live], b[live], fa[live], x[live] = al, bl, fal, x_new
         live = live[~(hit | done)]

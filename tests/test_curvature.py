@@ -1,14 +1,17 @@
 """Level-curve / steepest-descent curvature, PDE residuals, audits."""
 
+import dataclasses
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from levelflow import (ConformalChart, CriticalPointError, DirichletSpec,
-                       PreconditionError, WarpedChart, catalog_field,
-                       curvature_sample, flat_factor, inset_grid,
-                       length_profile, level_curvature_k, logL_slope_bound,
+                       PreconditionError, ScalarField, WarpedChart,
+                       catalog_field, curvature_sample, flat_factor,
+                       half_plane_factor, inset_grid, length_profile,
+                       level_curvature_k, local_geometry, logL_slope_bound,
                        metric_gradient_norm, pde1_residual, pde1_star_residual,
                        pde2_gap, pde2_star_gap, principle_audit,
                        quasi_random_points, solve_annulus_dirichlet,
@@ -322,3 +325,72 @@ def test_slope_bound_identity_even_when_hypotheses_unmet():
     rep = logL_slope_bound(u, CAP, prof)
     assert rep.identity_max_err <= 1e-6
     assert rep.variant in ("nonpos_K", "nonneg_K", "hypotheses_unmet")
+
+
+# ---------------------------------------------------------------------------
+# one local geometry per point batch
+# ---------------------------------------------------------------------------
+
+def _record_jets(monkeypatch):
+    """Wrap ScalarField.jet; the returned list gets (field, points) per call."""
+    calls = []
+    jet = ScalarField.jet
+
+    def counted(self, p):
+        calls.append((self, np.atleast_2d(np.asarray(p)).shape[0]))
+        return jet(self, p)
+
+    monkeypatch.setattr(ScalarField, "jet", counted)
+    return calls
+
+
+def test_audit_evaluates_each_grid_point_once(monkeypatch):
+    hyp = WarpedChart.cosh_cylinder(2.0 / (2 * np.pi), 0.1, 1.6)
+    cases = [(ARCTAN, hyp, hyp.shape, (0.2, 1.5), "phi_k", "min_on_boundary_nonpos_K"),
+             (LOG, CAP, CAP.factor, (1.05, 1.5), "ln_abs_k", "min_abs_on_boundary")]
+    calls = _record_jets(monkeypatch)
+    for u, chart, metric_field, domain, quantity, case in cases:
+        calls.clear()
+        principle_audit(u, chart, domain, quantity, case)
+        points = Counter()
+        for field, n in calls:
+            points[id(field)] += n
+        # the default grid: 256 x 256 interior points and two 1024-point circles
+        assert dict(points) == {id(u.field): 67584, id(metric_field): 67584}
+
+
+def test_pde_stencils_take_at_most_three_jet_calls(monkeypatch):
+    calls = _record_jets(monkeypatch)
+    ure = catalog_field("re_poly", n=1)
+    for fn, u, chart, p in [(pde1_residual, LOG, CAP, (1.3, 0.4)),
+                            (pde1_star_residual, ure, CAP, (1.3, 0.4)),
+                            (pde2_gap, LOG, CAP, (1.3, 0.4)),
+                            (pde2_star_gap, ure, CAP, (1.3, 0.4)),
+                            (pde1_residual, ARCTAN, HYP, (0.5, 0.0)),
+                            (pde1_star_residual, ARCTAN, HYP, (0.5, 0.0)),
+                            (pde2_gap, ARCTAN, HYP, (0.5, 0.0))]:
+        calls.clear()
+        fn(u, chart, p)
+        assert len(calls) <= 3, fn.__name__
+
+
+PLOG = catalog_field("perturbed_log", eps=0.1)
+
+
+def _half_plane_points(n):
+    rng = np.random.default_rng(3)
+    return np.stack([rng.uniform(-1.0, 1.0, n), rng.uniform(0.5, 2.0, n)], axis=-1)
+
+
+@pytest.mark.parametrize("u,chart,pts", [
+    (PLOG, FLAT, quasi_random_points(FLAT, 24, seed=2, min_gradient_field=PLOG.field)),
+    (LOG, CAP, quasi_random_points(CAP, 24, seed=2, min_gradient_field=LOG.field)),
+    (catalog_field("re_poly", n=2), ConformalChart(half_plane_factor()), _half_plane_points(24)),
+    (ARCTAN, HYP, quasi_random_points(HYP, 24, seed=2)),
+], ids=["flat", "sphere_cap", "half_plane", "warped"])
+def test_local_geometry_rows_do_not_depend_on_the_batch(u, chart, pts):
+    batch = local_geometry(u, chart, pts)
+    rows = [local_geometry(u, chart, p) for p in pts]
+    for f in dataclasses.fields(batch):
+        joined = np.concatenate([getattr(r, f.name) for r in rows])
+        assert getattr(batch, f.name).tobytes() == joined.tobytes(), f.name

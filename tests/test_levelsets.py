@@ -210,6 +210,15 @@ def test_batched_newton_reports_unconverged_levels():
         levelsets._level_radii(ARCTAN, HYP, levels, max_iter=1)
 
 
+def test_newton_keeps_a_converged_step_outside_the_bracket():
+    # near s = 0.1 the iterate is within an ulp of the root after a few
+    # steps and the next, sub-ulp step lands just outside the bracket; it
+    # must end the solve rather than restart bisection (44 iterations)
+    levels = np.linspace(0.1, np.pi - 0.1, 100)  # the criterion-6 grid
+    r = levelsets._level_radii(ARCTAN, HYP, levels, max_iter=10)
+    assert np.max(np.abs(2 * np.arctan(np.exp(r)) - levels)) <= 1e-14
+
+
 # ---------------------------------------------------------------------------
 # profiles and the convexity check
 # ---------------------------------------------------------------------------
