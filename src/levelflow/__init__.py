@@ -28,9 +28,8 @@ from .errors import (ConfigError, CriticalPointError, DomainError,
                      SingularPointError, SolverError, TopologyError)
 from .fields import (FieldJet, ScalarField, constant_field, half_plane_factor,
                      log_modulus_field, radial_log_field)
-from .harmonic import (DirichletSpec, HarmonicField, catalog_field,
-                       critical_points, solve_annulus_dirichlet,
-                       solve_annulus_numeric)
+from .harmonic import (DirichletSpec, catalog_field, critical_points,
+                       solve_annulus_dirichlet, solve_annulus_numeric)
 from .identities import bochner_residual, kato_residual, log_gradient_residual
 from .levelsets import (ConvexityReport, LengthProfile, LevelCurve,
                         asymptotic_defect, d2length_integral, dlength_integral,

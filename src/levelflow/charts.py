@@ -11,6 +11,12 @@ Two chart kinds cover everything in the package:
   fields on it are restricted to radial ones (functions of t), for which
   the Laplacian is exactly ``f'' + (w'/w) f'``.
 
+:func:`point_jets` is the one place that takes the jets of a field u and of
+the metric at a point batch and tests for critical points, against
+``CRITICAL_GRAD``, the package's only critical-gradient floor.  The identity
+residuals read those jets; :func:`local_geometry` builds from them k, h, K,
+the pairings and the pieces of the L' and L'' integrands.
+
 All objects are immutable after construction and evaluation is pure.
 """
 
@@ -258,6 +264,8 @@ class LocalGeometry:
     Laplacian applies at a point (e^{-2 phi} conformal, w'/w warped) and
     ``level_weight`` the length element of a level curve per coordinate
     length (e^phi conformal, w warped, where radial levels run in theta).
+    With G = |grad u|_g, ``pairing_G`` is <grad u, grad G>_g and
+    ``grad_G_sq`` is |grad G|_g^2: the pieces of the L' and L'' integrands.
     """
 
     pts: np.ndarray
@@ -270,6 +278,8 @@ class LocalGeometry:
     pairing_star: np.ndarray
     lap_weight: np.ndarray
     level_weight: np.ndarray
+    pairing_G: np.ndarray
+    grad_G_sq: np.ndarray
 
 
 def local_geometry(u, chart, p) -> LocalGeometry:
@@ -277,24 +287,57 @@ def local_geometry(u, chart, p) -> LocalGeometry:
 
     k = -div(grad u / |grad u|) is the geodesic curvature of the level
     curve, h = -div((u_2, -u_1) / |grad u|) that of the steepest-descent
-    line.  Raises :class:`CriticalPointError` where |grad_0 u| < 1e-8
-    (|u'(t)| on warped charts).
+    line.  Raises the chart's domain errors, then
+    :class:`CriticalPointError` as :func:`point_jets` does.
     """
-    pts = chart.check_points(p)
+    return _geometry(u, chart, chart.check_points(p))
+
+
+def point_jets(u, chart, pts):
+    """(jet of u, the factor's jet or warped charts' ``warp_jet`` tuple) at
+    ``pts``, which are not domain-checked here.  Raises
+    :class:`CriticalPointError` where |grad_0 u| < CRITICAL_GRAD (|u'(t)|
+    on warped charts, which take radial u only)."""
     if chart.kind == "warped":
-        return _warped_geometry(u, chart, pts)
-    ju = u.jet(pts)
-    jp = chart.factor.jet(pts)
+        _require_radial(u)
+        # the warp first, so that u's whole jet is not alive while it is built
+        metric = chart.warp_jet(pts[:, 0])
+        ju = u.jet(pts)
+        critical = np.abs(ju.grad[:, 0]) < CRITICAL_GRAD
+    else:
+        ju = u.jet(pts)
+        metric = chart.factor.jet(pts)
+        critical = ju.grad[:, 0] ** 2 + ju.grad[:, 1] ** 2 < CRITICAL_GRAD**2
+    if np.any(critical):
+        raise CriticalPointError("evaluation at a critical point of u")
+    return ju, metric
+
+
+def _geometry(u, chart, pts) -> LocalGeometry:
+    """:class:`LocalGeometry` at ``pts`` without the chart's domain check."""
+    ju, jp = point_jets(u, chart, pts)
+    if chart.kind == "warped":
+        u1, u2 = ju.grad[:, 0], ju.hess[:, 0, 0]
+        w, w1, w2, w3, _ = jp
+        K, dK = chart._curvature(w, w1, w2, w3)
+        k = -np.sign(u1) * w1 / w
+        dG = u2 * np.sign(u1)  # G = |u'(t)|, so G' = u'' sign(u')
+        return LocalGeometry(pts=pts, G=np.abs(u1), k=k, h=np.zeros_like(k), K=K,
+                             gradK=dK, pairing=dK[:, 0] / u1,
+                             pairing_star=np.zeros(pts.shape[0]),
+                             lap_weight=w1 / w, level_weight=w,
+                             pairing_G=u1 * dG, grad_G_sq=dG**2)
     g = ju.grad
     q = g[:, 0] ** 2 + g[:, 1] ** 2
-    if np.any(q < CRITICAL_GRAD**2):
-        raise CriticalPointError("curvature evaluation at a critical point")
     g0 = np.sqrt(q)
     div_unit = ju.laplacian() / g0 - _bilinear(g, ju.hess, g) / g0**3
     rot = np.stack([g[:, 1], -g[:, 0]], axis=-1)
     hrg = _bilinear(rot, ju.hess, g)
     e_mphi = np.exp(-jp.value)
     e2, K, dK = chart._curvature(jp)
+    # grad_0 G for G = e^{-phi} g0; the metric pairs gradients with e^{-2 phi}
+    grad_G = e_mphi[:, None] * (np.einsum("nij,nj->ni", ju.hess, g) / g0[:, None]
+                                - g0[:, None] * jp.grad)
     return LocalGeometry(
         pts=pts, G=e_mphi * np.hypot(g[:, 0], g[:, 1]),
         k=-e_mphi * (div_unit + np.einsum("ni,ni->n", jp.grad, g) / g0),
@@ -303,7 +346,9 @@ def local_geometry(u, chart, p) -> LocalGeometry:
         # the conformal factors of the metric pairing and |grad u|_g^2 cancel
         pairing=np.einsum("ni,ni->n", dK, g) / q,
         pairing_star=(dK[:, 0] * g[:, 1] - dK[:, 1] * g[:, 0]) / q,
-        lap_weight=e2, level_weight=np.exp(jp.value))
+        lap_weight=e2, level_weight=np.exp(jp.value),
+        pairing_G=e_mphi**2 * np.einsum("ni,ni->n", g, grad_G),
+        grad_G_sq=e_mphi**2 * np.einsum("ni,ni->n", grad_G, grad_G))
 
 
 def _bilinear(a, H, b):
@@ -311,20 +356,6 @@ def _bilinear(a, H, b):
     einsum pairs the terms differently, and a row must not depend on its batch."""
     return (a[:, 0] * H[:, 0, 0] * b[:, 0] + a[:, 0] * H[:, 0, 1] * b[:, 1]
             + a[:, 1] * H[:, 1, 0] * b[:, 0] + a[:, 1] * H[:, 1, 1] * b[:, 1])
-
-
-def _warped_geometry(u, chart, pts):
-    _require_radial(u)
-    u1 = u.jet(pts).grad[:, 0]
-    if np.any(np.abs(u1) < CRITICAL_GRAD):
-        raise CriticalPointError("curvature evaluation at a critical point")
-    w, w1, w2, w3, _ = chart.warp_jet(pts[:, 0])
-    K, dK = chart._curvature(w, w1, w2, w3)
-    k = -np.sign(u1) * w1 / w
-    return LocalGeometry(pts=pts, G=np.abs(u1), k=k, h=np.zeros_like(k), K=K,
-                         gradK=dK, pairing=dK[:, 0] / u1,
-                         pairing_star=np.zeros(pts.shape[0]),
-                         lap_weight=w1 / w, level_weight=w)
 
 
 def _require_radial(u):

@@ -132,10 +132,9 @@ def build_field(cfg: dict):
     fcfg = cfg.get("field")
     if not isinstance(fcfg, dict):
         raise ConfigError("missing 'field' section")
-    if "dirichlet" in fcfg:
-        d = fcfg["dirichlet"]
-        return solve_annulus_dirichlet(DirichletSpec(float(d["R"]), float(d["t1"]),
-                                                     float(d["t2"])))
+    spec = _field_spec(cfg)
+    if spec is not None:
+        return solve_annulus_dirichlet(spec)
     if "catalog" in fcfg:
         return catalog_field(fcfg["catalog"], **fcfg.get("params", {}))
     raise ConfigError("field must specify 'dirichlet' or 'catalog'")
@@ -262,7 +261,7 @@ def cmd_residuals(cfg, out_dir, tol, fmt):
     u = build_field(cfg)
     n = int(cfg["analysis"].get("points", 100))
     seed = int(cfg.get("seed", 0))
-    pts = quasi_random_points(chart, n, seed, min_gradient_field=u.field)
+    pts = quasi_random_points(chart, n, seed, min_gradient_field=u)
     closed = u.derivative_source == "closed_form"
     rtol = tol["residual_closed_form"] if closed else tol["residual_fd"]
     res = {
@@ -439,7 +438,7 @@ def _scenario_sphere_cap(tol, out_dir):
     u = solve_annulus_dirichlet(spec)
     prof = ls.length_profile(u, chart, ls.inset_grid(0.0, 1.0, 50))
     conv = ls.log_convexity_check(prof, tol["convexity"])
-    pts = quasi_random_points(chart, 100, 0, min_gradient_field=u.field)
+    pts = quasi_random_points(chart, 100, 0, min_gradient_field=u)
     res = max(np.max(np.abs(idn.kato_residual(u, chart, pts))),
               np.max(np.abs(idn.bochner_residual(u, chart, pts))),
               np.max(np.abs(idn.log_gradient_residual(u, chart, pts))))

@@ -182,28 +182,30 @@ def _require_nonzero(geo, curvature):
         raise PreconditionError(_NONZERO[curvature])
 
 
-def _stencil_geometry(u, chart, centre, step, richardson, nonzero=None):
-    """One geometry over the stencil around ``centre`` (its row 0), and the steps.
+def _stencil_geometry(u, chart, p, step, richardson, nonzero=None):
+    """One geometry over the stencil around the single point p (its row 0),
+    and the steps.
 
     ``nonzero`` names the curvature ("k" or "h") a log identity divides by.
-    The centre's own errors (a critical point, then that curvature below
-    1e-6) are raised before any error of the rest of the stencil.
+    After p's domain check (and a ValueError for a batch of points), p's own
+    errors (a critical point, then that curvature below 1e-6) are raised
+    before any error of the rest of the stencil.
     """
+    centre = chart.check_points(p)
+    if centre.shape[0] != 1:
+        raise ValueError("pde residuals take a single point")
     steps = _steps(step, richardson)
     try:
-        geo = local_geometry(u, chart, _stencil(centre, steps))
+        geo = local_geometry(u, chart, _stencil(centre[0], steps))
     except LevelFlowError:
-        _require_nonzero(local_geometry(u, chart, centre), nonzero)
+        _require_nonzero(local_geometry(u, chart, centre[0]), nonzero)
         raise
     _require_nonzero(geo, nonzero)
     return geo, steps
 
 
 def _pde1(u, chart, p, step, richardson, star):
-    pts = chart.check_points(p)
-    if pts.shape[0] != 1:
-        raise ValueError("pde residuals take a single point")
-    geo, steps = _stencil_geometry(u, chart, pts[0], step, richardson)
+    geo, steps = _stencil_geometry(u, chart, p, step, richardson)
     ratio = (geo.h if star else geo.k) / geo.G
     rhs = (geo.pairing_star if star else geo.pairing)[0]
     lap = _metric_lap(ratio, steps, chart.kind, geo.lap_weight[0])
@@ -221,8 +223,7 @@ def pde1_star_residual(u, chart, p, step: float = 1e-3, richardson: bool = True)
 
 
 def _log_gap(u, chart, p, step, richardson, curvature):
-    pts = chart.check_points(p)
-    geo, steps = _stencil_geometry(u, chart, pts[0], step, richardson, curvature)
+    geo, steps = _stencil_geometry(u, chart, p, step, richardson, curvature)
     c = getattr(geo, curvature)
     rhs = (geo.pairing if curvature == "k" else geo.pairing_star)[0]
     lap = _metric_lap(np.log(np.abs(c)), steps, chart.kind, geo.lap_weight[0])

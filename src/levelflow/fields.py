@@ -74,7 +74,8 @@ class ScalarField:
 
     ``radial`` marks fields that depend only on the chart's radial
     coordinate (|z| on conformal charts, t on warped ones); several level-set
-    operations have exact fast paths for those.
+    operations have exact fast paths for those.  ``log_radial_coeffs`` is
+    (a, b) for a field a + b ln|z|, whose levels invert in closed form.
     """
 
     def __init__(self, jet_fn: Callable[[np.ndarray], FieldJet], *,
@@ -84,6 +85,7 @@ class ScalarField:
         self.derivative_source = source
         self.radial = radial
         self.singular_points = tuple(np.asarray(q, dtype=float) for q in singular_points)
+        self.log_radial_coeffs = None
 
     # -- constructors --------------------------------------------------------
 

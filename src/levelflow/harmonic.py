@@ -6,6 +6,10 @@ the chart coordinates on conformal charts (conformal invariance in two
 dimensions), so every conformal-chart entry in the catalog is an exact
 planar harmonic function.  Warped-chart entries are radial and satisfy
 u'' + (w'/w) u' = 0 for their chart's warp.
+
+Every constructor returns a :class:`~levelflow.fields.ScalarField`; fields
+a + b ln|z| set its ``log_radial_coeffs`` and the numeric solver's its
+``grid_data``.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from scipy.sparse.linalg import spsolve
 
 from . import jets
 from .errors import DomainError, SolverError
-from .fields import ScalarField
+from .fields import ScalarField, constant_field
 
 logger = logging.getLogger(__name__)
 
@@ -43,58 +47,21 @@ class DirichletSpec:
         return abs(self.t2 - self.t1)
 
 
-class HarmonicField:
-    """A ScalarField that is harmonic on its chart, with provenance."""
-
-    def __init__(self, field: ScalarField, provenance: str, *,
-                 log_radial_coeffs: tuple[float, float] | None = None):
-        self.field = field
-        self.provenance = provenance
-        # (a, b) when u = a + b ln|z| (conformal) -- enables exact level radii
-        self.log_radial_coeffs = log_radial_coeffs
-
-    @property
-    def radial(self) -> bool:
-        return self.field.radial
-
-    @property
-    def derivative_source(self) -> str:
-        return self.field.derivative_source
-
-    @property
-    def singular_points(self):
-        return self.field.singular_points
-
-    def jet(self, p):
-        return self.field.jet(p)
-
-    def value(self, p):
-        return self.field.value(p)
-
-    def gradient(self, p):
-        return self.field.gradient(p)
-
-    def hessian(self, p):
-        return self.field.hessian(p)
-
-    def laplacian(self, p):
-        return self.field.laplacian(p)
-
-
-def solve_annulus_dirichlet(spec: DirichletSpec) -> HarmonicField:
+def solve_annulus_dirichlet(spec: DirichletSpec) -> ScalarField:
     """Closed-form solution u = t1 + (t2 - t1) ln|z| / ln R of the annulus
     Dirichlet problem with constant boundary data."""
     b = (spec.t2 - spec.t1) / np.log(spec.R)
     if spec.t1 == spec.t2:
-        field = ScalarField.from_expression(lambda x, y: x * 0.0 + spec.t1, radial=True)
-        return HarmonicField(field, "annulus_dirichlet", log_radial_coeffs=(spec.t1, 0.0))
-    field = ScalarField.from_holomorphic_sum(
-        [(jets.log_z_coeffs, "re", b)], constant=spec.t1,
-        radial=True, singular_points=[(0.0, 0.0)])
-    return HarmonicField(field, "annulus_dirichlet", log_radial_coeffs=(spec.t1, b))
+        field = constant_field(spec.t1)
+    else:
+        field = ScalarField.from_holomorphic_sum(
+            [(jets.log_z_coeffs, "re", b)], constant=spec.t1,
+            radial=True, singular_points=[(0.0, 0.0)])
+    field.log_radial_coeffs = (spec.t1, b)
+    return field
 
 
-def catalog_field(name: str, **params) -> HarmonicField:
+def catalog_field(name: str, **params) -> ScalarField:
     """Closed-form harmonic fields used throughout the test batteries.
 
     Conformal-chart entries: ``log`` (c ln|z|), ``arg``, ``re_poly``/``im_poly``
@@ -108,43 +75,39 @@ def catalog_field(name: str, **params) -> HarmonicField:
         field = ScalarField.from_holomorphic_sum(
             [(jets.log_z_coeffs, "re", c)], radial=True,
             singular_points=[(0.0, 0.0)])
-        return HarmonicField(field, f"catalog({name})", log_radial_coeffs=(0.0, c))
+        field.log_radial_coeffs = (0.0, c)
+        return field
     if name == "arg":
         _no_extra(params)
-        field = ScalarField.from_holomorphic_sum(
+        return ScalarField.from_holomorphic_sum(
             [(jets.log_z_coeffs, "im", 1.0)], singular_points=[(0.0, 0.0)])
-        return HarmonicField(field, f"catalog({name})")
     if name in ("re_poly", "im_poly"):
         n = int(params.pop("n"))
         _no_extra(params)
         if n < 1:
             raise DomainError("polynomial degree must be >= 1")
         part = "re" if name == "re_poly" else "im"
-        field = ScalarField.from_holomorphic_sum(
+        return ScalarField.from_holomorphic_sum(
             [(lambda z0, n=n: jets.monomial_coeffs(z0, n), part, 1.0)])
-        return HarmonicField(field, f"catalog({name})")
     if name in ("joukowski", "im_joukowski"):
         a = float(params.pop("a", 1.0))
         _no_extra(params)
         part = "re" if name == "joukowski" else "im"
-        field = ScalarField.from_holomorphic_sum(
+        return ScalarField.from_holomorphic_sum(
             [(lambda z0: jets.monomial_coeffs(z0, 1), part, 1.0),
              (jets.inverse_coeffs, part, a)],
             singular_points=[(0.0, 0.0)])
-        return HarmonicField(field, f"catalog({name})")
     if name == "perturbed_log":
         eps = float(params.pop("eps", 0.1))
         _no_extra(params)
-        field = ScalarField.from_holomorphic_sum(
+        return ScalarField.from_holomorphic_sum(
             [(jets.log_z_coeffs, "re", -1.0),
              (lambda z0: jets.monomial_coeffs(z0, 1), "re", eps)],
             singular_points=[(0.0, 0.0)])
-        return HarmonicField(field, f"catalog({name})")
     if name == "warped_arctan":
         _no_extra(params)
-        field = ScalarField.from_expression(
+        return ScalarField.from_expression(
             lambda t, _th: 2.0 * jets.atan(jets.exp(t)), radial=True)
-        return HarmonicField(field, f"catalog({name})")
     raise DomainError(f"unknown catalog field {name!r}")
 
 
@@ -155,7 +118,7 @@ def _no_extra(params):
 
 # -- critical points -----------------------------------------------------------
 
-def critical_points(u: HarmonicField, chart, resolution: int = 64,
+def critical_points(u: ScalarField, chart, resolution: int = 64,
                     tol: float = 1e-8) -> list[tuple[float, float]]:
     """All zeros of grad u in the chart interior, located to ~1e-8.
 
@@ -241,7 +204,7 @@ def _critical_points_warped(u, chart, resolution, tol):
 # -- validation-only numeric solver ---------------------------------------------
 
 def solve_annulus_numeric(spec: DirichletSpec, grid: tuple[int, int] = (64, 128)
-                          ) -> HarmonicField:
+                          ) -> ScalarField:
     """Second-order polar-grid solution of the annulus Dirichlet problem.
 
     Validation-only cross-check of the closed form; analysis paths always use
@@ -311,6 +274,5 @@ def solve_annulus_numeric(spec: DirichletSpec, grid: tuple[int, int] = (64, 128)
         return spline.ev(np.clip(rr, 1.0, spec.R), tt)
 
     field = ScalarField.from_callable(evaluate, diameter=spec.R - 1.0, radial=False)
-    out = HarmonicField(field, "numeric_grid")
-    out.grid_data = (r, np.arange(n_t) * dt, values)
-    return out
+    field.grid_data = (r, np.arange(n_t) * dt, values)
+    return field

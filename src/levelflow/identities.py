@@ -12,27 +12,30 @@ metric (covariant) quantities expressed in chart coordinates; for exact
 harmonic fields with closed-form derivatives the residuals sit at roundoff
 level.  The formulas keep the ``grad(lap u)`` terms so that fields that are
 only approximately harmonic (finite-difference backed) degrade gracefully.
+
+The jets of u and of the metric, and the critical-point test against
+``charts.CRITICAL_GRAD``, come from :func:`levelflow.charts.point_jets`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .charts import ConformalChart
-from .errors import CriticalPointError
+from .charts import point_jets
 from .fields import as_points
 
-_GRAD_FLOOR = 1e-12
 
-
-def _conformal_parts(u, chart: ConformalChart, pts):
-    ju = u.jet(pts)
-    jp = chart.factor.jet(pts)
-    g = ju.grad
-    q = g[:, 0] ** 2 + g[:, 1] ** 2
-    if np.any(q < _GRAD_FLOOR**2):
-        raise CriticalPointError("identity residual requested at a critical point")
-    return ju, jp, g, q
+def _residual(u, chart, p, conformal, warped):
+    """The chart kind's residual formula at the domain-checked p."""
+    pts = chart.check_points(p)
+    _, single = as_points(p)
+    ju, jm = point_jets(u, chart, pts)
+    if chart.kind == "conformal":
+        out = conformal(ju, jm, ju.grad[:, 0] ** 2 + ju.grad[:, 1] ** 2)
+    else:
+        w, w1, w2, _, _ = jm
+        out = warped(ju.grad[:, 0], ju.hess[:, 0, 0], ju.third[:, 0], w, w1, w2)
+    return float(out[0]) if single else out
 
 
 def _covariant_hessian_sq(ju, jp):
@@ -62,79 +65,58 @@ def _lap_q(ju):
 
 def kato_residual(u, chart, p):
     """|Hess u|^2 - 2 |grad |grad u||^2 in the surface metric."""
-    pts = chart.check_points(p)
-    _, single = as_points(p)
-    if chart.kind == "conformal":
-        ju, jp, g, q = _conformal_parts(u, chart, pts)
-        hess_sq = _covariant_hessian_sq(ju, jp)
-        g0 = np.sqrt(q)
-        grad_g0 = np.einsum("nij,nj->ni", ju.hess, g) / g0[:, None]
-        # grad of G = e^{-phi} g0, then |grad_g G|^2_g = e^{-2 phi} |grad_0 G|^2
-        grad_G = np.exp(-jp.value)[:, None] * (grad_g0 - g0[:, None] * jp.grad)
-        grad_G_sq = np.exp(-2.0 * jp.value) * np.einsum("ni,ni->n", grad_G, grad_G)
-        out = hess_sq - 2.0 * grad_G_sq
-    else:
-        out = _warped_kato(u, chart, pts)
-    return float(out[0]) if single else out
+    return _residual(u, chart, p, _kato_conformal, _kato_warped)
 
 
-def _warped_jets(u, chart, pts):
-    ju = u.jet(pts)
-    u1 = ju.grad[:, 0]
-    if np.any(np.abs(u1) < _GRAD_FLOOR):
-        raise CriticalPointError("identity residual requested at a critical point")
-    u2 = ju.hess[:, 0, 0]
-    u3 = ju.third[:, 0]
-    w, w1, w2, _, _ = chart.warp_jet(pts[:, 0])
-    return u1, u2, u3, w, w1, w2
+def _kato_conformal(ju, jp, q):
+    hess_sq = _covariant_hessian_sq(ju, jp)
+    g0 = np.sqrt(q)
+    grad_g0 = np.einsum("nij,nj->ni", ju.hess, ju.grad) / g0[:, None]
+    # grad of G = e^{-phi} g0, then |grad_g G|^2_g = e^{-2 phi} |grad_0 G|^2
+    grad_G = np.exp(-jp.value)[:, None] * (grad_g0 - g0[:, None] * jp.grad)
+    grad_G_sq = np.exp(-2.0 * jp.value) * np.einsum("ni,ni->n", grad_G, grad_G)
+    return hess_sq - 2.0 * grad_G_sq
 
 
-def _warped_kato(u, chart, pts):
-    from .charts import _require_radial
-    _require_radial(u)
-    u1, u2, _, w, w1, _ = _warped_jets(u, chart, pts)
+def _kato_warped(u1, u2, u3, w, w1, w2):
     # covariant Hessian of radial u: diag entries u'' and (w w') u' g^{theta theta}
     return u2**2 + (u1 * w1 / w) ** 2 - 2.0 * u2**2
 
 
 def bochner_residual(u, chart, p):
     """lap(|grad u|^2 / 2) - |Hess u|^2 - K |grad u|^2 in the surface metric."""
-    pts = chart.check_points(p)
-    _, single = as_points(p)
-    if chart.kind == "conformal":
-        ju, jp, g, q = _conformal_parts(u, chart, pts)
-        e2 = np.exp(-2.0 * jp.value)
-        lap_phi = jp.laplacian()
-        grad_phi_sq = jp.grad[:, 0] ** 2 + jp.grad[:, 1] ** 2
-        # lap_0(e^{-2 phi} q / 2) expanded by the product rule
-        lap_s = 0.5 * (e2 * (4.0 * grad_phi_sq - 2.0 * lap_phi) * q
-                       - 4.0 * e2 * np.einsum("ni,ni->n", jp.grad, _grad_q(ju))
-                       + e2 * _lap_q(ju))
-        K = -e2 * lap_phi
-        out = e2 * lap_s - _covariant_hessian_sq(ju, jp) - K * e2 * q
-    else:
-        from .charts import _require_radial
-        _require_radial(u)
-        u1, u2, u3, w, w1, w2 = _warped_jets(u, chart, pts)
-        lap_s = u2**2 + u1 * u3 + (w1 / w) * u1 * u2
-        hess_sq = u2**2 + (u1 * w1 / w) ** 2
-        out = lap_s - hess_sq + (w2 / w) * u1**2
-    return float(out[0]) if single else out
+    return _residual(u, chart, p, _bochner_conformal, _bochner_warped)
+
+
+def _bochner_conformal(ju, jp, q):
+    e2 = np.exp(-2.0 * jp.value)
+    lap_phi = jp.laplacian()
+    grad_phi_sq = jp.grad[:, 0] ** 2 + jp.grad[:, 1] ** 2
+    # lap_0(e^{-2 phi} q / 2) expanded by the product rule
+    lap_s = 0.5 * (e2 * (4.0 * grad_phi_sq - 2.0 * lap_phi) * q
+                   - 4.0 * e2 * np.einsum("ni,ni->n", jp.grad, _grad_q(ju))
+                   + e2 * _lap_q(ju))
+    K = -e2 * lap_phi
+    return e2 * lap_s - _covariant_hessian_sq(ju, jp) - K * e2 * q
+
+
+def _bochner_warped(u1, u2, u3, w, w1, w2):
+    lap_s = u2**2 + u1 * u3 + (w1 / w) * u1 * u2
+    hess_sq = u2**2 + (u1 * w1 / w) ** 2
+    return lap_s - hess_sq + (w2 / w) * u1**2
 
 
 def log_gradient_residual(u, chart, p):
     """lap(log |grad u|) - K in the surface metric."""
-    pts = chart.check_points(p)
-    _, single = as_points(p)
-    if chart.kind == "conformal":
-        ju, jp, g, q = _conformal_parts(u, chart, pts)
-        gq = _grad_q(ju)
-        gq_sq = gq[:, 0] ** 2 + gq[:, 1] ** 2
-        # log G = -phi + log(q)/2; the -lap phi term cancels against K exactly
-        out = np.exp(-2.0 * jp.value) * 0.5 * (_lap_q(ju) / q - gq_sq / q**2)
-    else:
-        from .charts import _require_radial
-        _require_radial(u)
-        u1, u2, u3, w, w1, w2 = _warped_jets(u, chart, pts)
-        out = (u3 * u1 - u2**2) / u1**2 + (w1 / w) * (u2 / u1) + w2 / w
-    return float(out[0]) if single else out
+    return _residual(u, chart, p, _log_gradient_conformal, _log_gradient_warped)
+
+
+def _log_gradient_conformal(ju, jp, q):
+    gq = _grad_q(ju)
+    gq_sq = gq[:, 0] ** 2 + gq[:, 1] ** 2
+    # log G = -phi + log(q)/2; the -lap phi term cancels against K exactly
+    return np.exp(-2.0 * jp.value) * 0.5 * (_lap_q(ju) / q - gq_sq / q**2)
+
+
+def _log_gradient_warped(u1, u2, u3, w, w1, w2):
+    return (u3 * u1 - u2**2) / u1**2 + (w1 / w) * (u2 / u1) + w2 / w

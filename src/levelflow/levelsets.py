@@ -17,6 +17,12 @@ where grad_0 G = e^{-phi} (grad_0 |grad_0 u| - |grad_0 u| grad_0 phi).  The
 sign convention (L' with respect to increasing level value) is pinned by the
 flat annulus: u = -ln|z| gives L(t) = 2 pi e^{-t} and L'(t) = -2 pi e^{-t}.
 
+The integrands read G, <grad u, grad G>_g, |grad G|_g^2, K and the length
+element from the local geometry of :mod:`levelflow.charts`, which also
+applies the critical-point floor ``CRITICAL_GRAD`` that the tracer here uses.
+Integrand points skip the chart's domain check: they come from the level
+solver, and the levels t +- h of a profile's FD columns may lie just outside.
+
 Radial fields on radial factors admit an exact fast path (the integrand is
 constant on the level circle).  On it all radial levels of a profile are
 located in one batched bracketed Newton solve and integrated in one batched
@@ -35,17 +41,17 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .charts import ConformalChart
+from .charts import CRITICAL_GRAD, ConformalChart, _geometry
 from .errors import (CriticalPointError, DomainError, NormalizationError,
                      PreconditionError, SingularPointError, SolverError,
                      TopologyError)
-from .harmonic import HarmonicField, catalog_field
+from .fields import ScalarField
+from .harmonic import catalog_field
 from .quadrature import segmented_circle_integral
 
 CSV_COLUMNS = ("t", "L", "Lp", "Lpp", "lnL_pp", "L_fd_p", "L_fd_pp", "aux_invgrad2")
 
 _LEVEL_TOL_FRAC = 1e-9
-_CRITICAL_GRAD = 1e-8
 
 
 @dataclass(frozen=True)
@@ -66,7 +72,7 @@ class LevelCurve:
 # level location and extraction
 # ---------------------------------------------------------------------------
 
-def boundary_values(u: HarmonicField, chart) -> tuple[float, float] | None:
+def boundary_values(u: ScalarField, chart) -> tuple[float, float] | None:
     """Values of a radial field on the two boundary circles, if available."""
     if chart.kind == "warped":
         return (float(u.value((chart.t_min, 0.0))), float(u.value((chart.t_max, 0.0))))
@@ -84,7 +90,7 @@ def _check_level_inside(u, chart, t):
             raise DomainError(f"level {t} not strictly between boundary values {bv}")
 
 
-def level_radius(u: HarmonicField, chart, t: float) -> float:
+def level_radius(u: ScalarField, chart, t: float) -> float:
     """Radial coordinate of the level {u = t} for a radial field."""
     return float(_level_radii(u, chart, np.array([t], dtype=float))[0])
 
@@ -105,7 +111,7 @@ def _level_radii(u, chart, ts, max_iter=60):
         hi = chart.outer_radius
         if hi is None:
             lo, hi = 1e-8, 1e8
-    coeffs = getattr(u, "log_radial_coeffs", None)
+    coeffs = u.log_radial_coeffs
     if chart.kind == "conformal" and coeffs is not None:
         a, b = coeffs
         if b == 0.0:
@@ -167,7 +173,7 @@ def _bracketed_newton(u, ts, a, b, fa, max_iter=60):
     return root
 
 
-def extract_level_curve(u: HarmonicField, chart, t: float,
+def extract_level_curve(u: ScalarField, chart, t: float,
                         n_samples: int = 512) -> LevelCurve:
     """Sampled closed curve on {u = t}.
 
@@ -226,7 +232,7 @@ def _project_to_level(u, t, pts, span, max_iter=8):
         if np.all(np.abs(res) <= 0.01 * _LEVEL_TOL_FRAC * span):
             break
         q = j.grad[:, 0] ** 2 + j.grad[:, 1] ** 2
-        if np.any(q < _CRITICAL_GRAD**2):
+        if np.any(q < CRITICAL_GRAD**2):
             raise CriticalPointError("level projection hit a critical point")
         pts -= (res / q)[:, None] * j.grad
     return pts
@@ -241,8 +247,8 @@ def _trace_level_curve(u, chart, t, n_samples):
     def tangent(p):
         g = u.jet(p[None, :]).grad[0]
         n = np.hypot(g[0], g[1])
-        if n < _CRITICAL_GRAD:
-            raise CriticalPointError(f"|grad u| < {_CRITICAL_GRAD:g} while tracing")
+        if n < CRITICAL_GRAD:
+            raise CriticalPointError(f"|grad u| < {CRITICAL_GRAD:g} while tracing")
         return np.array([g[1], -g[0]]) / n
 
     def in_domain(p):
@@ -331,42 +337,13 @@ def _singular_circle_length(chart, curve) -> float:
     return r * segmented_circle_integral(log_f, angles)
 
 
-def _conformal_level_integrands(u, chart, pts):
-    """Per-point (e^phi, I1, I2, Iaux): length element and the L', L'',
-    and 1/|grad u|^2 integrands in conformal quantities."""
-    ju = u.jet(pts)
-    jp = chart.factor.jet(pts)
-    g = ju.grad
-    q = g[:, 0] ** 2 + g[:, 1] ** 2
-    if np.any(q < _CRITICAL_GRAD**2):
-        raise CriticalPointError("integrand evaluation at a critical point")
-    g0 = np.sqrt(q)
-    e_phi = np.exp(jp.value)
-    e_mphi = np.exp(-jp.value)
-    grad_g0 = np.einsum("nij,nj->ni", ju.hess, g) / g0[:, None]
-    grad_G = e_mphi[:, None] * (grad_g0 - g0[:, None] * jp.grad)
-    G = e_mphi * g0
-    K = -e_mphi**2 * jp.laplacian()
-    i1 = -e_mphi**2 * np.einsum("ni,ni->n", g, grad_G) / G**3
-    i2 = e_mphi**2 * np.einsum("ni,ni->n", grad_G, grad_G) / G**4 - K / G**2
-    iaux = 1.0 / G**2
-    return e_phi, i1, i2, iaux
-
-
-def _warped_level_integrands(u, chart, t_star):
-    """Per-level (w, I1, I2, Iaux) at the warped levels t = t_star."""
-    ju = u.jet(np.stack([t_star, np.zeros_like(t_star)], axis=-1))
-    u1 = ju.grad[:, 0]
-    if np.any(np.abs(u1) < _CRITICAL_GRAD):
-        raise CriticalPointError("integrand evaluation at a critical point")
-    u2 = ju.hess[:, 0, 0]
-    w, _, w2, _, _ = chart.warp_jet(t_star)
-    G = np.abs(u1)
-    Gp = u2 * np.sign(u1)
-    K = -(w2 / w)
-    i1 = -(u1 * Gp) / G**3
-    i2 = Gp**2 / G**4 - K / G**2
-    return w, i1, i2, 1.0 / G**2
+def _level_integrands(u, chart, pts):
+    """Per-point (length element, I1, I2, Iaux): e^phi (or w) and the L',
+    L'' and 1/|grad u|^2 integrands, without the chart's domain check."""
+    geo = _geometry(u, chart, pts)
+    G = geo.G
+    return (geo.level_weight, -geo.pairing_G / G**3,
+            geo.grad_G_sq / G**4 - geo.K / G**2, 1.0 / G**2)
 
 
 def _radial_fast_path(u, chart, method) -> bool:
@@ -380,19 +357,15 @@ def _radial_fast_path(u, chart, method) -> bool:
 def _radial_level_values(u, chart, r):
     """(L, Lp, Lpp, aux) arrays at the radial levels with radial coordinates r,
     all evaluated in one batched call."""
-    if chart.kind == "warped":
-        w, i1, i2, iaux = _warped_level_integrands(u, chart, r)
-        L = 2.0 * np.pi * w
-    else:
-        pts = np.stack([r, np.zeros_like(r)], axis=-1)
-        e_phi, i1, i2, iaux = _conformal_level_integrands(u, chart, pts)
-        L = 2.0 * np.pi * r * e_phi
+    pts = np.stack([r, np.zeros_like(r)], axis=-1)
+    weight, i1, i2, iaux = _level_integrands(u, chart, pts)
+    L = 2.0 * np.pi * weight if chart.kind == "warped" else 2.0 * np.pi * r * weight
     return L, i1 * L, i2 * L, iaux * L
 
 
 def _curve_level_values(u, chart, curve):
     """(L, Lp, Lpp, aux) by quadrature over a sampled level curve."""
-    e_phi, i1, i2, iaux = _conformal_level_integrands(u, chart, curve.points)
+    e_phi, i1, i2, iaux = _level_integrands(u, chart, curve.points)
     dh1 = e_phi * curve.weights
     L = float(np.sum(dh1))
     return (L, float(np.sum(i1 * dh1)), float(np.sum(i2 * dh1)),

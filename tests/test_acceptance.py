@@ -116,7 +116,7 @@ def test_criterion_4_identity_residual_suite():
             pts = np.stack([rng.uniform(-1, 1, 100), rng.uniform(0.5, 2, 100)],
                            axis=-1)
         else:
-            pts = quasi_random_points(chart, 100, seed=0, min_gradient_field=u.field)
+            pts = quasi_random_points(chart, 100, seed=0, min_gradient_field=u)
         for res in (kato_residual, bochner_residual, log_gradient_residual):
             worst = max(worst, float(np.max(np.abs(res(u, chart, pts)))))
     assert worst <= 1e-6
@@ -134,7 +134,7 @@ def test_criterion_5_curvature_pde_suite():
     assert worst_warped <= 1e-6
 
     cap, ulog = cap_setup()
-    pts = quasi_random_points(cap, 50, seed=1, min_gradient_field=ulog.field)
+    pts = quasi_random_points(cap, 50, seed=1, min_gradient_field=ulog)
     worst_pde1 = max(abs(pde1_residual(ulog, cap, p)) for p in pts)
     ure = catalog_field("re_poly", n=1)
     worst_pde1s = max(abs(pde1_star_residual(ure, cap, p)) for p in pts)
@@ -147,7 +147,7 @@ def test_criterion_5_curvature_pde_suite():
     assert all(1.8 <= o <= 2.2 for o in orders)
 
     gap_pts = quasi_random_points(cap, 50, seed=2, radial_range=(1.05, 1.55),
-                                  min_gradient_field=ulog.field)
+                                  min_gradient_field=ulog)
     min_gap, worst_eq = np.inf, 0.0
     for p in gap_pts:
         gap, theo = pde2_gap(ulog, cap, p)

@@ -126,7 +126,7 @@ def test_pde1_flat_and_warped_closed_forms():
 
 def test_pde1_sphere_cap_fd_tolerance_and_order():
     rng = np.random.default_rng(11)
-    pts = quasi_random_points(CAP, 50, seed=4, min_gradient_field=LOG.field)
+    pts = quasi_random_points(CAP, 50, seed=4, min_gradient_field=LOG)
     for p in pts:
         r = pde1_residual(LOG, CAP, p)
         assert abs(r) <= 1e-4 * (1 + abs(_phi_k_field(LOG, CAP)(np.atleast_2d(p))[0]))
@@ -162,7 +162,7 @@ def test_pde2_gap_sphere_cap_equality_and_sign():
     # sample away from the ring where k = 0 (the log-inequality's own side
     # condition); there the strict 1e-4 equality tolerance holds
     pts = quasi_random_points(CAP, 50, seed=5, radial_range=(1.05, 1.55),
-                              min_gradient_field=LOG.field)
+                              min_gradient_field=LOG)
     for p in pts:
         assert abs(level_curvature_k(LOG, CAP, p)) > 1e-3
         gap, theo = pde2_gap(LOG, CAP, p)
@@ -174,7 +174,7 @@ def test_pde2_gap_moderate_curvature_scaled_tolerance():
     # the identity holds at the field-scaled tolerance 1e-4 * (1 + |field|)
     # wherever the FD stencil resolves ln|k| (stencil must stay clear of the
     # ring where k vanishes, so |k| well above |grad k| * step)
-    pts = quasi_random_points(CAP, 200, seed=15, min_gradient_field=LOG.field)
+    pts = quasi_random_points(CAP, 200, seed=15, min_gradient_field=LOG)
     checked = 0
     for p in pts:
         k = level_curvature_k(LOG, CAP, p)
@@ -211,6 +211,14 @@ def test_pde2_gap_zero_curvature_precondition():
     ux = catalog_field("re_poly", n=1)  # k == 0 everywhere
     with pytest.raises(PreconditionError):
         pde2_gap(ux, FLAT, (1.0, 0.5))
+
+
+@pytest.mark.parametrize("fn", [pde1_residual, pde1_star_residual, pde2_gap, pde2_star_gap])
+def test_pde_functions_reject_point_batches(fn):
+    u = catalog_field("joukowski", a=0.3)
+    chart = ConformalChart(flat_factor(), 1.0, 4.0)
+    with pytest.raises(ValueError):
+        fn(u, chart, [(1.5, 0.5), (1.6, 0.2)])
 
 
 def test_pde_residual_stencil_outside_domain_raises():
@@ -356,7 +364,7 @@ def test_audit_evaluates_each_grid_point_once(monkeypatch):
         for field, n in calls:
             points[id(field)] += n
         # the default grid: 256 x 256 interior points and two 1024-point circles
-        assert dict(points) == {id(u.field): 67584, id(metric_field): 67584}
+        assert dict(points) == {id(u): 67584, id(metric_field): 67584}
 
 
 def test_pde_stencils_take_at_most_three_jet_calls(monkeypatch):
@@ -383,8 +391,8 @@ def _half_plane_points(n):
 
 
 @pytest.mark.parametrize("u,chart,pts", [
-    (PLOG, FLAT, quasi_random_points(FLAT, 24, seed=2, min_gradient_field=PLOG.field)),
-    (LOG, CAP, quasi_random_points(CAP, 24, seed=2, min_gradient_field=LOG.field)),
+    (PLOG, FLAT, quasi_random_points(FLAT, 24, seed=2, min_gradient_field=PLOG)),
+    (LOG, CAP, quasi_random_points(CAP, 24, seed=2, min_gradient_field=LOG)),
     (catalog_field("re_poly", n=2), ConformalChart(half_plane_factor()), _half_plane_points(24)),
     (ARCTAN, HYP, quasi_random_points(HYP, 24, seed=2)),
 ], ids=["flat", "sphere_cap", "half_plane", "warped"])

@@ -7,10 +7,10 @@ from levelflow import (ConformalChart, CriticalPointError, DomainError,
                        SingularPointError, WarpedChart, bochner_residual,
                        catalog_field, flat_factor, gauss_curvature,
                        grad_gauss_curvature, half_plane_factor, kato_residual,
-                       log_gradient_residual, log_modulus_field,
-                       metric_gradient_norm, quasi_random_points,
-                       radial_log_field, sphere_cap_factor,
-                       stereographic_sphere_factor)
+                       level_curvature_k, log_gradient_residual,
+                       log_modulus_field, metric_gradient_norm,
+                       quasi_random_points, radial_log_field,
+                       sphere_cap_factor, stereographic_sphere_factor)
 
 FLAT = ConformalChart(flat_factor(), 1.0, 4.0)
 CAP = ConformalChart(sphere_cap_factor(0.1), 1.0, 2.5)
@@ -108,6 +108,17 @@ def test_residuals_zero_gradient_raises():
         kato_residual(u, chart, (0.0, 0.0))
 
 
+@pytest.mark.parametrize("fn", [kato_residual, bochner_residual, log_gradient_residual])
+def test_residuals_share_the_critical_gradient_floor(fn):
+    # |grad u| = 1e-10 is below the 1e-8 floor of the curvature functions
+    u = catalog_field("re_poly", n=2)
+    chart = ConformalChart(flat_factor(), 0.0, None)
+    with pytest.raises(CriticalPointError):
+        level_curvature_k(u, chart, (5e-11, 0.0))
+    with pytest.raises(CriticalPointError):
+        fn(u, chart, (5e-11, 0.0))
+
+
 CLOSED_FORM_PAIRS = [
     ("flat_quadratic", catalog_field("re_poly", n=2), FLAT),
     ("flat_joukowski", catalog_field("joukowski", a=0.3), FLAT),
@@ -124,7 +135,7 @@ def test_identity_residuals_closed_form(name, u, chart):
         rng = np.random.default_rng(7)
         pts = np.stack([rng.uniform(-1, 1, 100), rng.uniform(0.5, 2.0, 100)], axis=-1)
     else:
-        pts = quasi_random_points(chart, 100, seed=1, min_gradient_field=u.field)
+        pts = quasi_random_points(chart, 100, seed=1, min_gradient_field=u)
     for res in (kato_residual, bochner_residual, log_gradient_residual):
         vals = res(u, chart, pts)
         assert np.max(np.abs(vals)) <= 1e-6, (name, res.__name__)
@@ -147,10 +158,8 @@ def test_identity_residuals_hyperbolic_halfplane_exact():
 
 def test_identity_residuals_fd_fallback_tolerance():
     from levelflow import ScalarField
-    from levelflow.harmonic import HarmonicField
-    f = ScalarField.from_callable(
+    u = ScalarField.from_callable(
         lambda p: -0.5 * np.log(p[:, 0] ** 2 + p[:, 1] ** 2), step=1e-3)
-    u = HarmonicField(f, "numeric_grid")
     pts = quasi_random_points(FLAT, 20, seed=3)
     for res in (kato_residual, bochner_residual, log_gradient_residual):
         assert np.max(np.abs(res(u, FLAT, pts))) <= 1e-4

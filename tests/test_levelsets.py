@@ -234,6 +234,23 @@ def test_profile_flat_columns_and_quadrature_path():
     assert np.max(np.abs(prof_q.L - prof.L) / prof.L) <= 1e-12
 
 
+@pytest.mark.parametrize("c,R,t1,t2", [(0.1, np.e, 0.0, 1.0), (0.05, 2.5, 0.5, -1.5)])
+def test_profile_sphere_cap_exact(c, R, t1, t2):
+    # u = t1 + b ln r with b = (t2 - t1) / ln R and phi = ln(1 - c r^2):
+    # L = 2 pi r (1 - c r^2) and (ln L)'' = -4 c r^2 / (1 - c r^2)^2 / b^2
+    chart = ConformalChart(sphere_cap_factor(c), 1.0, R)
+    u = solve_annulus_dirichlet(DirichletSpec(R, t1, t2))
+    grid = inset_grid(t1, t2, 40)
+    prof = length_profile(u, chart, grid)
+    b = (t2 - t1) / np.log(R)
+    r = np.exp((grid - t1) / b)
+    cr2 = c * r**2
+    L = 2 * np.pi * r * (1 - cr2)
+    lnL_pp = -4 * cr2 / (1 - cr2) ** 2 / b**2
+    assert np.max(np.abs(prof.L - L) / L) <= 1e-12
+    assert np.max(np.abs(prof.lnL_pp - lnL_pp) / np.abs(lnL_pp)) <= 1e-12
+
+
 def test_profile_hyperbolic_lnLpp():
     s = inset_grid(0.4, np.pi - 0.4, 50)
     prof = length_profile(ARCTAN, HYP, s)
