@@ -10,9 +10,16 @@ circles through a vertex still have finite length.
 Level lengths for the annulus Dirichlet solution are circle integrals of
 ``e^v``; the integrand has an ``|theta - theta_j|^alpha`` singularity when a
 circle meets a vertex, absorbed by the dyadically refined double-exponential
-rule in :mod:`levelflow.quadrature`.  Profile derivative columns use
-centered differences on the level grid only; the smooth integral formulas
-are never evaluated across vertices.
+rule in :mod:`levelflow.quadrature`.  The vertex angles split every level
+circle at the same places, so a profile integrates all its circles as rows
+of one batched call for ``L`` and one for ``aux_invgrad2``; each row keeps
+its own convergence test, so a profile row equals the one-row call for that
+circle.  Rows that use every refinement level without converging (the
+``e^{3v}`` integrand at a vertex with alpha <= -1/3 is not integrable) are
+logged as one warning per profile and listed in its
+``meta["capped_levels"]``.  Profile derivative columns use centered
+differences on the level grid only; the smooth integral formulas are never
+evaluated across vertices.
 
 Mollification convolves ``v`` with the radial C^2 bump
 ``(4/(pi eps^2)) (1 - (s/eps)^2)^3``; the convolution against each log term
@@ -22,6 +29,7 @@ the mollified factors decrease pointwise to ``v`` as ``eps`` decreases.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +40,8 @@ from .fields import ScalarField, as_points
 from .harmonic import DirichletSpec
 from .levelsets import LengthProfile
 from .quadrature import segmented_circle_integral
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -97,57 +107,73 @@ def conical_factor(beta0: float, singularities) -> ConicalFactor:
 # circle integrals of e^v
 # ---------------------------------------------------------------------------
 
-def _conical_log_integrand(factor: ConicalFactor, r: float):
-    """Log-integrand on the circle of radius r, with exact vertex offsets.
+def _conical_log_integrand(factor: ConicalFactor, radii, power: float):
+    """``power * v`` on the circles |z| = r, one row per radius, with exact
+    vertex offsets.
 
     The chord distance is evaluated as
     d^2 = (r - rho)^2 + 4 r rho sin^2(dtheta/2), which is cancellation-free;
-    the anchored ``delta`` keeps dtheta exact near a vertex angle.
+    the anchored ``delta`` keeps dtheta exact near a vertex angle.  The
+    vertex angles do not depend on r, so all circles share the segments and
+    the nodes of the rule.
     """
     angles = np.array([np.arctan2(p[1], p[0]) for p, _ in factor.atoms])
-    radii = np.array([np.hypot(p[0], p[1]) for p, _ in factor.atoms])
+    rho = np.array([np.hypot(p[0], p[1]) for p, _ in factor.atoms])
     alphas = np.array([a for _, a in factor.atoms])
+    radii = [float(r) for r in radii]
+    # (r - rho)^2 through the float64 scalar power (libm pow): numpy's array
+    # square differs from it in about one case in a thousand, and profile
+    # values are kept byte-stable
+    dr2 = np.array([[(r - rj) ** 2 for rj in rho] for r in radii])
+    four_r_rho = 4.0 * np.array(radii)[:, None] * rho
 
-    def log_f(theta, anchor, delta):
-        out = np.full(np.shape(theta), factor.beta0)
+    def log_f(theta, anchor, delta, rows):
+        dr2_rows, c_rows = dr2[rows], four_r_rho[rows]
+        out = np.full((dr2_rows.shape[0], np.size(theta)), factor.beta0)
         for j in range(alphas.size):
             if anchor is not None and abs(angles[anchor] - angles[j]) < 1e-14:
                 dth = delta
             else:
                 dth = theta - angles[j]
-            d2 = (r - radii[j]) ** 2 + 4.0 * r * radii[j] * np.sin(0.5 * dth) ** 2
+            d2 = dr2_rows[:, j, None] + c_rows[:, j, None] * np.sin(0.5 * dth) ** 2
             out = out + 0.5 * alphas[j] * np.log(d2)
-        return out
+        return power * out
 
     return log_f, angles
+
+
+def _circle_lengths(factor: ConicalFactor, radii, rel_tol: float):
+    """Lengths of the circles |z| = r in the metric e^{2v} g_0 and the
+    capped flags of their integrals."""
+    vals, capped = segmented_circle_integral(
+        *_conical_log_integrand(factor, radii, 1.0), rel_tol=rel_tol)
+    if not np.all(np.isfinite(vals)):
+        raise SolverError("circle integral diverged (non-integrable singularity?)")
+    return np.asarray(radii, dtype=float) * vals, capped
 
 
 def conical_circle_length(factor: ConicalFactor, r: float,
                           rel_tol: float = 1e-10) -> float:
     """Length of the circle |z| = r in the metric e^{2v} g_0."""
-    log_f, angles = _conical_log_integrand(factor, r)
-    return r * segmented_circle_integral(log_f, angles, rel_tol=rel_tol)
+    return float(_circle_lengths(factor, [r], rel_tol)[0][0])
 
 
 def _conical_circle_invgrad2(factor: ConicalFactor, spec: DirichletSpec,
-                             r: float, rel_tol: float = 1e-10) -> float:
-    """Integral of |grad u|^-2 over the circle |z| = r (metric quantities).
+                             radii, rel_tol: float = 1e-10):
+    """Integrals of |grad u|^-2 over the circles |z| = r (metric quantities)
+    and the capped flags of their integrals.
 
     For u = t1 + b ln|z| the integrand is e^{3v} r^2 / b^2 per unit
     coordinate angle; integrable iff 3 alpha_j > -1 at a vertex on the
-    circle, NaN otherwise.
+    circle.  Otherwise the rule uses every refinement level and the value
+    is capped; a sum that overflows gives NaN.
     """
     b = (spec.t2 - spec.t1) / np.log(spec.R)
-    log_f, angles = _conical_log_integrand(factor, r)
-
-    def log_f3(theta, anchor, delta):
-        return 3.0 * log_f(theta, anchor, delta)
-
-    try:
-        val = segmented_circle_integral(log_f3, angles, rel_tol=rel_tol)
-    except SolverError:
-        return np.nan
-    return r**3 / b**2 * val
+    vals, capped = segmented_circle_integral(
+        *_conical_log_integrand(factor, radii, 3.0), rel_tol=rel_tol)
+    # r**3 as a Python float power, for the same reason as (r - rho)^2 above
+    cubes = np.array([float(r) ** 3 for r in radii])
+    return np.where(np.isfinite(vals), cubes / b**2 * vals, np.nan), capped
 
 
 def _level_radius(spec: DirichletSpec, t: float) -> float:
@@ -155,10 +181,14 @@ def _level_radius(spec: DirichletSpec, t: float) -> float:
 
 
 def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid,
-                       n_samples: int = 512, rel_tol: float = 1e-10
-                       ) -> LengthProfile:
+                       rel_tol: float = 1e-10) -> LengthProfile:
     """Level-length profile for the annulus Dirichlet solution on a conical
     factor; derivative columns are centered differences on the grid.
+
+    All level circles are integrated in one batched call for ``L`` and one
+    for ``aux_invgrad2``.  Levels whose integral used every refinement level
+    without reaching ``rel_tol`` are logged as one warning and listed in
+    ``meta["capped_levels"]``.
 
     The log-convexity guarantee applies to nonpositive-curvature factors;
     the profile itself is computed for any integrable factor so violations
@@ -173,16 +203,22 @@ def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid,
     if t_grid.min() <= lo or t_grid.max() >= hi:
         raise DomainError("profile grid must lie strictly inside the boundary values")
     radii = [_level_radius(spec, t) for t in t_grid]
-    L = np.array([conical_circle_length(factor, r, rel_tol) for r in radii])
-    aux = np.array([_conical_circle_invgrad2(factor, spec, r, rel_tol)
-                    for r in radii])
+    L, L_capped = _circle_lengths(factor, radii, rel_tol)
+    aux, aux_capped = _conical_circle_invgrad2(factor, spec, radii, rel_tol)
+    capped_levels = [float(t) for t in t_grid[L_capped | aux_capped]]
+    if capped_levels:
+        logger.warning(
+            "tanh-sinh used every refinement level without reaching rel_tol %g "
+            "(L on %d, aux_invgrad2 on %d levels); finest-level values kept at "
+            "levels t = %s", rel_tol, int(L_capped.sum()), int(aux_capped.sum()),
+            capped_levels)
     L_fd_p = np.gradient(L, t_grid, edge_order=2)
     L_fd_pp = np.gradient(L_fd_p, t_grid, edge_order=2)
     lnL_pp = (L_fd_pp * L - L_fd_p**2) / L**2
     return LengthProfile(t_grid, L, L_fd_p.copy(), L_fd_pp.copy(), lnL_pp,
                          L_fd_p, L_fd_pp, aux, derivative_mode="grid_fd",
                          meta={"rel_tol": rel_tol, "rule": "tanh_sinh",
-                               "n_samples": n_samples})
+                               "capped_levels": capped_levels})
 
 
 # ---------------------------------------------------------------------------
@@ -254,11 +290,14 @@ class MollifiedFactor:
                     dth = 2.0 * np.arcsin(np.sqrt(s2))
                     breaks += [th - dth, th + dth]
 
-        def log_f(theta, _anchor, _delta):
+        def log_f(theta, _anchor, _delta, _rows):
             pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-            return self.value(pts)
+            return self.value(pts)[None, :]
 
-        return r * segmented_circle_integral(log_f, breaks, rel_tol=rel_tol)
+        (val,), _ = segmented_circle_integral(log_f, breaks, rel_tol=rel_tol)
+        if not np.isfinite(val):
+            raise SolverError("circle integral diverged (non-integrable singularity?)")
+        return r * float(val)
 
 
 def mollify(factor: ConicalFactor, eps: float) -> MollifiedFactor:

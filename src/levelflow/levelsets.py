@@ -91,8 +91,18 @@ def _check_level_inside(u, chart, t):
 
 
 def level_radius(u: ScalarField, chart, t: float) -> float:
-    """Radial coordinate of the level {u = t} for a radial field."""
-    return float(_level_radii(u, chart, np.array([t], dtype=float))[0])
+    """Radial coordinate of the level {u = t} for a radial field.
+
+    A level circle outside a bounded chart's annulus raises DomainError
+    (with the tolerance of ``check_points``), whether the radius came in
+    closed form or from the Newton solve.
+    """
+    r = float(_level_radii(u, chart, np.array([t], dtype=float))[0])
+    if chart.kind == "conformal" and chart.outer_radius is not None:
+        eps = 1e-12 * max(1.0, chart.outer_radius)
+        if not chart.inner_radius - eps <= r <= chart.outer_radius + eps:
+            raise DomainError(f"no level {t} on the radial section")
+    return r
 
 
 def _level_radii(u, chart, ts, max_iter=60):
@@ -327,14 +337,17 @@ def _singular_circle_length(chart, curve) -> float:
     angles = [np.arctan2(q[1], q[0]) for q in sing
               if abs(np.hypot(*q) - r) < 1e-3 * max(1.0, r)]
 
-    def log_f(th, _anchor, _delta):
+    def log_f(th, _anchor, _delta, _rows):
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
         # nodes sit machine-close to the atom: the factor value (a log) is
         # finite there, only unused higher jet coefficients overflow
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return chart.factor.jet(pts).value
+            return chart.factor.jet(pts).value[None, :]
 
-    return r * segmented_circle_integral(log_f, angles)
+    (val,), _ = segmented_circle_integral(log_f, angles)
+    if not np.isfinite(val):
+        raise SolverError("circle integral diverged (non-integrable singularity?)")
+    return r * float(val)
 
 
 def _level_integrands(u, chart, pts):

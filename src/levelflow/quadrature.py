@@ -9,6 +9,15 @@ Two rules cover every integrand in the package:
   absorbs integrable endpoint singularities (|x - a|^alpha, alpha > -1,
   logarithms) without special casing.
 
+Both rules integrate a batch of integrands at once, one row each (for
+instance one level circle of a profile per row).  Each refinement level
+builds its nodes and weights once and shares them across the rows; every
+row keeps its own relative-change test and is no longer evaluated once it
+has converged, so a row's value does not depend on the other rows in its
+batch.  Both return ``(values, capped)``: ``capped`` marks the rows that
+used every refinement level without meeting the target; their value is the
+finest level's estimate, and the caller reports them.
+
 Integrands receive the distances to both segment endpoints, computed in a
 cancellation-free way, so a factor like ``|theta - theta_atom|^alpha`` can be
 evaluated accurately even at machine-scale distances.
@@ -18,25 +27,44 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import SolverError
-
 #: evaluation budget matching the documented 2^20 subinterval cap
 MAX_EVALS = 1 << 20
 
 
+def _refine(level_sum, n_levels: int, rel_tol: float):
+    """Per-row refinement: ``level_sum(k, rows)`` is the level-k estimate of
+    the selected rows; ``rows`` is ``slice(None)`` on level 0, whose result
+    fixes the batch size, and afterwards the indices of the live rows."""
+    prev = level_sum(0, slice(None))
+    values = prev.copy()
+    live = np.arange(values.size)
+    for k in range(1, n_levels):
+        if live.size == 0:
+            break
+        cur = level_sum(k, live)
+        values[live] = cur
+        with np.errstate(invalid="ignore"):  # inf - inf: a diverging row stays live
+            done = np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
+        prev, live = cur[~done], live[~done]
+    capped = np.zeros(values.size, dtype=bool)
+    capped[live] = True
+    return values, capped
+
+
 def periodic_trapezoid(f, period: float = 2.0 * np.pi, *, rel_tol: float = 1e-10,
-                       n0: int = 64, max_n: int = MAX_EVALS) -> float:
-    """Integral of a smooth periodic function over one period."""
-    n = n0
-    prev = None
-    while n <= max_n:
+                       n0: int = 64, max_n: int = MAX_EVALS
+                       ) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals of smooth periodic functions over one period, one per row.
+
+    ``f(x, rows)`` returns the rows ``rows`` of the integrands at the nodes
+    ``x``, shape (number of rows, x.size).  Returns ``(values, capped)``.
+    """
+    def level_sum(k, rows):
+        n = n0 << k
         x = np.arange(n) * (period / n)
-        val = float(np.sum(f(x))) * (period / n)
-        if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
-            return val
-        prev = val
-        n *= 2
-    return prev  # best effort; smooth integrands converge long before the cap
+        return np.sum(f(x, rows), axis=1) * (period / n)
+
+    return _refine(level_sum, (max_n // n0).bit_length(), rel_tol)
 
 
 def _one_plus_tanh(s: np.ndarray) -> np.ndarray:
@@ -55,19 +83,21 @@ def _sech_sq(s: np.ndarray) -> np.ndarray:
 
 
 def tanh_sinh(f, a: float, b: float, *, rel_tol: float = 1e-10,
-              max_level: int = 11, tau_max: float = 5.0) -> float:
-    """Double-exponential quadrature of f over [a, b].
+              max_level: int = 11, tau_max: float = 5.0
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Double-exponential quadrature over [a, b] of a batch of integrands.
 
-    ``f(x, da, db)`` must be vectorised; ``da = x - a`` and ``db = b - x`` are
-    supplied without cancellation so endpoint-singular factors can use them
-    directly.  Nodes whose endpoint distance underflows are dropped; their
-    contribution is below any integrable singularity's tail at that depth.
+    ``f(x, da, db, rows)`` returns the rows ``rows`` of the integrands at the
+    nodes ``x``, shape (number of rows, x.size); ``da = x - a`` and
+    ``db = b - x`` are supplied without cancellation so endpoint-singular
+    factors can use them directly.  Nodes whose endpoint distance underflows
+    are dropped; their contribution is below any integrable singularity's
+    tail at that depth.  Returns ``(values, capped)``.
     """
     half = 0.5 * (b - a)
-    if half <= 0:
-        return 0.0
 
-    def level_sum(h: float) -> float:
+    def level_sum(level, rows):
+        h = 0.5 / (1 << level)
         k = np.arange(-int(np.floor(tau_max / h)), int(np.floor(tau_max / h)) + 1)
         tau = k * h
         s = 0.5 * np.pi * np.sinh(tau)
@@ -75,36 +105,33 @@ def tanh_sinh(f, a: float, b: float, *, rel_tol: float = 1e-10,
         db = half * _one_plus_tanh(-s)
         w = half * 0.5 * np.pi * np.cosh(tau) * _sech_sq(s) * h
         ok = (da > 0) & (db > 0) & (w > 0)
-        x = a + da[ok]
-        vals = f(x, da[ok], db[ok])
-        return float(np.sum(vals * w[ok]))
+        vals = f(a + da[ok], da[ok], db[ok], rows)
+        return np.sum(vals * w[ok], axis=1)
 
-    h = 0.5
-    prev = level_sum(h)
-    for _ in range(max_level):
-        h *= 0.5
-        cur = level_sum(h)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    return prev
+    return _refine(level_sum, max_level + 1, rel_tol)
 
 
 def segmented_circle_integral(log_f, singular_angles, *, rel_tol: float = 1e-10,
-                              max_level: int = 11) -> float:
-    """Integral over [0, 2 pi) of exp(log_f), split at singular angles.
+                              max_level: int = 11
+                              ) -> tuple[np.ndarray, np.ndarray]:
+    """Integrals over [0, 2 pi) of exp(log_f), one per row, split at
+    singular angles shared by all rows.
 
-    ``log_f(theta, anchor_index, delta)`` evaluates the log-integrand; when
+    ``log_f(theta, anchor_index, delta, rows)`` evaluates the rows ``rows``
+    of the log-integrands, shape (number of rows, theta.size); when
     ``anchor_index`` is not None, ``delta = theta - singular_angles[anchor]``
     is exact and should be used for the singular factor at that anchor.
     Without singular angles the rule falls back to the periodic trapezoid.
+
+    Returns ``(values, capped)``; a row whose value is not finite diverged
+    (a non-integrable singularity), and the caller decides what that means.
     """
     angles = np.mod(np.asarray(singular_angles, dtype=float), 2.0 * np.pi)
     if angles.size == 0:
-        return periodic_trapezoid(lambda th: np.exp(log_f(th, None, None)),
+        return periodic_trapezoid(lambda th, rows: np.exp(log_f(th, None, None, rows)),
                                   rel_tol=rel_tol)
     order = np.argsort(angles)
-    total = 0.0
+    total, capped = 0.0, False
     for pos in range(order.size):
         ia = int(order[pos])
         ib = int(order[(pos + 1) % order.size])
@@ -113,20 +140,22 @@ def segmented_circle_integral(log_f, singular_angles, *, rel_tol: float = 1e-10,
         if b - a < 1e-15:
             continue
 
-        def seg(x, da, db, ia=ia, ib=ib, a=a, b=b):
+        def seg(x, da, db, rows, ia=ia, ib=ib, a=a, b=b):
             # attribute each node's exact offset to its nearer singular angle;
             # offsets enter the integrand through 2 pi - periodic chords, so the
             # possible 2 pi shift at the wrap segment is harmless
-            mid = 0.5 * (a + b)
-            left = x <= mid
-            out = np.empty_like(x)
-            if np.any(left):
-                out[left] = log_f(x[left], ia, da[left])
-            if np.any(~left):
-                out[~left] = log_f(x[~left], ib, -db[~left])
+            left = x <= 0.5 * (a + b)
+            out = None
+            for side, anchor, delta in ((left, ia, da), (~left, ib, -db)):
+                if side.any():
+                    vals = log_f(x[side], anchor, delta[side], rows)
+                    if out is None:
+                        out = np.empty((vals.shape[0], x.size))
+                    out[:, side] = vals
             return np.exp(out)
 
-        total += tanh_sinh(seg, a, b, rel_tol=rel_tol, max_level=max_level)
-    if not np.isfinite(total):
-        raise SolverError("circle integral diverged (non-integrable singularity?)")
-    return total
+        seg_values, seg_capped = tanh_sinh(seg, a, b, rel_tol=rel_tol,
+                                           max_level=max_level)
+        total = total + seg_values
+        capped = capped | seg_capped
+    return total, capped

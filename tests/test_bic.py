@@ -1,5 +1,7 @@
 """Conical factors, curvature measures, singular quadrature, mollification."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -8,6 +10,7 @@ from levelflow import (ConformalChart, DirichletSpec, DomainError,
                        bic_length_profile, conical_circle_length, conical_factor,
                        inset_grid, log_convexity_check, mollified_convergence,
                        mollify)
+from levelflow import bic
 
 TWO_ATOM = conical_factor(0.0, [((1.2, 0.0), 0.5), ((0.0, -1.6), 0.3)])
 SPEC = DirichletSpec(np.e**2, 0.0, 2.0)
@@ -122,6 +125,54 @@ def test_negative_alpha_violates_convexity():
     rep = log_convexity_check(prof, 1e-5)
     assert not rep.passed
     assert rep.min_discrete < -1.0
+
+
+# every circle of this grid is one row of the batched rule; three levels meet
+# a vertex: alpha = -0.9 makes the e^{3v} sum overflow (aux NaN), alpha = -0.5
+# leaves it non-integrable (aux capped), alpha = 0.5 converges
+EDGE_GRID = inset_grid(0.0, 2.0, 24)
+EDGE_RADII = [bic._level_radius(SPEC, t) for t in EDGE_GRID]
+EDGE_FACTOR = conical_factor(30.0, [((EDGE_RADII[5], 0.0), -0.9),
+                                    ((0.0, EDGE_RADII[12]), -0.5),
+                                    ((-EDGE_RADII[18], 0.0), 0.5)])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_profile_rows_match_single_circles_byte_for_byte():
+    prof = bic_length_profile(EDGE_FACTOR, SPEC, EDGE_GRID)
+    L = np.array([conical_circle_length(EDGE_FACTOR, r) for r in EDGE_RADII])
+    aux = np.array([bic._conical_circle_invgrad2(EDGE_FACTOR, SPEC, [r])[0][0]
+                    for r in EDGE_RADII])
+    assert prof.L.tobytes() == L.tobytes()
+    assert prof.aux_invgrad2.tobytes() == aux.tobytes()
+    assert np.flatnonzero(np.isnan(aux)).tolist() == [5]
+    assert np.all(np.isfinite(L))
+    assert prof.meta["capped_levels"] == [EDGE_GRID[5], EDGE_GRID[12]]
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_profile_splits_into_halves_byte_for_byte():
+    whole = bic_length_profile(EDGE_FACTOR, SPEC, EDGE_GRID)
+    halves = [bic_length_profile(EDGE_FACTOR, SPEC, part)
+              for part in np.split(EDGE_GRID, 2)]
+    for name in ("t_grid", "L", "aux_invgrad2"):
+        joined = np.concatenate([getattr(p, name) for p in halves])
+        assert getattr(whole, name).tobytes() == joined.tobytes(), name
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+def test_profile_reports_capped_levels(caplog):
+    with caplog.at_level(logging.WARNING, logger="levelflow.bic"):
+        clean = bic_length_profile(TWO_ATOM, SPEC, EDGE_GRID)
+    assert caplog.records == []
+    assert clean.meta["capped_levels"] == []
+    with caplog.at_level(logging.WARNING, logger="levelflow.bic"):
+        capped = bic_length_profile(EDGE_FACTOR, SPEC, EDGE_GRID)
+    (record,) = caplog.records
+    assert record.levelname == "WARNING"
+    assert "aux_invgrad2 on 2 levels" in record.getMessage()
+    assert str([float(EDGE_GRID[5]), float(EDGE_GRID[12])]) in record.getMessage()
+    assert capped.meta["capped_levels"] == [EDGE_GRID[5], EDGE_GRID[12]]
 
 
 def test_profile_grid_validation():

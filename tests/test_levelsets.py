@@ -8,7 +8,7 @@ from levelflow import (ConformalChart, DirichletSpec, DomainError,
                        NormalizationError, PreconditionError, SolverError,
                        TopologyError, WarpedChart, asymptotic_defect, catalog_field,
                        d2length_integral, dlength_integral, extract_level_curve,
-                       flat_factor, inset_grid, length, length_profile,
+                       flat_factor, inset_grid, length, length_profile, level_radius,
                        log_convexity_check, log_modulus_field,
                        pinched_bound_check, radial_log_field,
                        second_divided_differences, sharp_bound_gap,
@@ -69,6 +69,25 @@ def test_extract_open_level_raises_topology_error():
 def test_extract_level_out_of_range():
     with pytest.raises(DomainError):
         extract_level_curve(CANONICAL, FLAT_BIG, 0.5, 64)
+
+
+def test_level_outside_the_chart_raises_on_both_radius_paths():
+    # catalog "log" inverts in closed form, log_modulus_field goes through
+    # the Newton solve; both must refuse a level circle outside the chart
+    annulus = ConformalChart(flat_factor(), 1.0, 4.0)
+    for u in (catalog_field("log"), log_modulus_field(-1.0)):
+        with pytest.raises(DomainError, match="no level -2.0 on the radial section"):
+            level_radius(u, annulus, -2.0)
+    # the punctured disc has no boundary values to screen levels with, so
+    # extraction and the bound checks rely on the radius check
+    disc = ConformalChart(flat_factor(), 0.0, 4.0)
+    for u in (catalog_field("log", c=1.0), log_modulus_field(1.0)):
+        for call in (lambda: level_radius(u, disc, 2.0),
+                     lambda: extract_level_curve(u, disc, 2.0, 64),
+                     lambda: sharp_bound_gap(u, disc, 2.0, 0.0),
+                     lambda: pinched_bound_check(u, disc, 2.0, 1.0, 0.0)):
+            with pytest.raises(DomainError, match="no level 2.0 on the radial section"):
+                call()
 
 
 # ---------------------------------------------------------------------------
