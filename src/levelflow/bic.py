@@ -73,7 +73,7 @@ class ConicalFactor:
         self.beta0 = float(beta0)
         self.atoms = tuple(atoms)
         self.nonpositive_curvature = all(a >= 0.0 for _, a in atoms)
-        terms = [(lambda z0, zj=complex(p[0], p[1]): jets.log_z_coeffs(z0 - zj),
+        terms = [(lambda z0, deg, zj=complex(p[0], p[1]): jets.log_z_coeffs(z0 - zj, deg),
                   "re", a) for p, a in atoms]
         if terms:
             self.field = ScalarField.from_holomorphic_sum(

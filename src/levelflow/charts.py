@@ -11,8 +11,9 @@ Two chart kinds cover everything in the package:
   fields on it are restricted to radial ones (functions of t), for which
   the Laplacian is exactly ``f'' + (w'/w) f'``.
 
-:func:`point_jets` is the one place that takes the jets of a field u and of
-the metric at a point batch and tests for critical points, against
+:func:`point_jets` is the one place that takes the jets of a field u (to
+order 2, or 3 for the identities) and of the metric (to order 3, for grad K)
+at a point batch and tests for critical points, against
 ``CRITICAL_GRAD``, the package's only critical-gradient floor.  The identity
 residuals read those jets; :func:`local_geometry` builds from them k, h, K,
 the pairings and the pieces of the L' and L'' integrands.
@@ -91,44 +92,48 @@ class ConformalChart:
 
     @staticmethod
     def _curvature(j):
-        """(e^{-2 phi}, K, grad K) from a jet of the factor phi."""
+        """(e^{-2 phi}, K, grad K) from a jet of the factor phi; grad K
+        needs order 3 and is None on a jet of order 2."""
         e2 = np.exp(-2.0 * j.value)
         lap = j.laplacian()
+        if j.third is None:
+            return e2, -e2 * lap, None
         # d_i lap(phi) from third derivatives: (f_xxx + f_xyy, f_xxy + f_yyy)
         dlap = np.stack([j.third[:, 0] + j.third[:, 2],
                          j.third[:, 1] + j.third[:, 3]], axis=-1)
         return e2, -e2 * lap, e2[:, None] * (2.0 * j.grad * lap[:, None] - dlap)
 
+    @staticmethod
+    def _christoffels(grad_phi):
+        px, py = grad_phi[:, 0], grad_phi[:, 1]
+        return np.stack([px, py, -px, -py, px, py], axis=-1)
+
     def gauss_curvature(self, p):
         pts = self.check_points(p)
         _, single = as_points(p)
-        K = self._curvature(self.factor.jet(pts))[1]
+        K = self._curvature(self.factor.jet(pts, 2))[1]
         return float(K[0]) if single else K
 
     def grad_gauss_curvature(self, p):
         pts = self.check_points(p)
         _, single = as_points(p)
-        g = self._curvature(self.factor.jet(pts))[2]
+        g = self._curvature(self.factor.jet(pts, 3))[2]
         return g[0] if single else g
 
     def christoffels(self, p):
         pts = self.check_points(p)
         _, single = as_points(p)
-        g = self.factor.jet(pts).grad
-        px, py = g[:, 0], g[:, 1]
-        out = np.stack([px, py, -px, -py, px, py], axis=-1)
+        out = self._christoffels(self.factor.jet(pts, 1).grad)
         return out[0] if single else out
 
     def point_data(self, p) -> MetricPointData:
         pts = self.check_points(p)
         if pts.shape[0] != 1:
             raise ValueError("point_data takes a single point")
-        return MetricPointData(
-            conf=float(np.exp(2.0 * self.factor.jet(pts).value)[0]),
-            K=float(self.gauss_curvature(pts)[0]),
-            gradK=self.grad_gauss_curvature(pts)[0],
-            christoffels=self.christoffels(pts)[0],
-        )
+        j = self.factor.jet(pts, 3)
+        _, K, dK = self._curvature(j)
+        return MetricPointData(conf=float(np.exp(2.0 * j.value)[0]), K=float(K[0]),
+                               gradK=dK[0], christoffels=self._christoffels(j.grad)[0])
 
 
 class WarpedChart:
@@ -152,7 +157,7 @@ class WarpedChart:
         self.circumference_scale = float(circumference_scale)
         self.shape = shape
         self.singular_points = ()
-        w, _, _, _, _ = self.warp_jet(np.linspace(t_min, t_max, 33))
+        w, = self.warp_jet(np.linspace(t_min, t_max, 33), 0)
         if np.any(w <= 0):
             raise DomainError("warp function must be positive on [t_min, t_max]")
 
@@ -169,50 +174,61 @@ class WarpedChart:
             raise DomainError("t outside [t_min, t_max]")
         return pts
 
-    def warp_jet(self, t):
-        """w and its first four t-derivatives at t (arrays)."""
+    def warp_jet(self, t, order: int = 3):
+        """(w, w', ..., w^(order)) at t (arrays), for order 0..3."""
+        if not 0 <= order <= 3:
+            raise ValueError(f"warp_jet order must be in 0..3, got {order}")
         t = np.asarray(t, dtype=float)
         pts = np.stack([t, np.zeros_like(t)], axis=-1)
-        j = self.shape.jet(pts)
-        s = self.circumference_scale
-        return (s * j.value, s * j.grad[:, 0], s * j.hess[:, 0, 0],
-                s * j.third[:, 0], s * j.fourth[:, 0])
+        j = self.shape.jet(pts, order)
+        derivs = [j.value]
+        if order >= 1:
+            derivs.append(j.grad[:, 0])
+        if order >= 2:
+            derivs.append(j.hess[:, 0, 0])
+        if order >= 3:
+            derivs.append(j.third[:, 0])
+        return tuple(self.circumference_scale * d for d in derivs)
 
     @staticmethod
-    def _curvature(w, w1, w2, w3):
-        """(K, grad K) from w and its first three t-derivatives."""
+    def _curvature(w, w1, w2, w3=None):
+        """(K, grad K) from w and its first t-derivatives; grad K needs the
+        third derivative w3 and is None without it."""
+        if w3 is None:
+            return -w2 / w, None
         dK = -(w3 * w - w2 * w1) / w**2
         return -w2 / w, np.stack([dK, np.zeros_like(dK)], axis=-1)
+
+    @staticmethod
+    def _christoffels(w, w1):
+        # (G^t_tt, G^t_ttheta, G^t_thetatheta, G^theta_tt, G^theta_ttheta, G^theta_thetatheta)
+        zero = np.zeros_like(w)
+        return np.stack([zero, zero, -w * w1, zero, w1 / w, zero], axis=-1)
 
     def gauss_curvature(self, p):
         pts = self.check_points(p)
         _, single = as_points(p)
-        K = self._curvature(*self.warp_jet(pts[:, 0])[:4])[0]
+        K = self._curvature(*self.warp_jet(pts[:, 0], 2))[0]
         return float(K[0]) if single else K
 
     def grad_gauss_curvature(self, p):
         pts = self.check_points(p)
         _, single = as_points(p)
-        out = self._curvature(*self.warp_jet(pts[:, 0])[:4])[1]
+        out = self._curvature(*self.warp_jet(pts[:, 0], 3))[1]
         return out[0] if single else out
 
     def christoffels(self, p):
-        # (G^t_tt, G^t_ttheta, G^t_thetatheta, G^theta_tt, G^theta_ttheta, G^theta_thetatheta)
         pts = self.check_points(p)
         _, single = as_points(p)
-        w, w1, _, _, _ = self.warp_jet(pts[:, 0])
-        zero = np.zeros_like(w)
-        out = np.stack([zero, zero, -w * w1, zero, w1 / w, zero], axis=-1)
+        out = self._christoffels(*self.warp_jet(pts[:, 0], 1))
         return out[0] if single else out
 
     def point_data(self, p) -> MetricPointData:
         pts = self.check_points(p)
-        return MetricPointData(
-            conf=1.0,
-            K=float(self.gauss_curvature(pts)[0]),
-            gradK=self.grad_gauss_curvature(pts)[0],
-            christoffels=self.christoffels(pts)[0],
-        )
+        w, w1, w2, w3 = self.warp_jet(pts[:, 0], 3)
+        K, dK = self._curvature(w, w1, w2, w3)
+        return MetricPointData(conf=1.0, K=float(K[0]), gradK=dK[0],
+                               christoffels=self._christoffels(w, w1)[0])
 
 
 # -- named factors ------------------------------------------------------------
@@ -293,20 +309,22 @@ def local_geometry(u, chart, p) -> LocalGeometry:
     return _geometry(u, chart, chart.check_points(p))
 
 
-def point_jets(u, chart, pts):
-    """(jet of u, the factor's jet or warped charts' ``warp_jet`` tuple) at
-    ``pts``, which are not domain-checked here.  Raises
+def point_jets(u, chart, pts, order: int = 2):
+    """(jet of u to ``order``, the factor's order-3 jet or warped charts'
+    order-3 ``warp_jet`` tuple) at ``pts``, which are not domain-checked
+    here.  The geometry reads u to order 2, the identities to order 3, and
+    grad K needs the metric to order 3.  Raises
     :class:`CriticalPointError` where |grad_0 u| < CRITICAL_GRAD (|u'(t)|
     on warped charts, which take radial u only)."""
     if chart.kind == "warped":
         _require_radial(u)
         # the warp first, so that u's whole jet is not alive while it is built
-        metric = chart.warp_jet(pts[:, 0])
-        ju = u.jet(pts)
+        metric = chart.warp_jet(pts[:, 0], 3)
+        ju = u.jet(pts, order)
         critical = np.abs(ju.grad[:, 0]) < CRITICAL_GRAD
     else:
-        ju = u.jet(pts)
-        metric = chart.factor.jet(pts)
+        ju = u.jet(pts, order)
+        metric = chart.factor.jet(pts, 3)
         critical = ju.grad[:, 0] ** 2 + ju.grad[:, 1] ** 2 < CRITICAL_GRAD**2
     if np.any(critical):
         raise CriticalPointError("evaluation at a critical point of u")
@@ -318,7 +336,7 @@ def _geometry(u, chart, pts) -> LocalGeometry:
     ju, jp = point_jets(u, chart, pts)
     if chart.kind == "warped":
         u1, u2 = ju.grad[:, 0], ju.hess[:, 0, 0]
-        w, w1, w2, w3, _ = jp
+        w, w1, w2, w3 = jp
         K, dK = chart._curvature(w, w1, w2, w3)
         k = -np.sign(u1) * w1 / w
         dG = u2 * np.sign(u1)  # G = |u'(t)|, so G' = u'' sign(u')

@@ -163,7 +163,7 @@ def metric_laplacian_fd(f, chart, p, step: float = 1e-3,
     if chart.kind == "conformal":
         weight = np.exp(-2.0 * chart.factor.value(p))
     else:
-        w, w1, _, _, _ = chart.warp_jet(p[:1])
+        w, w1 = chart.warp_jet(p[:1], 1)
         weight = w1[0] / w[0]
     steps = _steps(step, richardson)
     return float(_metric_lap(f(_stencil(p, steps)), steps, chart.kind, weight))

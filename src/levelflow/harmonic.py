@@ -88,13 +88,13 @@ def catalog_field(name: str, **params) -> ScalarField:
             raise DomainError("polynomial degree must be >= 1")
         part = "re" if name == "re_poly" else "im"
         return ScalarField.from_holomorphic_sum(
-            [(lambda z0, n=n: jets.monomial_coeffs(z0, n), part, 1.0)])
+            [(lambda z0, deg, n=n: jets.monomial_coeffs(z0, n, deg), part, 1.0)])
     if name in ("joukowski", "im_joukowski"):
         a = float(params.pop("a", 1.0))
         _no_extra(params)
         part = "re" if name == "joukowski" else "im"
         return ScalarField.from_holomorphic_sum(
-            [(lambda z0: jets.monomial_coeffs(z0, 1), part, 1.0),
+            [(lambda z0, deg: jets.monomial_coeffs(z0, 1, deg), part, 1.0),
              (jets.inverse_coeffs, part, a)],
             singular_points=[(0.0, 0.0)])
     if name == "perturbed_log":
@@ -102,7 +102,7 @@ def catalog_field(name: str, **params) -> ScalarField:
         _no_extra(params)
         return ScalarField.from_holomorphic_sum(
             [(jets.log_z_coeffs, "re", -1.0),
-             (lambda z0: jets.monomial_coeffs(z0, 1), "re", eps)],
+             (lambda z0, deg: jets.monomial_coeffs(z0, 1, deg), "re", eps)],
             singular_points=[(0.0, 0.0)])
     if name == "warped_arctan":
         _no_extra(params)
@@ -138,7 +138,7 @@ def critical_points(u: ScalarField, chart, resolution: int = 64,
     th = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
     R, T = np.meshgrid(rr, th, indexing="ij")
     pts = np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], axis=-1)
-    g = u.jet(pts).grad
+    g = u.jet(pts, 1).grad
     q = (g[:, 0] ** 2 + g[:, 1] ** 2).reshape(resolution, resolution)
 
     seeds = []
@@ -172,7 +172,7 @@ def _newton_polish(u, seed, damping: float = 0.5, max_iter: int = 50,
                    tol: float = 1e-11):
     p = np.asarray(seed, dtype=float).copy()
     for _ in range(max_iter):
-        j = u.jet(p)
+        j = u.jet(p, 2)
         g = j.grad[0]
         if np.hypot(g[0], g[1]) < tol:
             return p
@@ -190,11 +190,11 @@ def _newton_polish(u, seed, damping: float = 0.5, max_iter: int = 50,
 def _critical_points_warped(u, chart, resolution, tol):
     ts = np.linspace(chart.t_min, chart.t_max, resolution)
     pts = np.stack([ts, np.zeros_like(ts)], axis=-1)
-    du = u.jet(pts).grad[:, 0]
+    du = u.jet(pts, 1).grad[:, 0]
     roots = []
     for i in range(resolution - 1):
         if du[i] == 0.0 or du[i] * du[i + 1] < 0:
-            t0 = brentq(lambda t: float(u.jet([[t, 0.0]]).grad[0, 0]),
+            t0 = brentq(lambda t: float(u.jet([[t, 0.0]], 1).grad[0, 0]),
                         ts[i], ts[i + 1], xtol=1e-12)
             if all(abs(t0 - r[0]) > 1e-6 for r in roots):
                 roots.append((t0, 0.0))

@@ -29,11 +29,11 @@ def _residual(u, chart, p, conformal, warped):
     """The chart kind's residual formula at the domain-checked p."""
     pts = chart.check_points(p)
     _, single = as_points(p)
-    ju, jm = point_jets(u, chart, pts)
+    ju, jm = point_jets(u, chart, pts, 3)
     if chart.kind == "conformal":
         out = conformal(ju, jm, ju.grad[:, 0] ** 2 + ju.grad[:, 1] ** 2)
     else:
-        w, w1, w2, _, _ = jm
+        w, w1, w2, _ = jm
         out = warped(ju.grad[:, 0], ju.hess[:, 0, 0], ju.third[:, 0], w, w1, w2)
     return float(out[0]) if single else out
 

@@ -1,15 +1,19 @@
-"""Truncated bivariate Taylor arithmetic (degree 4).
+"""Truncated bivariate Taylor arithmetic of degree d <= 4.
 
 Every closed-form scalar field in this package is written once as an
 ordinary formula and evaluated on jet seeds; all coordinate derivatives up
-to fourth order then fall out exactly (up to roundoff), which is what the
-pointwise identity checks need.  A jet stores the scaled coefficients
+to the seeds' degree then fall out exactly (up to roundoff).  A jet stores
+the scaled coefficients
 
-    c[i, j] = d^(i+j) f / (dx^i dy^j) / (i! j!),        i + j <= 4,
+    c[i, j] = d^(i+j) f / (dx^i dy^j) / (i! j!),        i + j <= d,
 
-in an array of shape ``(5, 5)`` or ``(5, 5, n)`` so that one jet carries a
-whole batch of evaluation points in its trailing axis.  Entries with
-``i + j > 4`` are kept at zero.
+in an array of shape ``(d + 1, d + 1)`` or ``(d + 1, d + 1, n)`` so that one
+jet carries a whole batch of evaluation points in its trailing axis.  The
+degree is read from that shape, and entries with ``i + j > d`` are kept at
+zero.  Truncated propagation is exact at every order it keeps: the
+coefficients of order <= d of a degree-d jet equal, bit for bit, those of
+the degree-4 jet of the same formula, since both sum the same terms in the
+same order.  A caller that reads derivatives up to order d seeds degree d.
 
 Holomorphic building blocks (``Re ln(z - a)``, ``Re z^n``, ...) get a
 dedicated constructor that turns complex Taylor coefficients into real
@@ -23,19 +27,19 @@ import math
 
 import numpy as np
 
-DEG = 4
+DEG = 4  # the highest degree, and the default of the constructors
 
-# (i, j) pairs with i + j <= DEG, and for each the (a, b) <= (i, j) splits
-# used by truncated multiplication.
-_PAIRS = [(i, j) for i in range(DEG + 1) for j in range(DEG + 1 - i)]
-_MUL_TERMS = {
-    (i, j): [(a, b) for a in range(i + 1) for b in range(j + 1)]
-    for (i, j) in _PAIRS
-}
+# per degree d: the (i, j) pairs with i + j <= d, each with the
+# (a, b) <= (i, j) splits used by truncated multiplication
+_MUL_TERMS = [
+    [((i, j), [(a, b) for a in range(i + 1) for b in range(j + 1)])
+     for i in range(d + 1) for j in range(d + 1 - i)]
+    for d in range(DEG + 1)
+]
 
 
 class Taylor2:
-    """Degree-4 Taylor expansion of a scalar function of two variables."""
+    """Truncated Taylor expansion of a scalar function of two variables."""
 
     __slots__ = ("c",)
 
@@ -45,18 +49,26 @@ class Taylor2:
     # -- seeding -----------------------------------------------------------
 
     @staticmethod
-    def seeds(x0, y0) -> tuple["Taylor2", "Taylor2"]:
-        """Jets of the coordinate functions at (x0, y0); inputs may be arrays."""
+    def seeds(x0, y0, deg: int = DEG) -> tuple["Taylor2", "Taylor2"]:
+        """Degree-``deg`` jets of the coordinate functions at (x0, y0);
+        inputs may be arrays."""
+        if not 0 <= deg <= DEG:
+            raise ValueError(f"jet degree must be in 0..{DEG}, got {deg}")
         x0 = np.asarray(x0, dtype=float)
         y0 = np.asarray(y0, dtype=float)
-        shape = (DEG + 1, DEG + 1) + np.broadcast_shapes(x0.shape, y0.shape)
+        shape = (deg + 1, deg + 1) + np.broadcast_shapes(x0.shape, y0.shape)
         cx = np.zeros(shape)
         cy = np.zeros(shape)
         cx[0, 0] = x0
-        cx[1, 0] = 1.0
         cy[0, 0] = y0
-        cy[0, 1] = 1.0
+        if deg:
+            cx[1, 0] = 1.0
+            cy[0, 1] = 1.0
         return Taylor2(cx), Taylor2(cy)
+
+    @property
+    def deg(self) -> int:
+        return self.c.shape[0] - 1
 
     @staticmethod
     def constant(value, like: "Taylor2") -> "Taylor2":
@@ -68,6 +80,7 @@ class Taylor2:
 
     def __add__(self, other):
         if isinstance(other, Taylor2):
+            _same_degree(self, other)
             return Taylor2(self.c + other.c)
         c = self.c.copy()
         c[0, 0] = c[0, 0] + other
@@ -87,9 +100,10 @@ class Taylor2:
     def __mul__(self, other):
         if not isinstance(other, Taylor2):
             return Taylor2(self.c * other)
+        _same_degree(self, other)
         a, b = self.c, other.c
         out = np.zeros_like(a if a.ndim >= b.ndim else b)
-        for (i, j), terms in _MUL_TERMS.items():
+        for (i, j), terms in _MUL_TERMS[self.deg]:
             acc = 0.0
             for (p, q) in terms:
                 acc = acc + a[p, q] * b[i - p, j - q]
@@ -100,11 +114,11 @@ class Taylor2:
 
     def __truediv__(self, other):
         if isinstance(other, Taylor2):
-            return self * other._compose(_recip_series(other.c[0, 0]))
+            return self * other._compose(_recip_series(other.c[0, 0], other.deg))
         return Taylor2(self.c / other)
 
     def __rtruediv__(self, other):
-        return self._compose(_recip_series(self.c[0, 0])) * other
+        return self._compose(_recip_series(self.c[0, 0], self.deg)) * other
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
@@ -121,25 +135,31 @@ class Taylor2:
 
     # -- composition with a univariate function -----------------------------
 
-    def _compose(self, series: np.ndarray) -> "Taylor2":
+    def _compose(self, series) -> "Taylor2":
         """Plug ``self`` into g given g's scaled derivatives at self's value.
 
-        ``series[k] = g^(k)(u0) / k!`` for k = 0..4, with u0 = self.c[0, 0].
+        ``series[k] = g^(k)(u0) / k!`` for k = 0..deg, with u0 = self.c[0, 0].
         """
         d = Taylor2(self.c.copy())
         d.c[0, 0] = 0.0
-        out = Taylor2.constant(series[DEG], self)
-        for k in range(DEG - 1, -1, -1):
+        out = Taylor2.constant(series[self.deg], self)
+        for k in range(self.deg - 1, -1, -1):
             out = out * d
             out.c[0, 0] = out.c[0, 0] + series[k]
         return out
 
 
-def _recip_series(u0):
-    g = np.empty((DEG + 1,) + np.shape(u0))
+def _same_degree(a: Taylor2, b: Taylor2) -> None:
+    # a degree-0 table would broadcast against any other one
+    if a.deg != b.deg:
+        raise ValueError(f"jets of degrees {a.deg} and {b.deg} do not combine")
+
+
+def _recip_series(u0, deg):
+    g = np.empty((deg + 1,) + np.shape(u0))
     inv = 1.0 / u0
     acc = inv
-    for k in range(DEG + 1):
+    for k in range(deg + 1):
         g[k] = acc
         acc = -acc * inv
     return g
@@ -147,11 +167,11 @@ def _recip_series(u0):
 
 def log(u: Taylor2) -> Taylor2:
     u0 = u.c[0, 0]
-    g = np.empty((DEG + 1,) + np.shape(u0))
+    g = np.empty((u.deg + 1,) + np.shape(u0))
     g[0] = np.log(u0)
     inv = 1.0 / u0
     acc = inv
-    for k in range(1, DEG + 1):
+    for k in range(1, u.deg + 1):
         g[k] = acc / k if k % 2 else -acc / k
         acc = acc * inv
     # sign pattern: d^k log = (-1)^(k-1) (k-1)!/u^k  ->  g[k] = (-1)^(k-1)/(k u^k)
@@ -161,15 +181,15 @@ def log(u: Taylor2) -> Taylor2:
 def exp(u: Taylor2) -> Taylor2:
     u0 = u.c[0, 0]
     e = np.exp(u0)
-    g = np.array([e / math.factorial(k) for k in range(DEG + 1)])
+    g = np.array([e / math.factorial(k) for k in range(u.deg + 1)])
     return u._compose(g)
 
 
 def powf(u: Taylor2, p: float) -> Taylor2:
     u0 = u.c[0, 0]
-    g = np.empty((DEG + 1,) + np.shape(u0))
+    g = np.empty((u.deg + 1,) + np.shape(u0))
     coeff = 1.0
-    for k in range(DEG + 1):
+    for k in range(u.deg + 1):
         g[k] = coeff * u0 ** (p - k)
         coeff *= (p - k) / (k + 1)
     return u._compose(g)
@@ -182,27 +202,23 @@ def sqrt(u: Taylor2) -> Taylor2:
 def atan(u: Taylor2) -> Taylor2:
     x = u.c[0, 0]
     q = 1.0 + x * x
-    g = np.empty((DEG + 1,) + np.shape(x))
-    g[0] = np.arctan(x)
-    g[1] = 1.0 / q
-    g[2] = -x / q**2
-    g[3] = (3.0 * x * x - 1.0) / (3.0 * q**3)
-    g[4] = x * (1.0 - x * x) / q**4
-    return u._compose(g)
+    g = [np.arctan(x), 1.0 / q, -x / q**2, (3.0 * x * x - 1.0) / (3.0 * q**3),
+         x * (1.0 - x * x) / q**4]
+    return u._compose(g[:u.deg + 1])
 
 
 def sin(u: Taylor2) -> Taylor2:
     u0 = u.c[0, 0]
     s, c = np.sin(u0), np.cos(u0)
-    g = np.array([s, c, -s / 2.0, -c / 6.0, s / 24.0])
-    return u._compose(g)
+    g = [s, c, -s / 2.0, -c / 6.0, s / 24.0]
+    return u._compose(g[:u.deg + 1])
 
 
 def cos(u: Taylor2) -> Taylor2:
     u0 = u.c[0, 0]
     s, c = np.sin(u0), np.cos(u0)
-    g = np.array([c, -s, -c / 2.0, s / 6.0, c / 24.0])
-    return u._compose(g)
+    g = [c, -s, -c / 2.0, s / 6.0, c / 24.0]
+    return u._compose(g[:u.deg + 1])
 
 
 def cosh(u: Taylor2) -> Taylor2:
@@ -217,50 +233,53 @@ _BINOM = [[math.comb(k, j) for j in range(k + 1)] for k in range(DEG + 1)]
 _I_POW = [1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j, 1.0 + 0.0j]
 
 
-def holomorphic_jet(coeffs: np.ndarray, part: str) -> Taylor2:
-    """Jet of Re f or Im f from complex Taylor coefficients of holomorphic f.
+def holomorphic_jet(coeffs: np.ndarray, part: str, deg: int = DEG) -> Taylor2:
+    """Degree-``deg`` jet of Re f or Im f from complex Taylor coefficients of
+    holomorphic f.
 
-    ``coeffs[k] = f^(k)(z0) / k!`` for k = 0..4, batched along trailing axes.
-    Uses (dx + i dy)^k = sum_j C(k,j) i^j dx^(k-j) dy^j.
+    ``coeffs[k] = f^(k)(z0) / k!`` for k = 0..deg (at least), batched along
+    trailing axes.  Uses (dx + i dy)^k = sum_j C(k,j) i^j dx^(k-j) dy^j.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
-    out = np.zeros((DEG + 1, DEG + 1) + coeffs.shape[1:])
+    out = np.zeros((deg + 1, deg + 1) + coeffs.shape[1:])
     take = np.real if part == "re" else np.imag
-    for k in range(DEG + 1):
+    for k in range(deg + 1):
         for j in range(k + 1):
             out[k - j, j] = take(coeffs[k] * (_BINOM[k][j] * _I_POW[j]))
     return Taylor2(out)
 
 
-def log_z_coeffs(z0: np.ndarray) -> np.ndarray:
-    """Complex Taylor coefficients of ln z at z0 (principal branch value)."""
+def log_z_coeffs(z0: np.ndarray, deg: int = DEG) -> np.ndarray:
+    """Complex Taylor coefficients 0..deg of ln z at z0 (principal branch value)."""
     z0 = np.asarray(z0, dtype=complex)
-    out = np.empty((DEG + 1,) + z0.shape, dtype=complex)
+    out = np.empty((deg + 1,) + z0.shape, dtype=complex)
     out[0] = np.log(np.abs(z0)) + 1j * np.arctan2(z0.imag, z0.real)
+    if not deg:
+        return out
     inv = 1.0 / z0
     acc = inv
-    for k in range(1, DEG + 1):
+    for k in range(1, deg + 1):
         out[k] = acc / k if k % 2 else -acc / k
         acc = acc * inv
     return out
 
 
-def monomial_coeffs(z0: np.ndarray, n: int) -> np.ndarray:
-    """Complex Taylor coefficients of z^n at z0."""
+def monomial_coeffs(z0: np.ndarray, n: int, deg: int = DEG) -> np.ndarray:
+    """Complex Taylor coefficients 0..deg of z^n at z0."""
     z0 = np.asarray(z0, dtype=complex)
-    out = np.zeros((DEG + 1,) + z0.shape, dtype=complex)
-    for k in range(min(n, DEG) + 1):
+    out = np.zeros((deg + 1,) + z0.shape, dtype=complex)
+    for k in range(min(n, deg) + 1):
         out[k] = math.comb(n, k) * z0 ** (n - k)
     return out
 
 
-def inverse_coeffs(z0: np.ndarray) -> np.ndarray:
-    """Complex Taylor coefficients of 1/z at z0."""
+def inverse_coeffs(z0: np.ndarray, deg: int = DEG) -> np.ndarray:
+    """Complex Taylor coefficients 0..deg of 1/z at z0."""
     z0 = np.asarray(z0, dtype=complex)
-    out = np.empty((DEG + 1,) + z0.shape, dtype=complex)
+    out = np.empty((deg + 1,) + z0.shape, dtype=complex)
     inv = 1.0 / z0
     acc = inv
-    for k in range(DEG + 1):
+    for k in range(deg + 1):
         out[k] = acc
         acc = -acc * inv
     return out

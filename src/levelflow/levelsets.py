@@ -157,7 +157,7 @@ def _bracketed_newton(u, ts, a, b, fa, max_iter=60):
         if live.size == 0:
             break
         xl, al, bl, fal = x[live], a[live], b[live], fa[live]
-        j = u.jet(np.stack([xl, np.zeros_like(xl)], axis=-1))
+        j = u.jet(np.stack([xl, np.zeros_like(xl)], axis=-1), 1)
         f = j.value - ts[live]
         hit = f == 0.0
         left = f * fal < 0
@@ -237,7 +237,7 @@ def _seed_on_level(u, chart, t):
 def _project_to_level(u, t, pts, span, max_iter=8):
     pts = pts.copy()
     for _ in range(max_iter):
-        j = u.jet(pts)
+        j = u.jet(pts, 1)
         res = j.value - t
         if np.all(np.abs(res) <= 0.01 * _LEVEL_TOL_FRAC * span):
             break
@@ -255,7 +255,7 @@ def _trace_level_curve(u, chart, t, n_samples):
     max_steps = 300000
 
     def tangent(p):
-        g = u.jet(p[None, :]).grad[0]
+        g = u.jet(p[None, :], 1).grad[0]
         n = np.hypot(g[0], g[1])
         if n < CRITICAL_GRAD:
             raise CriticalPointError(f"|grad u| < {CRITICAL_GRAD:g} while tracing")
@@ -292,7 +292,7 @@ def _trace_level_curve(u, chart, t, n_samples):
     s_new = np.arange(n_samples) * (total / n_samples)
     resampled = np.stack([sx(s_new), sy(s_new)], axis=-1)
     resampled = _project_to_level(u, t, resampled, span)
-    res = np.abs(u.jet(resampled).value - t)
+    res = np.abs(u.jet(resampled, 0).value - t)
     if np.any(res > _LEVEL_TOL_FRAC * span):
         raise TopologyError("level projection failed to reach the requested tolerance")
     rolled = np.vstack([resampled[1:], resampled[:1]])
@@ -308,13 +308,13 @@ def _trace_level_curve(u, chart, t, n_samples):
 def length(curve: LevelCurve, chart) -> float:
     """Metric length of a sampled curve: sum of e^phi (or w(t)) weights."""
     if chart.kind == "warped":
-        w, _, _, _, _ = chart.warp_jet(curve.points[:1, 0])
+        w, = chart.warp_jet(curve.points[:1, 0], 0)
         return float(w[0] * np.sum(curve.weights))
     pts = curve.points
     near = _near_singular(chart, pts)
     if near:
         return _singular_circle_length(chart, curve)
-    phi = chart.factor.jet(pts).value
+    phi = chart.factor.jet(pts, 0).value
     return float(np.sum(np.exp(phi) * curve.weights))
 
 
@@ -339,10 +339,7 @@ def _singular_circle_length(chart, curve) -> float:
 
     def log_f(th, _anchor, _delta, _rows):
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
-        # nodes sit machine-close to the atom: the factor value (a log) is
-        # finite there, only unused higher jet coefficients overflow
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            return chart.factor.jet(pts).value[None, :]
+        return chart.factor.jet(pts, 0).value[None, :]
 
     (val,), _ = segmented_circle_integral(log_f, angles)
     if not np.isfinite(val):
@@ -598,7 +595,7 @@ def asymptotic_defect(factor, t, n_samples: int = 2048) -> float:
     Requires the normalisation phi(0) = 0, grad phi(0) = 0; as t grows the
     value converges to -4 pi^2 K(0).
     """
-    j0 = factor.jet(np.array([[0.0, 0.0]]))
+    j0 = factor.jet(np.array([[0.0, 0.0]]), 1)
     if abs(j0.value[0]) > 1e-12 or np.max(np.abs(j0.grad[0])) > 1e-12:
         raise NormalizationError(
             "factor must satisfy phi(0) = 0 and grad phi(0) = 0")

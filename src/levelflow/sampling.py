@@ -41,7 +41,7 @@ def quasi_random_points(chart, n: int, seed: int = 0, radial_range=None,
         for q in chart.singular_points:
             keep &= np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1]) > 1e-3
         if min_gradient_field is not None:
-            g = min_gradient_field.jet(pts).grad
+            g = min_gradient_field.jet(pts, 1).grad
             keep &= np.hypot(g[:, 0], g[:, 1]) > min_gradient
         out.append(pts[keep])
         if sum(len(o) for o in out) >= n:

@@ -340,13 +340,14 @@ def test_slope_bound_identity_even_when_hypotheses_unmet():
 # ---------------------------------------------------------------------------
 
 def _record_jets(monkeypatch):
-    """Wrap ScalarField.jet; the returned list gets (field, points) per call."""
+    """Wrap ScalarField.jet; the returned list gets (field, points, order)
+    per call."""
     calls = []
     jet = ScalarField.jet
 
-    def counted(self, p):
-        calls.append((self, np.atleast_2d(np.asarray(p)).shape[0]))
-        return jet(self, p)
+    def counted(self, p, order=4):
+        calls.append((self, np.atleast_2d(np.asarray(p)).shape[0], order))
+        return jet(self, p, order)
 
     monkeypatch.setattr(ScalarField, "jet", counted)
     return calls
@@ -361,10 +362,11 @@ def test_audit_evaluates_each_grid_point_once(monkeypatch):
         calls.clear()
         principle_audit(u, chart, domain, quantity, case)
         points = Counter()
-        for field, n in calls:
-            points[id(field)] += n
-        # the default grid: 256 x 256 interior points and two 1024-point circles
-        assert dict(points) == {id(u): 67584, id(metric_field): 67584}
+        for field, n, order in calls:
+            points[id(field), order] += n
+        # the default grid: 256 x 256 interior points and two 1024-point
+        # circles; u to order 2, the factor or warp to order 3 (grad K)
+        assert dict(points) == {(id(u), 2): 67584, (id(metric_field), 3): 67584}
 
 
 def test_pde_stencils_take_at_most_three_jet_calls(monkeypatch):
@@ -380,6 +382,9 @@ def test_pde_stencils_take_at_most_three_jet_calls(monkeypatch):
         calls.clear()
         fn(u, chart, p)
         assert len(calls) <= 3, fn.__name__
+        metric_field = chart.shape if chart.kind == "warped" else chart.factor
+        assert ({(id(f), order) for f, _, order in calls}
+                == {(id(u), 2), (id(metric_field), 3)}), fn.__name__
 
 
 PLOG = catalog_field("perturbed_log", eps=0.1)

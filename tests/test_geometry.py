@@ -11,6 +11,7 @@ from levelflow import (ConformalChart, CriticalPointError, DomainError,
                        log_modulus_field, metric_gradient_norm,
                        quasi_random_points, radial_log_field,
                        sphere_cap_factor, stereographic_sphere_factor)
+from levelflow.fields import ScalarField
 
 FLAT = ConformalChart(flat_factor(), 1.0, 4.0)
 CAP = ConformalChart(sphere_cap_factor(0.1), 1.0, 2.5)
@@ -78,6 +79,25 @@ def test_metric_point_data():
     assert data.conf == pytest.approx(lam**2, rel=1e-14)
     assert data.K == pytest.approx(0.4 / lam**4, rel=1e-12)
     assert data.christoffels.shape == (6,)
+
+
+@pytest.mark.parametrize("chart,p", [(CAP, (1.3, 0.2)), (HALF, (0.4, 1.7)), (HYP, (0.6, 0.3))],
+                         ids=["sphere_cap", "half_plane", "warped"])
+def test_point_data_takes_one_metric_jet(chart, p, monkeypatch):
+    expected = (chart.gauss_curvature(p), chart.grad_gauss_curvature(p),
+                chart.christoffels(p))
+    orders = []
+    jet = ScalarField.jet
+
+    def counted(self, q, order=4):
+        orders.append(order)
+        return jet(self, q, order)
+
+    monkeypatch.setattr(ScalarField, "jet", counted)
+    data = chart.point_data(p)
+    assert orders == [3]
+    got = (data.K, data.gradK, data.christoffels)
+    assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in expected]
 
 
 def test_metric_gradient_norm_examples():

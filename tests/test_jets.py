@@ -108,3 +108,95 @@ def test_batch_evaluation_matches_pointwise():
         single = g.jet(p)
         assert np.allclose(single.value[0], batch.value[i], atol=0)
         assert np.allclose(single.fourth[0], batch.fourth[i], atol=0)
+
+
+# ---------------------------------------------------------------------------
+# order-on-demand jets
+# ---------------------------------------------------------------------------
+
+def _order_cases():
+    from levelflow import (WarpedChart, catalog_field, flat_factor, half_plane_factor,
+                           radial_log_field, sphere_cap_factor,
+                           stereographic_sphere_factor)
+    rng = np.random.default_rng(5)
+    r, th = rng.uniform(0.6, 2.5, 40), rng.uniform(0.0, 2.0 * np.pi, 40)
+    annulus = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
+    upper = np.stack([rng.uniform(-2.0, 2.0, 40), rng.uniform(0.2, 3.0, 40)], axis=-1)
+    strip = np.stack([rng.uniform(-2.0, 2.0, 40), rng.uniform(0.0, 6.0, 40)], axis=-1)
+    fields = {name: (catalog_field(name, **params), annulus)
+              for name, params in (("log", {}), ("arg", {}), ("re_poly", {"n": 3}),
+                                   ("im_poly", {"n": 5}), ("joukowski", {"a": 0.7}),
+                                   ("im_joukowski", {}), ("perturbed_log", {}))}
+    fields.update({
+        "warped_arctan": (catalog_field("warped_arctan"), strip),
+        "flat": (flat_factor(), annulus),
+        "sphere_cap": (sphere_cap_factor(0.1), annulus),
+        "stereographic": (stereographic_sphere_factor(), annulus),
+        "half_plane": (half_plane_factor(), upper),
+        "radial_log": (radial_log_field(0.3, -0.7, 0.4), annulus),
+        "cosh_warp": (WarpedChart.cosh_cylinder(0.4, -2.0, 2.0).shape, strip),
+        "from_callable": (ScalarField.from_callable(
+            lambda p: np.exp(0.3 * p[:, 0]) * np.cos(p[:, 1]), step=1e-2), annulus),
+    })
+    return fields
+
+
+ORDER_CASES = _order_cases()
+ENTRIES = ("value", "grad", "hess", "third", "fourth")
+
+
+@pytest.mark.parametrize("name", sorted(ORDER_CASES))
+@pytest.mark.parametrize("order", range(4))
+def test_truncated_jet_is_the_leading_block_of_the_full_jet(name, order):
+    field, pts = ORDER_CASES[name]
+    for p in (pts, pts[3]):  # a batch and a single point
+        full, low = field.jet(p), field.jet(p, order)
+        for k, entry in enumerate(ENTRIES):
+            if k <= order:
+                assert getattr(low, entry).tobytes() == getattr(full, entry).tobytes(), entry
+            else:
+                assert getattr(low, entry) is None, entry
+
+
+def test_warp_jet_orders_are_the_leading_derivatives():
+    from levelflow import WarpedChart
+    chart = WarpedChart.cosh_cylinder(0.4, -2.0, 2.0)
+    t = np.linspace(-2.0, 2.0, 17)
+    full = chart.warp_jet(t)
+    assert len(full) == 4
+    for order in range(4):
+        low = chart.warp_jet(t, order)
+        assert [w.tobytes() for w in low] == [w.tobytes() for w in full[:order + 1]]
+    with pytest.raises(ValueError):
+        chart.warp_jet(t, 4)
+
+
+def test_from_callable_evaluates_only_the_requested_difference_levels():
+    calls = []
+
+    def f(p):
+        calls.append(1)
+        return p[:, 0] ** 3 * p[:, 1]
+
+    field = ScalarField.from_callable(f)
+    p = (0.4, 0.9)
+    for method, expected in ((field.value, 1), (field.gradient, 9), (field.hessian, 57),
+                             (lambda q: field.jet(q, 3), 313), (field.jet, 1593)):
+        calls.clear()
+        method(p)
+        assert len(calls) == expected
+
+
+def test_jets_of_different_degrees_do_not_combine():
+    x4, _ = jets.Taylor2.seeds(0.3, 0.2)
+    x2, _ = jets.Taylor2.seeds(0.3, 0.2, 2)
+    x0, _ = jets.Taylor2.seeds(0.3, 0.2, 0)
+    assert x2.c.shape == (3, 3)
+    with pytest.raises(ValueError):
+        x4 * x2
+    with pytest.raises(ValueError):
+        x0 + x4
+    with pytest.raises(ValueError):
+        jets.Taylor2.seeds(0.3, 0.2, 5)
+    with pytest.raises(ValueError):
+        ScalarField.from_expression(lambda x, y: x * y).jet((0.1, 0.2), 5)
