@@ -11,12 +11,15 @@ Two chart kinds cover everything in the package:
   fields on it are restricted to radial ones (functions of t), for which
   the Laplacian is exactly ``f'' + (w'/w) f'``.
 
-:func:`point_jets` is the one place that takes the jets of a field u (to
-order 2, or 3 for the identities) and of the metric (to order 3, for grad K)
-at a point batch and tests for critical points, against
-``CRITICAL_GRAD``, the package's only critical-gradient floor.  The identity
-residuals read those jets; :func:`local_geometry` builds from them k, h, K,
-the pairings and the pieces of the L' and L'' integrands.
+:func:`point_jets` is the one place that takes the jets of a field u and
+of the metric at a point batch, each to the order its caller reads, and
+tests for critical points against ``CRITICAL_GRAD``, the package's only
+critical-gradient floor.  The identity residuals read u to order 3 and the
+metric to order 2; :func:`local_geometry` reads u to order 2 and the metric
+to order 3 (for grad K), and builds from them k, h, K, the pairings and the
+pieces of the L' and L'' integrands.  On a warped chart u is radial and the
+warp depends on t only, so :func:`local_geometry` evaluates both once per
+distinct t of its batch: a 256 x 256 audit grid has 258 of them.
 
 All objects are immutable after construction and evaluation is pure.
 """
@@ -304,27 +307,31 @@ def local_geometry(u, chart, p) -> LocalGeometry:
     k = -div(grad u / |grad u|) is the geodesic curvature of the level
     curve, h = -div((u_2, -u_1) / |grad u|) that of the steepest-descent
     line.  Raises the chart's domain errors, then
-    :class:`CriticalPointError` as :func:`point_jets` does.
+    :class:`CriticalPointError` as :func:`point_jets` does.  On warped
+    charts u and the warp are evaluated once per distinct t of p (at the
+    first point with that t) and indexed back to every row; ``pts`` is
+    still the whole of p.
     """
     return _geometry(u, chart, chart.check_points(p))
 
 
-def point_jets(u, chart, pts, order: int = 2):
-    """(jet of u to ``order``, the factor's order-3 jet or warped charts'
-    order-3 ``warp_jet`` tuple) at ``pts``, which are not domain-checked
-    here.  The geometry reads u to order 2, the identities to order 3, and
-    grad K needs the metric to order 3.  Raises
-    :class:`CriticalPointError` where |grad_0 u| < CRITICAL_GRAD (|u'(t)|
-    on warped charts, which take radial u only)."""
+def point_jets(u, chart, pts, order: int, metric_order: int):
+    """(jet of u to ``order``, the factor's jet to ``metric_order`` or on
+    warped charts the ``warp_jet`` tuple to that order) at ``pts``, which
+    are not domain-checked here.  The geometry reads u to order 2 and the
+    metric to order 3 (grad K); the identities read u to order 3 and the
+    metric to order 2 (lap phi, w'').  Raises :class:`CriticalPointError`
+    where |grad_0 u| < CRITICAL_GRAD (|u'(t)| on warped charts, which take
+    radial u only)."""
     if chart.kind == "warped":
         _require_radial(u)
         # the warp first, so that u's whole jet is not alive while it is built
-        metric = chart.warp_jet(pts[:, 0], 3)
+        metric = chart.warp_jet(pts[:, 0], metric_order)
         ju = u.jet(pts, order)
         critical = np.abs(ju.grad[:, 0]) < CRITICAL_GRAD
     else:
         ju = u.jet(pts, order)
-        metric = chart.factor.jet(pts, 3)
+        metric = chart.factor.jet(pts, metric_order)
         critical = ju.grad[:, 0] ** 2 + ju.grad[:, 1] ** 2 < CRITICAL_GRAD**2
     if np.any(critical):
         raise CriticalPointError("evaluation at a critical point of u")
@@ -333,10 +340,11 @@ def point_jets(u, chart, pts, order: int = 2):
 
 def _geometry(u, chart, pts) -> LocalGeometry:
     """:class:`LocalGeometry` at ``pts`` without the chart's domain check."""
-    ju, jp = point_jets(u, chart, pts)
     if chart.kind == "warped":
-        u1, u2 = ju.grad[:, 0], ju.hess[:, 0, 0]
-        w, w1, w2, w3 = jp
+        _, first, rows = np.unique(pts[:, 0], return_index=True, return_inverse=True)
+        ju, jp = point_jets(u, chart, pts[first], 2, 3)
+        u1, u2 = ju.grad[rows, 0], ju.hess[rows, 0, 0]
+        w, w1, w2, w3 = (a[rows] for a in jp)
         K, dK = chart._curvature(w, w1, w2, w3)
         k = -np.sign(u1) * w1 / w
         dG = u2 * np.sign(u1)  # G = |u'(t)|, so G' = u'' sign(u')
@@ -345,6 +353,7 @@ def _geometry(u, chart, pts) -> LocalGeometry:
                              pairing_star=np.zeros(pts.shape[0]),
                              lap_weight=w1 / w, level_weight=w,
                              pairing_G=u1 * dG, grad_G_sq=dG**2)
+    ju, jp = point_jets(u, chart, pts, 2, 3)
     g = ju.grad
     q = g[:, 0] ** 2 + g[:, 1] ** 2
     g0 = np.sqrt(q)

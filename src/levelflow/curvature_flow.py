@@ -27,10 +27,11 @@ jet of u and of the chart's factor or warp.  A principle audit takes one
 over its interior and boundary grids together.
 
 Outer Laplacians and gradients of derived fields (k/|grad u|, ln|k|, ...)
-use central differences with step 1e-3 and one Richardson level, each
-residual's whole stencil (centre, +-h/2 and +-h points) in one geometry;
-the inner pointwise evaluations are closed-form, which keeps the noise at
-the documented tol_fd = 1e-4 * (1 + |field|) level.
+use central differences with step 1e-3 and one Richardson level.  The PDE
+residuals and gaps take a point or a batch of points, and evaluate every
+stencil of the batch (centre, +-h/2 and +-h points) in one geometry; the
+inner pointwise evaluations are closed-form, which keeps the noise at the
+documented tol_fd = 1e-4 * (1 + |field|) level.
 """
 
 from __future__ import annotations
@@ -44,8 +45,6 @@ from .charts import local_geometry
 from .errors import DomainError, LevelFlowError, PreconditionError
 from .fields import as_points
 from .levelsets import LengthProfile, extract_level_curve
-
-_ZERO_CURV = 1e-6
 
 AUDIT_QUANTITIES = ("k", "h", "phi_k", "phi_h", "ln_abs_k", "ln_abs_h")
 
@@ -99,18 +98,19 @@ def _phi_k_field(u, chart):
 # finite-difference outer derivatives
 # ---------------------------------------------------------------------------
 # A stencil is p, then p +- h e_x and p +- h e_y for each step h: (h/2, h)
-# with Richardson extrapolation, (h,) without.  The operators take values on it.
+# with Richardson extrapolation, (h,) without.  The operators take values on
+# stencils along the last axis, one stencil per leading index.
 
 def _steps(step, richardson):
     return (step / 2.0, step) if richardson else (step,)
 
 
-def _stencil(p, steps):
-    p = np.asarray(p, dtype=float)
-    rows = [p]
+def _stencil(pts, steps):
+    """The stencils around the (n, 2) points, stacked point by point."""
+    rows = [pts]
     for h in steps:
-        rows += [p + (h, 0), p - (h, 0), p + (0, h), p - (0, h)]
-    return np.array(rows)
+        rows += [pts + (h, 0), pts - (h, 0), pts + (0, h), pts - (0, h)]
+    return np.stack(rows, axis=1).reshape(-1, 2)
 
 
 def _richardson(diff, steps):
@@ -121,15 +121,15 @@ def _richardson(diff, steps):
 
 def _lap0(v, steps):
     def lap(i, h):
-        a = v[1 + 4 * i:]
-        return (a[0] + a[1] + a[2] + a[3] - 4.0 * v[0]) / h**2
+        a = v[..., 1 + 4 * i:]
+        return (a[..., 0] + a[..., 1] + a[..., 2] + a[..., 3] - 4.0 * v[..., 0]) / h**2
     return _richardson(lap, steps)
 
 
 def _grad0(v, steps):
     def grad(i, h):
-        a = v[1 + 4 * i:]
-        return np.array([a[0] - a[1], a[2] - a[3]]) / (2.0 * h)
+        a = v[..., 1 + 4 * i:]
+        return np.stack([a[..., 0] - a[..., 1], a[..., 2] - a[..., 3]], axis=-1) / (2.0 * h)
     return _richardson(grad, steps)
 
 
@@ -140,20 +140,20 @@ def _metric_lap(v, steps, kind, weight):
         return weight * _lap0(v, steps)
 
     def d2(i, h):
-        a = v[1 + 4 * i:]
-        return (a[0] - 2.0 * v[0] + a[1]) / h**2
-    return _richardson(d2, steps) + weight * _grad0(v, steps)[0]
+        a = v[..., 1 + 4 * i:]
+        return (a[..., 0] - 2.0 * v[..., 0] + a[..., 1]) / h**2
+    return _richardson(d2, steps) + weight * _grad0(v, steps)[..., 0]
 
 
 def fd_laplacian0(f, p, step: float, richardson: bool = True) -> float:
     """Coordinate 5-point Laplacian of a pointwise field at p."""
     steps = _steps(step, richardson)
-    return float(_lap0(f(_stencil(p, steps)), steps))
+    return float(_lap0(f(_stencil(np.array([p], dtype=float), steps)), steps))
 
 
 def fd_gradient0(f, p, step: float, richardson: bool = True) -> np.ndarray:
     steps = _steps(step, richardson)
-    return _grad0(f(_stencil(p, steps)), steps)
+    return _grad0(f(_stencil(np.array([p], dtype=float), steps)), steps)
 
 
 def metric_laplacian_fd(f, chart, p, step: float = 1e-3,
@@ -166,100 +166,126 @@ def metric_laplacian_fd(f, chart, p, step: float = 1e-3,
         w, w1 = chart.warp_jet(p[:1], 1)
         weight = w1[0] / w[0]
     steps = _steps(step, richardson)
-    return float(_metric_lap(f(_stencil(p, steps)), steps, chart.kind, weight))
+    return float(_metric_lap(f(_stencil(p[None], steps)), steps, chart.kind, weight))
 
 
 # ---------------------------------------------------------------------------
 # PDE residuals
 # ---------------------------------------------------------------------------
 
+# the log identities need |k| (or |h|) at least this large at their point
+ZERO_CURV = 1e-6
+
 _NONZERO = {"k": "level-curvature log inequality needs k != 0",
             "h": "steepest-descent log inequality needs h != 0"}
 
 
-def _require_nonzero(geo, curvature):
-    if curvature is not None and abs(getattr(geo, curvature)[0]) < _ZERO_CURV:
+def _require_nonzero(geo, curvature, m=1):
+    """Raise where ``curvature`` is below ZERO_CURV on a row 0, m, 2m, ..."""
+    if curvature is not None and np.any(np.abs(getattr(geo, curvature)[::m]) < ZERO_CURV):
         raise PreconditionError(_NONZERO[curvature])
 
 
 def _stencil_geometry(u, chart, p, step, richardson, nonzero=None):
-    """One geometry over the stencil around the single point p (its row 0),
-    and the steps.
+    """(one geometry over the stencils of the points p, the steps, the
+    stencil size m, whether p is a single point).  Point i's stencil is rows
+    i*m .. i*m + m - 1, its centre first.
 
     ``nonzero`` names the curvature ("k" or "h") a log identity divides by.
-    After p's domain check (and a ValueError for a batch of points), p's own
-    errors (a critical point, then that curvature below 1e-6) are raised
-    before any error of the rest of the stencil.
+    A point's own errors (domain, critical point, then that curvature below
+    ZERO_CURV) come before those of the rest of its stencil, and an earlier
+    point's before a later one's.
     """
-    centre = chart.check_points(p)
-    if centre.shape[0] != 1:
-        raise ValueError("pde residuals take a single point")
+    pts, single = as_points(p)
     steps = _steps(step, richardson)
+    m = 1 + 4 * len(steps)
     try:
-        geo = local_geometry(u, chart, _stencil(centre[0], steps))
+        geo = local_geometry(u, chart, _stencil(chart.check_points(pts), steps))
     except LevelFlowError:
-        _require_nonzero(local_geometry(u, chart, centre[0]), nonzero)
+        if len(pts) == 1:
+            _require_nonzero(local_geometry(u, chart, pts), nonzero)
+        else:
+            for q in pts:
+                _stencil_geometry(u, chart, q, step, richardson, nonzero)
         raise
-    _require_nonzero(geo, nonzero)
-    return geo, steps
+    # every stencil succeeded, so the first centre under the floor is the
+    # first failing point
+    _require_nonzero(geo, nonzero, m)
+    return geo, steps, m, single
 
 
 def _pde1(u, chart, p, step, richardson, star):
-    geo, steps = _stencil_geometry(u, chart, p, step, richardson)
-    ratio = (geo.h if star else geo.k) / geo.G
-    rhs = (geo.pairing_star if star else geo.pairing)[0]
-    lap = _metric_lap(ratio, steps, chart.kind, geo.lap_weight[0])
-    return float(lap + 2.0 * geo.K[0] * ratio[0] - rhs)
+    geo, steps, m, single = _stencil_geometry(u, chart, p, step, richardson)
+    ratio = ((geo.h if star else geo.k) / geo.G).reshape(-1, m)
+    rhs = (geo.pairing_star if star else geo.pairing)[::m]
+    lap = _metric_lap(ratio, steps, chart.kind, geo.lap_weight[::m])
+    out = lap + 2.0 * geo.K[::m] * ratio[:, 0] - rhs
+    return float(out[0]) if single else out
 
 
-def pde1_residual(u, chart, p, step: float = 1e-3, richardson: bool = True) -> float:
-    """Residual of lap(k/|grad u|) + 2 K k/|grad u| - <grad K, grad u>/|grad u|^2."""
+def pde1_residual(u, chart, p, step: float = 1e-3, richardson: bool = True):
+    """Residual of lap(k/|grad u|) + 2 K k/|grad u| - <grad K, grad u>/|grad u|^2.
+
+    A float at a single point p; an array at an (n, 2) batch, each row equal
+    to the single-point call.  A batch raises the error of its first failing
+    point in input order.
+    """
     return _pde1(u, chart, p, step, richardson, star=False)
 
 
-def pde1_star_residual(u, chart, p, step: float = 1e-3, richardson: bool = True) -> float:
-    """Residual of lap(h/|grad u|) + 2 K h/|grad u| - <grad K, star grad u>/|grad u|^2."""
+def pde1_star_residual(u, chart, p, step: float = 1e-3, richardson: bool = True):
+    """Residual of lap(h/|grad u|) + 2 K h/|grad u| - <grad K, star grad u>/|grad u|^2.
+
+    Batches as :func:`pde1_residual` does.
+    """
     return _pde1(u, chart, p, step, richardson, star=True)
 
 
 def _log_gap(u, chart, p, step, richardson, curvature):
-    geo, steps = _stencil_geometry(u, chart, p, step, richardson, curvature)
+    geo, steps, m, single = _stencil_geometry(u, chart, p, step, richardson, curvature)
     c = getattr(geo, curvature)
-    rhs = (geo.pairing if curvature == "k" else geo.pairing_star)[0]
-    lap = _metric_lap(np.log(np.abs(c)), steps, chart.kind, geo.lap_weight[0])
-    gap = -lap - geo.K[0] + rhs * geo.G[0] / c[0]
-    theo = _theoretical_gap(c / geo.G, steps, chart.kind, geo.lap_weight[0])
-    return float(gap), float(theo)
+    rhs = (geo.pairing if curvature == "k" else geo.pairing_star)[::m]
+    weight = geo.lap_weight[::m]
+    lap = _metric_lap(np.log(np.abs(c)).reshape(-1, m), steps, chart.kind, weight)
+    gap = -lap - geo.K[::m] + rhs * geo.G[::m] / c[::m]
+    theo = _theoretical_gap((c / geo.G).reshape(-1, m), steps, chart.kind, weight)
+    return (float(gap[0]), float(theo[0])) if single else (gap, theo)
 
 
-def pde2_gap(u, chart, p, step: float = 1e-3, richardson: bool = True
-             ) -> tuple[float, float]:
+def pde2_gap(u, chart, p, step: float = 1e-3, richardson: bool = True):
     """(gap, theoretical_gap) for the level-curvature log inequality.
 
     gap = -lap ln|k| - K + <grad K, grad u/|grad u|> / k  (signed k), and
     theoretical_gap = |grad(k/|grad u|)|^2 / (k/|grad u|)^2; the two agree
-    to finite-difference accuracy and are nonnegative.
+    to finite-difference accuracy and are nonnegative.  Raises
+    :class:`PreconditionError` where |k| < ZERO_CURV at p.  A pair of floats
+    at a single point p; a pair of arrays at an (n, 2) batch, each row equal
+    to the single-point call.  A batch raises the error of its first failing
+    point in input order.
     """
     return _log_gap(u, chart, p, step, richardson, "k")
 
 
-def pde2_star_gap(u, chart, p, step: float = 1e-3, richardson: bool = True
-                  ) -> tuple[float, float]:
+def pde2_star_gap(u, chart, p, step: float = 1e-3, richardson: bool = True):
     """(gap, theoretical_gap) for the steepest-descent log inequality.
 
     gap = -lap ln|h| - K + <grad K, star grad u/|grad u|> / h (signed h).
+    Raises :class:`PreconditionError` where |h| < ZERO_CURV at p, and
+    batches as :func:`pde2_gap` does.
     """
     return _log_gap(u, chart, p, step, richardson, "h")
 
 
 def _theoretical_gap(ratio, steps, kind, weight):
-    """|grad p|^2 / p^2 at the centre, from p's values on the stencil."""
+    """|grad p|^2 / p^2 at the centres, from p's values on the stencils."""
     grad0 = _grad0(ratio, steps)
     if kind == "conformal":
-        grad_sq = weight * float(grad0 @ grad0)
+        # matmul takes each row's dot in BLAS, as g @ g does for one point;
+        # g_x**2 + g_y**2 rounds differently in the last bit
+        grad_sq = weight * np.matmul(grad0[:, None, :], grad0[:, :, None])[:, 0, 0]
     else:
-        grad_sq = float(grad0[0] ** 2)
-    return grad_sq / ratio[0] ** 2
+        grad_sq = grad0[:, 0] ** 2
+    return grad_sq / ratio[:, 0] ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +345,9 @@ def _audit_values(geo, quantity):
     if quantity.startswith("phi"):
         return c / geo.G
     if quantity.startswith("ln_abs"):
-        return np.log(np.abs(c))
+        # a zero curvature gives -inf, which the caller reports as non-finite
+        with np.errstate(divide="ignore"):
+            return np.log(np.abs(c))
     return c
 
 

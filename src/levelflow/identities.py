@@ -13,7 +13,8 @@ harmonic fields with closed-form derivatives the residuals sit at roundoff
 level.  The formulas keep the ``grad(lap u)`` terms so that fields that are
 only approximately harmonic (finite-difference backed) degrade gracefully.
 
-The jets of u and of the metric, and the critical-point test against
+The jets of u (to order 3) and of the metric (to order 2: the formulas read
+``lap phi`` and ``w''``), and the critical-point test against
 ``charts.CRITICAL_GRAD``, come from :func:`levelflow.charts.point_jets`.
 """
 
@@ -29,11 +30,11 @@ def _residual(u, chart, p, conformal, warped):
     """The chart kind's residual formula at the domain-checked p."""
     pts = chart.check_points(p)
     _, single = as_points(p)
-    ju, jm = point_jets(u, chart, pts, 3)
+    ju, jm = point_jets(u, chart, pts, 3, 2)
     if chart.kind == "conformal":
         out = conformal(ju, jm, ju.grad[:, 0] ** 2 + ju.grad[:, 1] ** 2)
     else:
-        w, w1, w2, _ = jm
+        w, w1, w2 = jm
         out = warped(ju.grad[:, 0], ju.hess[:, 0, 0], ju.third[:, 0], w, w1, w2)
     return float(out[0]) if single else out
 

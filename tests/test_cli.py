@@ -72,6 +72,41 @@ def test_residuals_subcommand(tmp_path):
     assert rep["derivative_source"] == "closed_form"
 
 
+@pytest.mark.parametrize("chart,field", [
+    (CAP_CONFIG["chart"], CAP_CONFIG["field"]),
+    ({"kind": "conformal", "factor": {"name": "flat"}, "inner_radius": 1.0,
+      "outer_radius": 3.0}, {"catalog": "arg"}),
+], ids=["sphere_cap", "arg"])
+def test_residuals_batches_the_pde_stencils(tmp_path, monkeypatch, chart, field):
+    from levelflow import curvature_flow
+    from levelflow.fields import ScalarField
+    jets, geometry_jets = [], []
+    jet, geometry = ScalarField.jet, curvature_flow.local_geometry
+
+    def counted_jet(self, *args, **kwargs):
+        jets.append(self)
+        return jet(self, *args, **kwargs)
+
+    def counted_geometry(*args):
+        before = len(jets)
+        out = geometry(*args)
+        geometry_jets.append(len(jets) - before)
+        return out
+
+    monkeypatch.setattr(ScalarField, "jet", counted_jet)
+    monkeypatch.setattr(curvature_flow, "local_geometry", counted_geometry)
+    cfg = {"chart": chart, "field": field, "analysis": {"points": 40}}
+    code = main(["residuals", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    # 12 points: pde1, pde1_star, k at the centres and the gap, one geometry
+    # (two jets) each; a call per point and function made 72
+    assert sum(geometry_jets) <= 8
+    rep = json.loads((tmp_path / "out" / "residuals_report.json").read_text())
+    # k = 0 for arg, so every point fails the gap's precondition
+    assert (rep["residuals"]["pde2_gap_min"] is None) == (field == {"catalog": "arg"})
+
+
 def test_audit_subcommand_and_key_order(tmp_path):
     cfg = {
         "chart": {"kind": "warped", "profile": "cosh",

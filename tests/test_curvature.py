@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from levelflow import (ConformalChart, CriticalPointError, DirichletSpec,
-                       PreconditionError, ScalarField, WarpedChart,
+                       LevelFlowError, PreconditionError, ScalarField, WarpedChart,
                        catalog_field, curvature_sample, flat_factor,
                        half_plane_factor, inset_grid, length_profile,
                        level_curvature_k, local_geometry, logL_slope_bound,
@@ -213,12 +213,50 @@ def test_pde2_gap_zero_curvature_precondition():
         pde2_gap(ux, FLAT, (1.0, 0.5))
 
 
+def _point_calls(fn, u, chart, pts):
+    """The one-point calls in input order: their results, or the first
+    error as (class, message)."""
+    rows = []
+    for p in pts:
+        try:
+            rows.append(fn(u, chart, p))
+        except LevelFlowError as exc:
+            return type(exc), str(exc)
+    return rows
+
+
+JOUK = catalog_field("joukowski", a=0.3)
+JOUK_CRITICAL = (np.sqrt(0.3), 0.0)  # grad u = 0 where z^2 = a
+RING = 1.0 / np.sqrt(0.3)  # k of ln|z| vanishes there on CAP (c = 0.1)
+PDE_BATCHES = [
+    # rows that all succeed (on the warped chart t repeats with another theta)
+    (JOUK, ConformalChart(flat_factor(), 1.0, 4.0), [(1.5, 0.5), (1.6, 0.2), (-1.2, 1.3)]),
+    (JOUK, CAP, [(1.3, 0.4), (-1.1, -0.9), (0.2, 1.6)]),
+    (ARCTAN, HYP, [(0.5, 0.0), (0.5, 1.0), (-1.2, 0.3), (2.0, 4.0)]),
+    # a failing point, then one that fails differently
+    (JOUK, FLAT, [(1.5, 0.5), JOUK_CRITICAL, (5.0, 0.0)]),
+    (JOUK, FLAT, [(1.5, 0.5), (5.0, 0.0), JOUK_CRITICAL]),
+    (LOG, CAP, [(1.3, 0.4), (RING, 0.0), (2.7, 0.0)]),
+    (ARCTAN, HYP, [(0.5, 0.0), (2.6, 0.0)]),
+]
+
+
 @pytest.mark.parametrize("fn", [pde1_residual, pde1_star_residual, pde2_gap, pde2_star_gap])
-def test_pde_functions_reject_point_batches(fn):
-    u = catalog_field("joukowski", a=0.3)
-    chart = ConformalChart(flat_factor(), 1.0, 4.0)
-    with pytest.raises(ValueError):
-        fn(u, chart, [(1.5, 0.5), (1.6, 0.2)])
+def test_pde_batches_equal_the_point_calls(fn):
+    for u, chart, pts in PDE_BATCHES:
+        want = _point_calls(fn, u, chart, pts)
+        if isinstance(want, tuple):
+            with pytest.raises(LevelFlowError) as info:
+                fn(u, chart, pts)
+            assert (type(info.value), str(info.value)) == want
+            continue
+        got = fn(u, chart, np.array(pts))
+        if fn in (pde2_gap, pde2_star_gap):
+            assert all(type(a) is float and type(b) is float for a, b in want)
+            assert [a.tobytes() for a in got] == [a.tobytes() for a in np.array(want).T]
+        else:
+            assert all(type(a) is float for a in want)
+            assert got.tobytes() == np.array(want).tobytes()
 
 
 def test_pde_residual_stencil_outside_domain_raises():
@@ -355,18 +393,19 @@ def _record_jets(monkeypatch):
 
 def test_audit_evaluates_each_grid_point_once(monkeypatch):
     hyp = WarpedChart.cosh_cylinder(2.0 / (2 * np.pi), 0.1, 1.6)
-    cases = [(ARCTAN, hyp, hyp.shape, (0.2, 1.5), "phi_k", "min_on_boundary_nonpos_K"),
-             (LOG, CAP, CAP.factor, (1.05, 1.5), "ln_abs_k", "min_abs_on_boundary")]
+    # the default grid: 256 x 256 interior points and two 1024-point
+    # circles, 67,584 points with 258 distinct t; u to order 2, the factor
+    # or warp to order 3 (grad K)
+    cases = [(ARCTAN, hyp, hyp.shape, (0.2, 1.5), "phi_k", "min_on_boundary_nonpos_K", 258),
+             (LOG, CAP, CAP.factor, (1.05, 1.5), "ln_abs_k", "min_abs_on_boundary", 67584)]
     calls = _record_jets(monkeypatch)
-    for u, chart, metric_field, domain, quantity, case in cases:
+    for u, chart, metric_field, domain, quantity, case, n_points in cases:
         calls.clear()
         principle_audit(u, chart, domain, quantity, case)
         points = Counter()
         for field, n, order in calls:
             points[id(field), order] += n
-        # the default grid: 256 x 256 interior points and two 1024-point
-        # circles; u to order 2, the factor or warp to order 3 (grad K)
-        assert dict(points) == {(id(u), 2): 67584, (id(metric_field), 3): 67584}
+        assert dict(points) == {(id(u), 2): n_points, (id(metric_field), 3): n_points}
 
 
 def test_pde_stencils_take_at_most_three_jet_calls(monkeypatch):
@@ -400,7 +439,8 @@ def _half_plane_points(n):
     (LOG, CAP, quasi_random_points(CAP, 24, seed=2, min_gradient_field=LOG)),
     (catalog_field("re_poly", n=2), ConformalChart(half_plane_factor()), _half_plane_points(24)),
     (ARCTAN, HYP, quasi_random_points(HYP, 24, seed=2)),
-], ids=["flat", "sphere_cap", "half_plane", "warped"])
+    (ARCTAN, HYP, np.stack([np.repeat([-1.5, 0.2, 0.7], 8), np.arange(24) * 0.25], axis=-1)),
+], ids=["flat", "sphere_cap", "half_plane", "warped", "warped_repeated_t"])
 def test_local_geometry_rows_do_not_depend_on_the_batch(u, chart, pts):
     batch = local_geometry(u, chart, pts)
     rows = [local_geometry(u, chart, p) for p in pts]

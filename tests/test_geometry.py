@@ -168,6 +168,27 @@ def test_identity_residuals_warped_closed_form():
         assert np.max(np.abs(res(u, HYP, pts))) <= 1e-8
 
 
+@pytest.mark.parametrize("u,chart,metric_field", [
+    (catalog_field("log"), CAP, CAP.factor),
+    (catalog_field("warped_arctan"), HYP, HYP.shape),
+], ids=["sphere_cap", "warped"])
+def test_identities_read_u_to_order_3_and_the_metric_to_order_2(u, chart, metric_field,
+                                                                monkeypatch):
+    pts = quasi_random_points(chart, 8, seed=4, min_gradient_field=u)
+    calls = []
+    jet = ScalarField.jet
+
+    def counted(self, q, order=4):
+        calls.append((self, order))
+        return jet(self, q, order)
+
+    monkeypatch.setattr(ScalarField, "jet", counted)
+    for res in (kato_residual, bochner_residual, log_gradient_residual):
+        calls.clear()
+        res(u, chart, pts)
+        assert sorted(calls, key=lambda c: c[1]) == [(metric_field, 2), (u, 3)]
+
+
 def test_identity_residuals_hyperbolic_halfplane_exact():
     u = catalog_field("re_poly", n=1)
     for p in [(0.0, 1.0), (0.5, 2.0), (-1.0, 0.3)]:
