@@ -17,9 +17,9 @@ its own convergence test, so a profile row equals the one-row call for that
 circle.  Rows that use every refinement level without converging (the
 ``e^{3v}`` integrand at a vertex with alpha <= -1/3 is not integrable) are
 logged as one warning per profile and listed in its
-``meta["capped_levels"]``.  Profile derivative columns use centered
-differences on the level grid only; the smooth integral formulas are never
-evaluated across vertices.
+``meta["capped_levels"]``; their ``aux_invgrad2`` is NaN.  Profile
+derivative columns use centered differences on the level grid only; the
+smooth integral formulas are never evaluated across vertices.
 
 Mollification convolves ``v`` with the radial C^2 bump
 ``(4/(pi eps^2)) (1 - (s/eps)^2)^3``; the convolution against each log term
@@ -152,10 +152,19 @@ def _circle_lengths(factor: ConicalFactor, radii, rel_tol: float):
     return np.asarray(radii, dtype=float) * vals, capped
 
 
+def _warn_capped(what: str, r: float, rel_tol: float) -> None:
+    logger.warning("%s at r = %r used every refinement level without reaching "
+                   "rel_tol %g; finest-level value kept", what, r, rel_tol)
+
+
 def conical_circle_length(factor: ConicalFactor, r: float,
                           rel_tol: float = 1e-10) -> float:
-    """Length of the circle |z| = r in the metric e^{2v} g_0."""
-    return float(_circle_lengths(factor, [r], rel_tol)[0][0])
+    """Length of the circle |z| = r in the metric e^{2v} g_0; a capped
+    integral keeps its finest-level value and is logged as a warning."""
+    (length,), (capped,) = _circle_lengths(factor, [r], rel_tol)
+    if capped:
+        _warn_capped("conical circle length", r, rel_tol)
+    return float(length)
 
 
 def _conical_circle_invgrad2(factor: ConicalFactor, spec: DirichletSpec,
@@ -165,15 +174,15 @@ def _conical_circle_invgrad2(factor: ConicalFactor, spec: DirichletSpec,
 
     For u = t1 + b ln|z| the integrand is e^{3v} r^2 / b^2 per unit
     coordinate angle; integrable iff 3 alpha_j > -1 at a vertex on the
-    circle.  Otherwise the rule uses every refinement level and the value
-    is capped; a sum that overflows gives NaN.
+    circle.  Otherwise the rule uses every refinement level and the row is
+    capped; capped rows and sums that overflow give NaN.
     """
     b = (spec.t2 - spec.t1) / np.log(spec.R)
     vals, capped = segmented_circle_integral(
         *_conical_log_integrand(factor, radii, 3.0), rel_tol=rel_tol)
     # r**3 as a Python float power, for the same reason as (r - rho)^2 above
     cubes = np.array([float(r) ** 3 for r in radii])
-    return np.where(np.isfinite(vals), cubes / b**2 * vals, np.nan), capped
+    return np.where(np.isfinite(vals) & ~capped, cubes / b**2 * vals, np.nan), capped
 
 
 def _level_radius(spec: DirichletSpec, t: float) -> float:
@@ -188,7 +197,9 @@ def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid,
     All level circles are integrated in one batched call for ``L`` and one
     for ``aux_invgrad2``.  Levels whose integral used every refinement level
     without reaching ``rel_tol`` are logged as one warning and listed in
-    ``meta["capped_levels"]``.
+    ``meta["capped_levels"]``; a capped ``L`` keeps its finest-level
+    estimate (the convexity verdicts read it), a capped ``aux_invgrad2`` is
+    NaN.
 
     The log-convexity guarantee applies to nonpositive-curvature factors;
     the profile itself is computed for any integrable factor so violations
@@ -209,9 +220,9 @@ def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid,
     if capped_levels:
         logger.warning(
             "tanh-sinh used every refinement level without reaching rel_tol %g "
-            "(L on %d, aux_invgrad2 on %d levels); finest-level values kept at "
-            "levels t = %s", rel_tol, int(L_capped.sum()), int(aux_capped.sum()),
-            capped_levels)
+            "(L on %d, aux_invgrad2 on %d levels; finest-level L kept, capped "
+            "aux_invgrad2 set to NaN) at levels t = %s", rel_tol,
+            int(L_capped.sum()), int(aux_capped.sum()), capped_levels)
     L_fd_p = np.gradient(L, t_grid, edge_order=2)
     L_fd_pp = np.gradient(L_fd_p, t_grid, edge_order=2)
     lnL_pp = (L_fd_pp * L - L_fd_p**2) / L**2
@@ -279,6 +290,8 @@ class MollifiedFactor:
 
         The integrand is piecewise analytic with C^2 joints where the circle
         crosses a mollification disc boundary; those angles split the rule.
+        A capped integral keeps its finest-level value and is logged as a
+        warning.
         """
         breaks = []
         for (x, y), _ in self.source.atoms:
@@ -294,9 +307,11 @@ class MollifiedFactor:
             pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
             return self.value(pts)[None, :]
 
-        (val,), _ = segmented_circle_integral(log_f, breaks, rel_tol=rel_tol)
+        (val,), (capped,) = segmented_circle_integral(log_f, breaks, rel_tol=rel_tol)
         if not np.isfinite(val):
             raise SolverError("circle integral diverged (non-integrable singularity?)")
+        if capped:
+            _warn_capped(f"mollified circle length (eps = {self.eps!r})", r, rel_tol)
         return r * float(val)
 
 

@@ -18,8 +18,9 @@ critical-gradient floor.  The identity residuals read u to order 3 and the
 metric to order 2; :func:`local_geometry` reads u to order 2 and the metric
 to order 3 (for grad K), and builds from them k, h, K, the pairings and the
 pieces of the L' and L'' integrands.  On a warped chart u is radial and the
-warp depends on t only, so :func:`local_geometry` evaluates both once per
-distinct t of its batch: a 256 x 256 audit grid has 258 of them.
+warp depends on t only, so :func:`local_geometry` evaluates both, and the
+geometry built from them, once per distinct t of its batch: a 256 x 256
+audit grid has 258 of them.
 
 All objects are immutable after construction and evaluation is pure.
 """
@@ -308,9 +309,9 @@ def local_geometry(u, chart, p) -> LocalGeometry:
     curve, h = -div((u_2, -u_1) / |grad u|) that of the steepest-descent
     line.  Raises the chart's domain errors, then
     :class:`CriticalPointError` as :func:`point_jets` does.  On warped
-    charts u and the warp are evaluated once per distinct t of p (at the
-    first point with that t) and indexed back to every row; ``pts`` is
-    still the whole of p.
+    charts u, the warp and the geometry built from them are evaluated once
+    per distinct t of p (at the first point with that t) and indexed back
+    to every row; ``pts`` is still the whole of p.
     """
     return _geometry(u, chart, chart.check_points(p))
 
@@ -343,16 +344,17 @@ def _geometry(u, chart, pts) -> LocalGeometry:
     if chart.kind == "warped":
         _, first, rows = np.unique(pts[:, 0], return_index=True, return_inverse=True)
         ju, jp = point_jets(u, chart, pts[first], 2, 3)
-        u1, u2 = ju.grad[rows, 0], ju.hess[rows, 0, 0]
-        w, w1, w2, w3 = (a[rows] for a in jp)
+        u1, u2 = ju.grad[:, 0], ju.hess[:, 0, 0]
+        w, w1, w2, w3 = jp
         K, dK = chart._curvature(w, w1, w2, w3)
-        k = -np.sign(u1) * w1 / w
         dG = u2 * np.sign(u1)  # G = |u'(t)|, so G' = u'' sign(u')
-        return LocalGeometry(pts=pts, G=np.abs(u1), k=k, h=np.zeros_like(k), K=K,
-                             gradK=dK, pairing=dK[:, 0] / u1,
+        # elementwise at the distinct t, then indexed back to every row
+        at_t = {"G": np.abs(u1), "k": -np.sign(u1) * w1 / w, "K": K, "gradK": dK,
+                "pairing": dK[:, 0] / u1, "lap_weight": w1 / w, "level_weight": w,
+                "pairing_G": u1 * dG, "grad_G_sq": dG**2}
+        return LocalGeometry(pts=pts, h=np.zeros(pts.shape[0]),
                              pairing_star=np.zeros(pts.shape[0]),
-                             lap_weight=w1 / w, level_weight=w,
-                             pairing_G=u1 * dG, grad_G_sq=dG**2)
+                             **{name: a.take(rows, axis=0) for name, a in at_t.items()})
     ju, jp = point_jets(u, chart, pts, 2, 3)
     g = ju.grad
     q = g[:, 0] ** 2 + g[:, 1] ** 2

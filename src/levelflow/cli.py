@@ -348,6 +348,7 @@ def cmd_bic(cfg, out_dir, tol, fmt):
         "singular_length": float(limit),
         "mollified_monotone": monotone,
         "mollified_converged": converged,
+        "capped_levels": prof.meta["capped_levels"],
         "passed": bool(ok),
         "tolerances": tol,
     }

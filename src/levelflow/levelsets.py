@@ -34,6 +34,7 @@ second order on traced curves, whose weights are averaged chord lengths.
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,6 +49,8 @@ from .errors import (CriticalPointError, DomainError, NormalizationError,
 from .fields import ScalarField
 from .harmonic import catalog_field
 from .quadrature import segmented_circle_integral
+
+logger = logging.getLogger(__name__)
 
 CSV_COLUMNS = ("t", "L", "Lp", "Lpp", "lnL_pp", "L_fd_p", "L_fd_pp", "aux_invgrad2")
 
@@ -326,7 +329,9 @@ def _near_singular(chart, pts) -> bool:
 
 
 def _singular_circle_length(chart, curve) -> float:
-    """Adaptive escalation for circles through/near a singular factor point."""
+    """Adaptive escalation for circles through/near a singular factor point;
+    a capped integral keeps its finest-level value and is logged as a
+    warning."""
     r = np.hypot(*curve.points[0])
     if not np.allclose(np.hypot(curve.points[:, 0], curve.points[:, 1]), r,
                        rtol=1e-9, atol=1e-12):
@@ -341,9 +346,13 @@ def _singular_circle_length(chart, curve) -> float:
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
         return chart.factor.jet(pts, 0).value[None, :]
 
-    (val,), _ = segmented_circle_integral(log_f, angles)
+    (val,), (capped,) = segmented_circle_integral(log_f, angles)
     if not np.isfinite(val):
         raise SolverError("circle integral diverged (non-integrable singularity?)")
+    if capped:
+        logger.warning("singular circle length at r = %r used every refinement "
+                       "level without reaching the rule's rel_tol; finest-level "
+                       "value kept", float(r))
     return r * float(val)
 
 
@@ -457,11 +466,11 @@ class LengthProfile:
 
     def to_csv(self, path) -> None:
         """Fixed column order, 17 significant digits, LF line endings."""
+        cols = [getattr(self, "t_grid" if c == "t" else c).tolist() for c in CSV_COLUMNS]
+        row = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
         with open(path, "w", newline="\n") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            cols = [getattr(self, "t_grid" if c == "t" else c) for c in CSV_COLUMNS]
-            for row in zip(*cols):
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(",".join(CSV_COLUMNS) + "\n"
+                     + "".join(row % values for values in zip(*cols)))
 
 
 def inset_grid(t1: float, t2: float, n: int, inset_frac: float = 1e-3) -> np.ndarray:

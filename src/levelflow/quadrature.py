@@ -9,14 +9,23 @@ Two rules cover every integrand in the package:
   absorbs integrable endpoint singularities (|x - a|^alpha, alpha > -1,
   logarithms) without special casing.
 
+Both rules are nested: level k halves the step of level k - 1, so its nodes
+are the previous level's plus the midpoints between them.  Level k
+evaluates only those midpoints (the odd-index nodes) and adds them to half
+the previous estimate, so every node of the finest level used is evaluated
+once.  The part of a tanh-sinh level that does not depend on the segment
+(``1 +- tanh s`` and ``cosh tau sech^2 s`` at the new nodes) is built once
+per process in a table keyed by ``(level, tau_max)``; a call scales it by
+its half-width.
+
 Both rules integrate a batch of integrands at once, one row each (for
-instance one level circle of a profile per row).  Each refinement level
-builds its nodes and weights once and shares them across the rows; every
-row keeps its own relative-change test and is no longer evaluated once it
-has converged, so a row's value does not depend on the other rows in its
-batch.  Both return ``(values, capped)``: ``capped`` marks the rows that
-used every refinement level without meeting the target; their value is the
-finest level's estimate, and the caller reports them.
+instance one level circle of a profile per row).  Each level's nodes and
+weights are shared across the rows; every row keeps its own relative-change
+test and is no longer evaluated once it has converged, so a row's value
+does not depend on the other rows in its batch.  Both return
+``(values, capped)``: ``capped`` marks the rows that used every refinement
+level without meeting the target; their value is the finest level's
+estimate, and the caller reports them.
 
 Integrands receive the distances to both segment endpoints, computed in a
 cancellation-free way, so a factor like ``|theta - theta_atom|^alpha`` can be
@@ -25,23 +34,32 @@ evaluated accurately even at machine-scale distances.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
-#: evaluation budget matching the documented 2^20 subinterval cap
+#: evaluation budget matching the documented 2^20 subinterval cap: with
+#: nested levels a trapezoid row evaluates at most this many nodes, the
+#: finest level's, each once
 MAX_EVALS = 1 << 20
 
 
 def _refine(level_sum, n_levels: int, rel_tol: float):
-    """Per-row refinement: ``level_sum(k, rows)`` is the level-k estimate of
-    the selected rows; ``rows`` is ``slice(None)`` on level 0, whose result
-    fixes the batch size, and afterwards the indices of the live rows."""
-    prev = level_sum(0, slice(None))
+    """Per-row refinement over nested levels.
+
+    ``level_sum(k, rows, prev)`` is the level-k estimate of the selected
+    rows.  On level 0 ``rows`` is ``slice(None)`` and ``prev`` is None; its
+    result fixes the batch size.  Afterwards ``rows`` holds the indices of
+    the live rows and ``prev`` their level-(k-1) estimates: level k
+    evaluates only the nodes level k - 1 lacked and returns
+    ``0.5 * prev + h * sum(new nodes)``."""
+    prev = level_sum(0, slice(None), None)
     values = prev.copy()
     live = np.arange(values.size)
     for k in range(1, n_levels):
         if live.size == 0:
             break
-        cur = level_sum(k, live)
+        cur = level_sum(k, live, prev)
         values[live] = cur
         with np.errstate(invalid="ignore"):  # inf - inf: a diverging row stays live
             done = np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
@@ -59,10 +77,12 @@ def periodic_trapezoid(f, period: float = 2.0 * np.pi, *, rel_tol: float = 1e-10
     ``f(x, rows)`` returns the rows ``rows`` of the integrands at the nodes
     ``x``, shape (number of rows, x.size).  Returns ``(values, capped)``.
     """
-    def level_sum(k, rows):
+    def level_sum(k, rows, prev):
         n = n0 << k
-        x = np.arange(n) * (period / n)
-        return np.sum(f(x, rows), axis=1) * (period / n)
+        step = 1 if prev is None else 2  # levels k > 0 add the odd-index nodes
+        x = np.arange(step - 1, n, step) * (period / n)
+        total = np.sum(f(x, rows), axis=1) * (period / n)
+        return total if prev is None else 0.5 * prev + total
 
     return _refine(level_sum, (max_n // n0).bit_length(), rel_tol)
 
@@ -82,6 +102,25 @@ def _sech_sq(s: np.ndarray) -> np.ndarray:
     return 4.0 * e / (1.0 + e) ** 2
 
 
+@lru_cache(maxsize=64)
+def _tanh_sinh_nodes(level: int, tau_max: float):
+    """``(1 + tanh s, 1 - tanh s, pi/2 cosh(tau) sech^2 s)`` at the nodes
+    that tanh-sinh level ``level`` adds, s = pi/2 sinh(tau): every
+    tau = j h with |tau| <= tau_max on level 0, the odd j afterwards, with
+    h = 2^-(level + 1).  Cached per process; the arrays are read-only."""
+    h = 0.5 / (1 << level)
+    j = np.arange(-int(np.floor(tau_max / h)), int(np.floor(tau_max / h)) + 1)
+    if level > 0:
+        j = j[j % 2 != 0]
+    tau = j * h
+    s = 0.5 * np.pi * np.sinh(tau)
+    table = (_one_plus_tanh(s), _one_plus_tanh(-s),
+             0.5 * np.pi * np.cosh(tau) * _sech_sq(s))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
 def tanh_sinh(f, a: float, b: float, *, rel_tol: float = 1e-10,
               max_level: int = 11, tau_max: float = 5.0
               ) -> tuple[np.ndarray, np.ndarray]:
@@ -96,17 +135,13 @@ def tanh_sinh(f, a: float, b: float, *, rel_tol: float = 1e-10,
     """
     half = 0.5 * (b - a)
 
-    def level_sum(level, rows):
-        h = 0.5 / (1 << level)
-        k = np.arange(-int(np.floor(tau_max / h)), int(np.floor(tau_max / h)) + 1)
-        tau = k * h
-        s = 0.5 * np.pi * np.sinh(tau)
-        da = half * _one_plus_tanh(s)
-        db = half * _one_plus_tanh(-s)
-        w = half * 0.5 * np.pi * np.cosh(tau) * _sech_sq(s) * h
+    def level_sum(level, rows, prev):
+        one_plus, one_minus, wt = _tanh_sinh_nodes(level, tau_max)
+        da, db, w = half * one_plus, half * one_minus, half * wt
         ok = (da > 0) & (db > 0) & (w > 0)
-        vals = f(a + da[ok], da[ok], db[ok], rows)
-        return np.sum(vals * w[ok], axis=1)
+        da, db, w = da[ok], db[ok], w[ok]
+        total = np.sum(f(a + da, da, db, rows) * w, axis=1) * (0.5 / (1 << level))
+        return total if prev is None else 0.5 * prev + total
 
     return _refine(level_sum, max_level + 1, rel_tol)
 

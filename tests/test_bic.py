@@ -145,7 +145,7 @@ def test_profile_rows_match_single_circles_byte_for_byte():
                     for r in EDGE_RADII])
     assert prof.L.tobytes() == L.tobytes()
     assert prof.aux_invgrad2.tobytes() == aux.tobytes()
-    assert np.flatnonzero(np.isnan(aux)).tolist() == [5]
+    assert np.flatnonzero(np.isnan(aux)).tolist() == [5, 12]
     assert np.all(np.isfinite(L))
     assert prof.meta["capped_levels"] == [EDGE_GRID[5], EDGE_GRID[12]]
 
@@ -173,6 +173,28 @@ def test_profile_reports_capped_levels(caplog):
     assert "aux_invgrad2 on 2 levels" in record.getMessage()
     assert str([float(EDGE_GRID[5]), float(EDGE_GRID[12])]) in record.getMessage()
     assert capped.meta["capped_levels"] == [EDGE_GRID[5], EDGE_GRID[12]]
+
+
+def test_one_circle_lengths_log_a_capped_integral(caplog):
+    # alpha = -0.99 on the circle |z| = 1.5: integrable, but too close to
+    # -1 for the rule to converge, on the singular and the eps = 1e-9 circles
+    factor = conical_factor(0.0, [((1.5, 0.0), -0.99)])
+    with caplog.at_level(logging.WARNING, logger="levelflow.bic"):
+        conical_circle_length(TWO_ATOM, 1.5)
+        mollify(factor, 0.1).circle_length(1.5)
+    assert caplog.records == []
+    cases = [(lambda: conical_circle_length(factor, 1.5),
+              bic._circle_lengths(factor, [1.5], 1e-10)[0][0]),
+             (lambda: mollify(factor, 1e-9).circle_length(1.5), None)]
+    for length, want in cases:
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="levelflow.bic"):
+            got = length()
+        (record,) = caplog.records
+        assert record.levelname == "WARNING"
+        assert "at r = 1.5 used every refinement level" in record.getMessage()
+        if want is not None:
+            assert got == want
 
 
 def test_profile_grid_validation():

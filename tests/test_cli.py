@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from levelflow import DirichletSpec, bic, inset_grid
 from levelflow.cli import main, run
 
 FLAT_CONFIG = {
@@ -134,6 +135,24 @@ def test_bic_subcommand(tmp_path):
     lengths = rep["mollified_lengths"]
     assert lengths[0] > lengths[1] > rep["singular_length"]
     assert rep["mollified_converged"]
+    assert rep["capped_levels"] == []
+
+
+def test_bic_subcommand_reports_capped_levels(tmp_path):
+    # a vertex with alpha = -1/2 on level 20: e^v is integrable there, the
+    # e^{3v} of aux_invgrad2 is not
+    spec = DirichletSpec(float(np.e**2), 0.0, 2.0)
+    grid = inset_grid(spec.t1, spec.t2, 60)
+    cfg = {**CONICAL_CONFIG,
+           "chart": {"kind": "conical", "beta0": 0.0,
+                     "atoms": [{"z": [bic._level_radius(spec, grid[20]), 0.0],
+                                "alpha": -0.5}]}}
+    main(["bic", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")])
+    rep = json.loads((tmp_path / "out" / "bic_report.json").read_text())
+    assert rep["capped_levels"] == [grid[20]]
+    rows = (tmp_path / "out" / "profile.csv").read_text().splitlines()[1:]
+    assert [i for i, row in enumerate(rows) if row.endswith(",nan")] == [20]
+    assert "nan" not in rows[20].split(",")[1]
 
 
 def test_counterexample_subcommand(tmp_path):

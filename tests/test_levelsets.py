@@ -1,5 +1,7 @@
 """Level curves, the length functional and its derivative formulas."""
 
+import logging
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -127,6 +129,19 @@ def test_length_escalates_for_circle_through_singular_point():
     curve = extract_level_curve(u, chart, -np.log(1.5), 256)
     expected = conical_circle_length(conical_factor(0.0, [((1.5, 0.0), 0.5)]), 1.5)
     assert length(curve, chart) == pytest.approx(expected, rel=1e-9)
+
+
+def test_length_logs_a_capped_singular_circle(caplog):
+    # e^phi = |z - 1.5|^-0.99 on the circle through 1.5: integrable, but too
+    # close to the limit for the rule to converge
+    chart = ConformalChart(log_modulus_field(-0.99, (1.5, 0.0)), 1.0, 2.0)
+    curve = extract_level_curve(catalog_field("log"), chart, -np.log(1.5), 256)
+    with caplog.at_level(logging.WARNING, logger="levelflow.levelsets"):
+        got = length(curve, chart)
+    (record,) = caplog.records
+    assert "singular circle length at r = 1.5 used every refinement level" \
+        in record.getMessage()
+    assert np.isfinite(got)
 
 
 def test_length_reparametrisation_invariance_and_doubling():
@@ -316,6 +331,18 @@ def test_profile_csv_roundtrip(tmp_path):
     cell = lines[1].split(",")[1]
     assert float(cell) == pytest.approx(prof.L[0], rel=1e-16)
     assert len(cell.replace(".", "").replace("-", "").lstrip("0")) >= 16
+
+
+def test_profile_csv_cells_are_17g_of_python_floats(tmp_path):
+    specials = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e-310, 1.0 / 3.0, -2.5e300]
+    cols = [np.roll(np.array(specials), -k) for k in range(len(levelsets.CSV_COLUMNS))]
+    prof = levelsets.LengthProfile(*cols, derivative_mode="grid_fd")
+    path = tmp_path / "prof.csv"
+    prof.to_csv(path)
+    want = ",".join(levelsets.CSV_COLUMNS) + "\n" + "".join(
+        ",".join(format(float(v), ".17g") for v in row) + "\n" for row in zip(*cols))
+    assert path.read_bytes() == want.encode()
+    assert "nan,inf,-inf,-0,4.9406564584124654e-324" in want
 
 
 # ---------------------------------------------------------------------------

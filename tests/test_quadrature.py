@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import i0
 
-from levelflow.quadrature import periodic_trapezoid, tanh_sinh
+from levelflow.quadrature import MAX_EVALS, periodic_trapezoid, tanh_sinh
 
 
 @pytest.mark.parametrize("integrand, exact", [
@@ -78,3 +78,34 @@ def test_periodic_trapezoid_rows_match_one_row_calls():
         assert one.tobytes() == vals[i:i + 1].tobytes()
         assert one_capped[0] == capped[i]
     assert vals[1] == pytest.approx(2.0 * np.pi * i0(40.0), rel=1e-14)
+
+
+def _recorded(f, nodes):
+    def g(x, *rest):
+        nodes.append(np.stack([x, *rest[:-1]], axis=-1))
+        return f(x, *rest)
+    return g
+
+
+def test_nested_levels_evaluate_each_finest_node_once():
+    # x^-0.99 and |sin x|^(1/2) are capped: both rules run to their finest level
+    nodes = []
+    _, capped = tanh_sinh(_recorded(lambda x, da, db, rows: da[None, :] ** -0.99, nodes),
+                          0.0, 1.0)
+    assert capped[0]
+    # nodes near an endpoint share x but not the distances (da, db)
+    pairs = np.concatenate(nodes)[:, 1:]
+    assert len(pairs) == len(np.unique(pairs, axis=0)) == 40961
+    da, db = pairs[np.lexsort((-pairs[:, 1], pairs[:, 0]))].T
+    # the finest level: h = 2^-12, |tau| <= 5, s = pi/2 sinh(tau)
+    s = 0.5 * np.pi * np.sinh(np.arange(-20480, 20481) / 4096.0)
+    np.testing.assert_allclose(da, 1.0 / (1.0 + np.exp(-2.0 * s)), rtol=1e-13, atol=0)
+    np.testing.assert_allclose(db, 1.0 / (1.0 + np.exp(2.0 * s)), rtol=1e-13, atol=0)
+
+    nodes = []
+    _, capped = periodic_trapezoid(
+        _recorded(lambda x, rows: np.abs(np.sin(x))[None, :] ** 0.5, nodes))
+    assert capped[0]
+    x = np.sort(np.concatenate(nodes)[:, 0])
+    assert x.size == MAX_EVALS
+    assert x.tobytes() == (np.arange(MAX_EVALS) * (2.0 * np.pi / MAX_EVALS)).tobytes()
