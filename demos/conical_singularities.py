@@ -10,41 +10,32 @@ whose lengths decrease monotonically to the singular ones.
 
 import numpy as np
 
-from levelflow import (DirichletSpec, bic_length_profile, conical_circle_length,
-                       conical_factor, inset_grid, log_convexity_check,
-                       mollified_convergence, mollify, second_divided_differences)
+from levelflow import log_convexity_check, mollify, scenarios, second_divided_differences
 
-factor = conical_factor(0.0, [((1.2, 0.0), 0.5), ((0.0, -1.6), 0.3)])
+con = scenarios.conical(probe=float(np.log(1.2)))  # mollify the level through the 4 pi vertex
+factor = con.factor
 omega = factor.curvature_measure()
 print("cone points:")
 for (p, a), (_, mass) in zip(factor.atoms, omega.atoms):
     print(f"  z = {p}, angle = 2 pi (1 + {a}) -> curvature atom {mass:+.4f}")
 print(f"total curvature mass: {omega.total_mass:+.4f} (nonpositive: {omega.nonpositive})\n")
 
-spec = DirichletSpec(np.e**2, 0.0, 2.0)
-grid = inset_grid(0.0, 2.0, 200)
-grid[np.argmin(np.abs(grid - np.log(1.2)))] = np.log(1.2)  # hit a vertex exactly
-profile = bic_length_profile(factor, spec, grid)
-d2 = second_divided_differences(grid, np.log(profile.L))
-rep = log_convexity_check(profile, 1e-5)
+d2 = second_divided_differences(con.grid, np.log(con.profile.L))
+rep = log_convexity_check(con.profile, 1e-5)
 print(f"discrete (ln L)'' over 200 levels (one through the vertex): "
       f"min = {d2.min():.4f} >= 0 -> convex: {rep.passed}")
-i = int(np.argmin(np.abs(grid - np.log(1.2))))
+i = int(np.argmin(np.abs(con.grid - np.log(1.2))))
 print(f"at the vertex level itself: d2 = {d2[i - 1]:.2f} (convex kink)\n")
 
-t_on = float(np.log(1.2))  # level circle through the 4 pi vertex
 print("mollified lengths for the level through the vertex (decreasing eps):")
-for eps, L in zip([0.2, 0.1, 0.05, 0.01],
-                  mollified_convergence(factor, spec, t_on, [0.2, 0.1, 0.05, 0.01])):
+for eps, L in zip(scenarios.EPS_SEQUENCE, con.lengths):
     print(f"  eps = {eps:<5g} L_eps = {L:.12f}")
-print(f"  singular    L     = {conical_circle_length(factor, 1.2):.12f}")
+print(f"  singular    L     = {con.limit:.12f}")
 
 m = mollify(factor, 0.1)
 print(f"\nmollified value at the 4 pi vertex: {m.value((1.2, 0.0)):.6f} "
       f"(the singular factor is -infinity there)")
 
-neg = conical_factor(0.0, [((1.3, 0.0), -0.5)])
-neg_prof = bic_length_profile(neg, spec, inset_grid(0.0, 2.0, 120))
-neg_rep = log_convexity_check(neg_prof, 1e-5)
+neg_rep = log_convexity_check(con.negative, 1e-5)
 print(f"\ncone angle below 2 pi (alpha = -0.5, positive curvature atom): "
       f"convex = {neg_rep.passed}, min discrete (ln L)'' = {neg_rep.min_discrete:.2f}")

@@ -8,15 +8,10 @@ nonpositive curvature and equality forces the flat round annulus.
 
 import numpy as np
 
-from levelflow import (ConformalChart, DirichletSpec, flat_factor, inset_grid,
-                       length_profile, log_convexity_check, logL_slope_bound,
-                       solve_annulus_dirichlet)
+from levelflow import log_convexity_check, scenarios
 
-chart = ConformalChart(flat_factor(), 1.0, np.e**2)
-u = solve_annulus_dirichlet(DirichletSpec(np.e**2, 0.0, -2.0))
-
-grid = inset_grid(0.0, -2.0, 50)
-profile = length_profile(u, chart, grid)
+flat = scenarios.flat()
+grid, profile = flat.grid, flat.profile
 
 print("level t      L(t)          2*pi*e^-t      (ln L)''")
 for i in range(0, 50, 7):
@@ -27,7 +22,7 @@ report = log_convexity_check(profile)
 print(f"\nlog-convexity: passed={report.passed}, "
       f"min (ln L)'' = {report.min_lnL_pp:.3e} (equality case)")
 
-slope = logL_slope_bound(u, chart, profile)
+slope = flat.slope
 print(f"slope bound (ln L)' <= {slope.bound:.1f}: max slope {slope.max_slope:+.6f}, "
       f"L' identity error {slope.identity_max_err:.2e}")
 

@@ -13,15 +13,10 @@ kappa = -1, and dominates the pinched-curvature floor 1/s^2.
 
 import numpy as np
 
-from levelflow import (WarpedChart, catalog_field, inset_grid, length_profile,
-                       pinched_bound_check, sharp_bound_gap)
+from levelflow import inset_grid, pinched_bound_check, scenarios, sharp_bound_gap
 
-lam = np.e**2
-chart = WarpedChart.cosh_cylinder(np.log(lam) / (2 * np.pi), -3.0, 3.0)
-u = catalog_field("warped_arctan")
-
-s = inset_grid(0.4, np.pi - 0.4, 9)
-profile = length_profile(u, chart, s)
+hyp = scenarios.hyperbolic(grid=inset_grid(0.4, np.pi - 0.4, 9))
+s, profile = hyp.grid, hyp.profile
 
 print("level s    L(s)*sin(s)    (ln L)''*sin^2(s)    aux/L")
 for i in range(s.size):
@@ -29,11 +24,10 @@ for i in range(s.size):
           f"{profile.lnL_pp[i] * np.sin(s[i])**2:.10f}        "
           f"{profile.aux_invgrad2[i] / profile.L[i]:.6f}")
 
-gap = sharp_bound_gap(u, chart, np.pi / 2, -1.0)
+gap = sharp_bound_gap(hyp.u, hyp.chart, np.pi / 2, -1.0)
 print(f"\nsharp curvature bound, kappa = -1: gap = {gap:.2e} (equality case)")
 
-margin = min(pinched_bound_check(u, chart, float(x), 1.0, 1.0)
-             for x in np.linspace(0.1, np.pi - 0.1, 100))
+margin = np.min(scenarios.pinched_margins(hyp))
 print(f"pinched bound (ln L)'' - 1/s^2 >= {margin:.6f} over (0.1, pi-0.1)")
-print(f"value at s = pi/2: {pinched_bound_check(u, chart, np.pi / 2, 1.0, 1.0):.6f}"
+print(f"value at s = pi/2: {pinched_bound_check(hyp.u, hyp.chart, np.pi / 2, 1.0, 1.0):.6f}"
       f"  (= 1 - 4/pi^2 = {1 - 4 / np.pi**2:.6f})")

@@ -12,26 +12,21 @@ of the factor flips the limit.
 
 import numpy as np
 
-from levelflow import (ConformalChart, asymptotic_defect, inset_grid,
-                       length_profile, radial_log_field, catalog_field,
-                       log_convexity_check)
+from levelflow import log_convexity_check, scenarios
 
 expected = -4 * np.pi**2 * 0.4
-factor = radial_log_field(0.0, 1.0, -0.1)  # phi = ln(1 - 0.1 r^2)
+radii = (0.05, 0.03, 0.02, 0.01)
+sc = scenarios.counterexample(-0.1, radii)  # phi = ln(1 - 0.1 r^2)
 
 print(f"target: -4 pi^2 K(0) = {expected:.6f}\n")
 print("radius e^-t    defect e^{4t}(L L'' - L'^2)    relative error")
-for r in (0.05, 0.03, 0.02, 0.01):
-    d = asymptotic_defect(factor, float(-np.log(r)))
+for r, d in zip(radii, sc.defects):
     print(f"{r:<12g}   {d:.8f}                  {abs(d - expected) / abs(expected):.2e}")
 
-flipped = asymptotic_defect(radial_log_field(0.0, 1.0, 0.1), 4.0)
+flipped = scenarios.counterexample(0.1, [np.exp(-4.0)]).defects[0]
 print(f"\nwith lambda = 1 + 0.1 r^2 (K(0) = -0.4): defect = {flipped:+.4f}")
 
-# the convexity check itself sees the violation on the annulus 1 < |z| < e
-chart = ConformalChart(radial_log_field(0.0, 1.0, -0.1), 0.0, None)
-u = catalog_field("log")
-prof = length_profile(u, chart, inset_grid(3.0, 4.6, 24))
-rep = log_convexity_check(prof)
+# the convexity check itself sees the violation on small levels
+rep = log_convexity_check(sc.profile)
 print(f"log-convexity on small levels: passed={rep.passed}, "
       f"min (ln L)'' = {rep.min_lnL_pp:.4f} < 0")

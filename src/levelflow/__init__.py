@@ -13,9 +13,8 @@ singularities via subharmonic mollification.
 from .bic import (ConicalFactor, CurvatureMeasure, MollifiedFactor,
                   bic_length_profile, conical_circle_length, conical_factor,
                   mollified_convergence, mollify)
-from .charts import (ConformalChart, LocalGeometry, MetricPointData,
-                     WarpedChart, flat_factor, gauss_curvature,
-                     grad_gauss_curvature, local_geometry,
+from .charts import (ConformalChart, LocalGeometry, WarpedChart, flat_factor,
+                     gauss_curvature, grad_gauss_curvature, local_geometry,
                      metric_gradient_norm, sphere_cap_factor,
                      stereographic_sphere_factor)
 from .curvature_flow import (CurvatureSample, PrincipleAuditReport,

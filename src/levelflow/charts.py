@@ -4,8 +4,7 @@ Two chart kinds cover everything in the package:
 
 * :class:`ConformalChart` -- planar coordinates with metric
   ``exp(2*phi) * (dx^2 + dy^2)``; the Gaussian curvature is
-  ``K = -exp(-2*phi) * lap0(phi)`` and the Christoffel symbols are built
-  from first derivatives of the factor.
+  ``K = -exp(-2*phi) * lap0(phi)``.
 * :class:`WarpedChart` -- cylinder coordinates (t, theta) with metric
   ``dt^2 + w(t)^2 dtheta^2`` and curvature ``K = -w''(t)/w(t)``; scalar
   fields on it are restricted to radial ones (functions of t), for which
@@ -37,19 +36,6 @@ from .fields import ScalarField, as_points, constant_field, radial_log_field
 
 SINGULAR_EXCLUSION = 1e-9
 CRITICAL_GRAD = 1e-8
-
-
-@dataclass(frozen=True)
-class MetricPointData:
-    """Pointwise metric package: conformal weight, curvature and Christoffels.
-
-    ``christoffels`` holds (G^x_xx, G^x_xy, G^x_yy, G^y_xx, G^y_xy, G^y_yy).
-    """
-
-    conf: float
-    K: float
-    gradK: np.ndarray
-    christoffels: np.ndarray
 
 
 class ConformalChart:
@@ -107,11 +93,6 @@ class ConformalChart:
                          j.third[:, 1] + j.third[:, 3]], axis=-1)
         return e2, -e2 * lap, e2[:, None] * (2.0 * j.grad * lap[:, None] - dlap)
 
-    @staticmethod
-    def _christoffels(grad_phi):
-        px, py = grad_phi[:, 0], grad_phi[:, 1]
-        return np.stack([px, py, -px, -py, px, py], axis=-1)
-
     def gauss_curvature(self, p):
         pts = self.check_points(p)
         _, single = as_points(p)
@@ -123,21 +104,6 @@ class ConformalChart:
         _, single = as_points(p)
         g = self._curvature(self.factor.jet(pts, 3))[2]
         return g[0] if single else g
-
-    def christoffels(self, p):
-        pts = self.check_points(p)
-        _, single = as_points(p)
-        out = self._christoffels(self.factor.jet(pts, 1).grad)
-        return out[0] if single else out
-
-    def point_data(self, p) -> MetricPointData:
-        pts = self.check_points(p)
-        if pts.shape[0] != 1:
-            raise ValueError("point_data takes a single point")
-        j = self.factor.jet(pts, 3)
-        _, K, dK = self._curvature(j)
-        return MetricPointData(conf=float(np.exp(2.0 * j.value)[0]), K=float(K[0]),
-                               gradK=dK[0], christoffels=self._christoffels(j.grad)[0])
 
 
 class WarpedChart:
@@ -203,12 +169,6 @@ class WarpedChart:
         dK = -(w3 * w - w2 * w1) / w**2
         return -w2 / w, np.stack([dK, np.zeros_like(dK)], axis=-1)
 
-    @staticmethod
-    def _christoffels(w, w1):
-        # (G^t_tt, G^t_ttheta, G^t_thetatheta, G^theta_tt, G^theta_ttheta, G^theta_thetatheta)
-        zero = np.zeros_like(w)
-        return np.stack([zero, zero, -w * w1, zero, w1 / w, zero], axis=-1)
-
     def gauss_curvature(self, p):
         pts = self.check_points(p)
         _, single = as_points(p)
@@ -220,19 +180,6 @@ class WarpedChart:
         _, single = as_points(p)
         out = self._curvature(*self.warp_jet(pts[:, 0], 3))[1]
         return out[0] if single else out
-
-    def christoffels(self, p):
-        pts = self.check_points(p)
-        _, single = as_points(p)
-        out = self._christoffels(*self.warp_jet(pts[:, 0], 1))
-        return out[0] if single else out
-
-    def point_data(self, p) -> MetricPointData:
-        pts = self.check_points(p)
-        w, w1, w2, w3 = self.warp_jet(pts[:, 0], 3)
-        K, dK = self._curvature(w, w1, w2, w3)
-        return MetricPointData(conf=1.0, K=float(K[0]), gradK=dK[0],
-                               christoffels=self._christoffels(w, w1)[0])
 
 
 # -- named factors ------------------------------------------------------------
@@ -390,3 +337,6 @@ def _bilinear(a, H, b):
 def _require_radial(u):
     if not getattr(u, "radial", False):
         raise DomainError("warped charts support radial fields (functions of t) only")
+    if getattr(u, "log_radial_coeffs", None) is not None:
+        raise DomainError("a + b ln|z| fields are radial in |z|, not in t: "
+                          "use a field of t on warped charts")

@@ -1,8 +1,9 @@
 """Command-line runner: scenario configs in, CSV/JSON reports out.
 
 Subcommands: ``profile``, ``convexity``, ``residuals``, ``audit``, ``bic``,
-``counterexample`` (all config-driven) and ``examples NAME`` (built-in
-flat / hyperbolic / sphere_cap / conical scenarios).  Exit codes: 0 when
+``counterexample`` (all config-driven) and ``examples NAME`` (reports on
+the flat / hyperbolic / sphere_cap / conical entries of
+:mod:`levelflow.scenarios`).  Exit codes: 0 when
 every check passes, 1 when a mathematical check fails (a report is still
 written), 2 on input or configuration errors.
 
@@ -24,6 +25,7 @@ from . import bic as bic_mod
 from . import curvature_flow as cf
 from . import identities as idn
 from . import levelsets as ls
+from . import scenarios
 from .charts import ConformalChart, WarpedChart, flat_factor, sphere_cap_factor
 from .errors import ConfigError, LevelFlowError
 from .fields import half_plane_factor, radial_log_field
@@ -248,6 +250,7 @@ def _conical_convexity(cfg, factor, out_dir, tol, fmt="csv"):
         "chart": "conical",
         "nonpositive_curvature": factor.nonpositive_curvature,
         "min_discrete_second_difference": rep.min_discrete,
+        "capped_levels": prof.meta["capped_levels"],
         "passed": rep.passed,
         "tolerances": tol,
     }
@@ -330,13 +333,10 @@ def cmd_bic(cfg, out_dir, tol, fmt):
     grid = ls.inset_grid(spec.t1, spec.t2, int(acfg.get("levels", 200)))
     prof = bic_mod.bic_length_profile(factor, spec, grid)
     conv = ls.log_convexity_check(prof, tol["convexity_conical"])
-    eps_seq = acfg.get("eps_sequence", [0.2, 0.1, 0.05, 0.01])
+    eps_seq = acfg.get("eps_sequence", scenarios.EPS_SEQUENCE)
     t_probe = float(acfg.get("mollify_level", 0.5 * (spec.t1 + spec.t2)))
-    lengths = bic_mod.mollified_convergence(factor, spec, t_probe, eps_seq)
-    limit = bic_mod.conical_circle_length(factor, bic_mod._level_radius(spec, t_probe))
-    monotone = bool(np.all(np.diff(lengths) <= tol["mollified_monotone"]))
-    converged = bool(abs(lengths[-1] - limit) <= max(tol["mollified_monotone"],
-                                                     1e-8 * abs(limit)))
+    lengths, limit = scenarios.mollified(factor, spec, t_probe, eps_seq)
+    monotone, converged = _mollified_flags(lengths, limit, tol)
     expected_convex = factor.nonpositive_curvature
     ok = monotone and converged and (conv.passed == expected_convex)
     report = {
@@ -357,19 +357,22 @@ def cmd_bic(cfg, out_dir, tol, fmt):
     return (0 if ok else 1), report
 
 
+def _mollified_flags(lengths, limit, tol):
+    """(lengths decrease, the last one is at the singular limit)."""
+    monotone = bool(np.all(np.diff(lengths) <= tol["mollified_monotone"]))
+    converged = bool(abs(lengths[-1] - limit) <= max(tol["mollified_monotone"],
+                                                     1e-8 * abs(limit)))
+    return monotone, converged
+
+
 def cmd_counterexample(cfg, out_dir, tol, fmt):
     acfg = cfg["analysis"]
     c = float(acfg.get("factor_c", -0.1))
-    factor = radial_log_field(0.0, 1.0, c)
     radii = acfg.get("radii", [0.05, 0.04, 0.03, 0.02, 0.01])
     expected = 16.0 * np.pi**2 * c  # -4 pi^2 K(0) with K(0) = -4c
-    defects = {}
-    ok = True
-    for r in radii:
-        t = float(-np.log(r))
-        d = ls.asymptotic_defect(factor, t)
-        defects[f"{r:g}"] = d
-        ok = ok and abs(d - expected) <= tol["defect_rel"] * abs(expected)
+    found = scenarios.counterexample(c, radii).defects
+    defects = {f"{r:g}": d for r, d in zip(radii, found)}
+    ok = all(abs(d - expected) <= tol["defect_rel"] * abs(expected) for d in found)
     report = {
         "subcommand": "counterexample",
         "factor_c": c,
@@ -384,44 +387,37 @@ def cmd_counterexample(cfg, out_dir, tol, fmt):
 
 
 # ---------------------------------------------------------------------------
-# built-in example scenarios
+# built-in example scenarios: reports on levelflow.scenarios
 # ---------------------------------------------------------------------------
 
-def _scenario_flat(tol, out_dir):
-    spec = DirichletSpec(np.e**2, 0.0, -2.0)
-    u = solve_annulus_dirichlet(spec)
-    chart = ConformalChart(flat_factor(), 1.0, np.e**2)
-    prof = ls.length_profile(u, chart, ls.inset_grid(0.0, -2.0, 50))
-    conv = ls.log_convexity_check(prof, tol["convexity"])
-    slope = cf.logL_slope_bound(u, chart, prof)
-    prof.to_csv(out_dir / "flat_profile.csv")
+def _example_flat(tol, out_dir):
+    sc = scenarios.flat()
+    conv = ls.log_convexity_check(sc.profile, tol["convexity"])
+    sc.profile.to_csv(out_dir / "flat_profile.csv")
     return {
         "scenario": "flat",
-        "max_abs_lnL_pp": float(np.max(np.abs(prof.lnL_pp))),
+        "max_abs_lnL_pp": float(np.max(np.abs(sc.profile.lnL_pp))),
         "convexity_passed": conv.passed,
-        "slope_bound_passed": slope.passed,
-        "identity_max_err": slope.identity_max_err,
-        "passed": bool(conv.passed and slope.passed),
+        "slope_bound_passed": sc.slope.passed,
+        "identity_max_err": sc.slope.identity_max_err,
+        "passed": bool(conv.passed and sc.slope.passed),
     }
 
 
-def _scenario_hyperbolic(tol, out_dir):
-    lam = np.e**2
-    chart = WarpedChart.cosh_cylinder(np.log(lam) / (2 * np.pi), -3.0, 3.0)
-    u = catalog_field("warped_arctan")
-    s = np.linspace(0.4, np.pi - 0.4, 50)
-    prof = ls.length_profile(u, chart, s)
+def _example_hyperbolic(tol, out_dir):
+    sc = scenarios.hyperbolic()
+    s, prof, ln_lam = sc.grid, sc.profile, sc.ln_lambda
     lsin = prof.L * np.sin(s)
     curv = prof.lnL_pp * np.sin(s) ** 2
-    gap = ls.sharp_bound_gap(u, chart, np.pi / 2, -1.0)
+    gap = ls.sharp_bound_gap(sc.u, sc.chart, np.pi / 2, -1.0)
     conv = ls.log_convexity_check(prof, tol["convexity"])
     prof.to_csv(out_dir / "hyperbolic_profile.csv")
-    ok = (np.max(np.abs(lsin - np.log(lam))) <= 1e-8 * np.log(lam)
+    ok = (np.max(np.abs(lsin - ln_lam)) <= 1e-8 * ln_lam
           and np.max(np.abs(curv - 1.0)) <= 1e-6
           and abs(gap) <= tol["gap_floor"] and conv.passed)
     return {
         "scenario": "hyperbolic",
-        "max_rel_err_L_sin": float(np.max(np.abs(lsin - np.log(lam))) / np.log(lam)),
+        "max_rel_err_L_sin": float(np.max(np.abs(lsin - ln_lam)) / ln_lam),
         "min_lnL_pp_sin2": float(np.min(curv)),
         "max_lnL_pp_sin2": float(np.max(curv)),
         "sharp_bound_gap": float(gap),
@@ -430,17 +426,14 @@ def _scenario_hyperbolic(tol, out_dir):
     }
 
 
-def _scenario_sphere_cap(tol, out_dir):
-    chart = ConformalChart(sphere_cap_factor(0.1), 1.0, np.e)
-    spec = DirichletSpec(np.e, 0.0, 1.0)
-    u = solve_annulus_dirichlet(spec)
-    prof = ls.length_profile(u, chart, ls.inset_grid(0.0, 1.0, 50))
-    conv = ls.log_convexity_check(prof, tol["convexity"])
-    pts = quasi_random_points(chart, 100, 0, min_gradient_field=u)
-    res = max(np.max(np.abs(idn.kato_residual(u, chart, pts))),
-              np.max(np.abs(idn.bochner_residual(u, chart, pts))),
-              np.max(np.abs(idn.log_gradient_residual(u, chart, pts))))
-    prof.to_csv(out_dir / "sphere_cap_profile.csv")
+def _example_sphere_cap(tol, out_dir):
+    sc = scenarios.sphere_cap(c=1.0)
+    conv = ls.log_convexity_check(sc.profile, tol["convexity"])
+    pts = quasi_random_points(sc.chart, 100, 0, min_gradient_field=sc.u)
+    res = max(np.max(np.abs(idn.kato_residual(sc.u, sc.chart, pts))),
+              np.max(np.abs(idn.bochner_residual(sc.u, sc.chart, pts))),
+              np.max(np.abs(idn.log_gradient_residual(sc.u, sc.chart, pts))))
+    sc.profile.to_csv(out_dir / "sphere_cap_profile.csv")
     ok = (not conv.passed) and res <= tol["residual_closed_form"]
     return {
         "scenario": "sphere_cap",
@@ -451,42 +444,27 @@ def _scenario_sphere_cap(tol, out_dir):
     }
 
 
-def _scenario_conical(tol, out_dir):
-    factor = bic_mod.conical_factor(0.0, [((1.2, 0.0), 0.5), ((0.0, -1.6), 0.3)])
-    spec = DirichletSpec(np.e**2, 0.0, 2.0)
-    grid = ls.inset_grid(0.0, 2.0, 200)
-    i = int(np.argmin(np.abs(grid - np.log(1.2))))
-    grid[i] = np.log(1.2)
-    prof = bic_mod.bic_length_profile(factor, spec, grid)
-    conv = ls.log_convexity_check(prof, tol["convexity_conical"])
-    t_near = float(np.log(1.25))  # level circle 0.05 outside the first vertex
-    lengths = bic_mod.mollified_convergence(factor, spec, t_near,
-                                            [0.2, 0.1, 0.05, 0.01])
-    limit = bic_mod.conical_circle_length(factor, bic_mod._level_radius(spec, t_near))
-    monotone = bool(np.all(np.diff(lengths) <= tol["mollified_monotone"]))
-    neg = bic_mod.bic_length_profile(
-        bic_mod.conical_factor(0.0, [((1.3, 0.0), -0.5)]), spec,
-        ls.inset_grid(0.0, 2.0, 120))
-    neg_conv = ls.log_convexity_check(neg, tol["convexity_conical"])
-    prof.to_csv(out_dir / "conical_profile.csv")
-    ok = (conv.passed and monotone
-          and abs(lengths[-1] - limit) <= tol["mollified_monotone"]
-          and not neg_conv.passed)
+def _example_conical(tol, out_dir):
+    sc = scenarios.conical()
+    conv = ls.log_convexity_check(sc.profile, tol["convexity_conical"])
+    monotone, converged = _mollified_flags(sc.lengths, sc.limit, tol)
+    neg_conv = ls.log_convexity_check(sc.negative, tol["convexity_conical"])
+    sc.profile.to_csv(out_dir / "conical_profile.csv")
     return {
         "scenario": "conical",
         "convexity_passed": conv.passed,
         "min_discrete_second_difference": conv.min_discrete,
         "mollified_monotone": monotone,
         "negative_atom_violation_detected": not neg_conv.passed,
-        "passed": bool(ok),
+        "passed": bool(conv.passed and monotone and converged and not neg_conv.passed),
     }
 
 
 _SCENARIOS = {
-    "flat": _scenario_flat,
-    "hyperbolic": _scenario_hyperbolic,
-    "sphere_cap": _scenario_sphere_cap,
-    "conical": _scenario_conical,
+    "flat": _example_flat,
+    "hyperbolic": _example_hyperbolic,
+    "sphere_cap": _example_sphere_cap,
+    "conical": _example_conical,
 }
 
 

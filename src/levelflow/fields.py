@@ -53,9 +53,6 @@ class FieldJet:
     def laplacian(self) -> np.ndarray:
         return self.hess[:, 0, 0] + self.hess[:, 1, 1]
 
-    def grad_norm(self) -> np.ndarray:
-        return np.hypot(self.grad[:, 0], self.grad[:, 1])
-
 
 def _jet_from_taylor(t: Taylor2) -> FieldJet:
     """The derivative table of a jet, up to the jet's degree."""

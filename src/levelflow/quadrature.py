@@ -178,16 +178,13 @@ def segmented_circle_integral(log_f, singular_angles, *, rel_tol: float = 1e-10,
         def seg(x, da, db, rows, ia=ia, ib=ib, a=a, b=b):
             # attribute each node's exact offset to its nearer singular angle;
             # offsets enter the integrand through 2 pi - periodic chords, so the
-            # possible 2 pi shift at the wrap segment is harmless
-            left = x <= 0.5 * (a + b)
-            out = None
-            for side, anchor, delta in ((left, ia, da), (~left, ib, -db)):
-                if side.any():
-                    vals = log_f(x[side], anchor, delta[side], rows)
-                    if out is None:
-                        out = np.empty((vals.shape[0], x.size))
-                    out[:, side] = vals
-            return np.exp(out)
+            # possible 2 pi shift at the wrap segment is harmless.  The nodes
+            # ascend, so the nodes nearer a are a prefix
+            k = np.searchsorted(x, 0.5 * (a + b), side="right")
+            return np.exp(np.concatenate(
+                [log_f(xs, anchor, delta, rows)
+                 for xs, anchor, delta in ((x[:k], ia, da[:k]), (x[k:], ib, -db[k:]))
+                 if xs.size], axis=1))
 
         seg_values, seg_capped = tanh_sinh(seg, a, b, rel_tol=rel_tol,
                                            max_level=max_level)

@@ -9,36 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from levelflow import (ConformalChart, DirichletSpec, WarpedChart,
-                       bic_length_profile, bochner_residual, catalog_field,
-                       conical_circle_length, conical_factor, flat_factor,
-                       half_plane_factor, inset_grid, kato_residual,
-                       length_profile, log_convexity_check,
-                       log_gradient_residual, logL_slope_bound,
-                       mollified_convergence, pde1_residual, pde1_star_residual,
-                       pde2_gap, pinched_bound_check, principle_audit,
-                       quasi_random_points, radial_log_field, sharp_bound_gap,
-                       solve_annulus_dirichlet, sphere_cap_factor,
-                       asymptotic_defect, level_curvature_k,
-                       second_divided_differences)
-
-LN_LAMBDA = 2.0  # hyperbolic example with lambda = e^2
-
-
-def hyperbolic_setup():
-    chart = WarpedChart.cosh_cylinder(LN_LAMBDA / (2 * np.pi), -3.0, 3.0)
-    return chart, catalog_field("warped_arctan")
-
-
-def flat_setup():
-    chart = ConformalChart(flat_factor(), 1.0, np.e**2)
-    u = solve_annulus_dirichlet(DirichletSpec(np.e**2, 0.0, -2.0))
-    return chart, u
-
-
-def cap_setup():
-    chart = ConformalChart(sphere_cap_factor(0.1), 1.0, np.e)
-    return chart, catalog_field("log")
+from levelflow import (ConformalChart, bochner_residual, catalog_field,
+                       flat_factor, half_plane_factor, inset_grid,
+                       kato_residual, length_profile, log_convexity_check,
+                       log_gradient_residual, pde1_residual,
+                       pde1_star_residual, pde2_gap, principle_audit,
+                       quasi_random_points, scenarios, second_divided_differences,
+                       sharp_bound_gap)
 
 
 def report(n, text):
@@ -47,12 +24,12 @@ def report(n, text):
 
 def test_criterion_1_flat_annulus_equality_case():
     start = time.perf_counter()
-    chart, u = flat_setup()
-    grid = inset_grid(0.0, -2.0, 50)
-    closed = length_profile(u, chart, grid)
-    worst_closed = float(np.max(np.abs(closed.lnL_pp)))
+    flat = scenarios.flat()
+    np.testing.assert_allclose(flat.profile.L, 2 * np.pi * np.exp(-flat.grid), rtol=1e-12)
+    worst_closed = float(np.max(np.abs(flat.profile.lnL_pp)))
     assert worst_closed <= 1e-8
-    quadrature = length_profile(u, chart, grid, n_samples=2048, method="quadrature")
+    quadrature = length_profile(flat.u, flat.chart, flat.grid, n_samples=2048,
+                                method="quadrature")
     worst_quad = float(np.max(np.abs(quadrature.lnL_pp)))
     assert worst_quad <= 1e-6
     elapsed = time.perf_counter() - start
@@ -63,18 +40,17 @@ def test_criterion_1_flat_annulus_equality_case():
 
 def test_criterion_2_hyperbolic_example():
     start = time.perf_counter()
-    chart, u = hyperbolic_setup()
-    s = np.linspace(0.4, np.pi - 0.4, 50)
-    prof = length_profile(u, chart, s)
+    hyp = scenarios.hyperbolic()
+    s, prof, ln_lam = hyp.grid, hyp.profile, hyp.ln_lambda
     lsin = prof.L * np.sin(s)
-    assert np.max(np.abs(lsin - LN_LAMBDA)) <= 1e-8 * LN_LAMBDA
+    assert np.max(np.abs(lsin - ln_lam)) <= 1e-8 * ln_lam
     curv = prof.lnL_pp * np.sin(s) ** 2
     assert np.max(np.abs(curv - 1.0)) <= 1e-6
-    gaps = [abs(sharp_bound_gap(u, chart, float(x), -1.0)) for x in s[::7]]
+    gaps = [abs(sharp_bound_gap(hyp.u, hyp.chart, float(x), -1.0)) for x in s[::7]]
     assert max(gaps) <= 1e-6
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
-    report(2, f"L sin s = {LN_LAMBDA} to {np.max(np.abs(lsin - LN_LAMBDA)):.2e}, "
+    report(2, f"L sin s = {ln_lam} to {np.max(np.abs(lsin - ln_lam)):.2e}, "
               f"(ln L)'' sin^2 s = 1 to {np.max(np.abs(curv - 1)):.2e}, "
               f"sharp-bound gap <= {max(gaps):.2e} ({elapsed:.2f}s)")
 
@@ -82,13 +58,10 @@ def test_criterion_2_hyperbolic_example():
 def test_criterion_3_positive_curvature_counterexample():
     start = time.perf_counter()
     expected = -4 * np.pi**2 * 0.4
-    fac = radial_log_field(0.0, 1.0, -0.1)  # lambda = 1 - 0.1 r^2
-    worst = 0.0
-    for r in (0.01, 0.02, 0.03, 0.04, 0.05):
-        d = asymptotic_defect(fac, float(-np.log(r)))
-        worst = max(worst, abs(d - expected) / abs(expected))
+    defects = scenarios.counterexample(-0.1).defects  # lambda = 1 - 0.1 r^2
+    worst = max(abs(d - expected) / abs(expected) for d in defects)
     assert worst <= 0.02
-    flipped = asymptotic_defect(radial_log_field(0.0, 1.0, 0.1), 4.0)
+    flipped = scenarios.counterexample(0.1, [np.exp(-4.0)]).defects[0]
     assert flipped == pytest.approx(-expected, rel=0.02)
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
@@ -99,14 +72,13 @@ def test_criterion_3_positive_curvature_counterexample():
 def test_criterion_4_identity_residual_suite():
     start = time.perf_counter()
     flat = ConformalChart(flat_factor(), 1.0, 4.0)
-    cap, ulog = cap_setup()
-    hyp, uarctan = hyperbolic_setup()
+    cap, hyp = scenarios.sphere_cap(), scenarios.hyperbolic()
     half = ConformalChart(half_plane_factor())
     pairs = [
         (flat, catalog_field("re_poly", n=2)),
         (flat, catalog_field("joukowski", a=0.3)),
-        (cap, ulog),
-        (hyp, uarctan),
+        (cap.chart, cap.u),
+        (hyp.chart, hyp.u),
         (half, catalog_field("re_poly", n=1)),
     ]
     worst = 0.0
@@ -128,12 +100,13 @@ def test_criterion_4_identity_residual_suite():
 
 def test_criterion_5_curvature_pde_suite():
     start = time.perf_counter()
-    hyp, uarctan = hyperbolic_setup()
-    worst_warped = max(abs(pde1_residual(uarctan, hyp, (t, 0.0)))
+    hyp = scenarios.hyperbolic()
+    worst_warped = max(abs(pde1_residual(hyp.u, hyp.chart, (t, 0.0)))
                        for t in (-1.5, -0.5, 0.5, 1.5))
     assert worst_warped <= 1e-6
 
-    cap, ulog = cap_setup()
+    sc = scenarios.sphere_cap()
+    cap, ulog = sc.chart, sc.u
     pts = quasi_random_points(cap, 50, seed=1, min_gradient_field=ulog)
     worst_pde1 = max(abs(pde1_residual(ulog, cap, p)) for p in pts)
     ure = catalog_field("re_poly", n=1)
@@ -164,37 +137,27 @@ def test_criterion_5_curvature_pde_suite():
 
 
 def test_criterion_6_pinched_curvature_bound():
-    chart, u = hyperbolic_setup()
-    s = np.linspace(0.1, np.pi - 0.1, 100)
-    margins = [pinched_bound_check(u, chart, float(x), 1.0, 1.0) for x in s]
+    margins = scenarios.pinched_margins(scenarios.hyperbolic())
     assert min(margins) >= -1e-8
     report(6, f"(ln L)'' - 1/s^2 >= {min(margins):.3e} on a 100-point grid")
 
 
 def test_criterion_7_bic_convexity():
     start = time.perf_counter()
-    factor = conical_factor(0.0, [((1.2, 0.0), 0.5), ((0.0, -1.6), 0.3)])
-    spec = DirichletSpec(np.e**2, 0.0, 2.0)
-    grid = inset_grid(0.0, 2.0, 200)
-    i = int(np.argmin(np.abs(grid - np.log(1.2))))
-    grid[i] = np.log(1.2)  # one level passes exactly through a vertex
-    prof = bic_length_profile(factor, spec, grid)
-    d2 = second_divided_differences(grid, np.log(prof.L))
+    con = scenarios.conical()  # one of its levels passes through a vertex
+    assert np.log(1.2) in con.grid
+    d2 = second_divided_differences(con.grid, np.log(con.profile.L))
     assert float(d2.min()) >= -1e-5
-    assert log_convexity_check(prof, 1e-5).passed
+    assert log_convexity_check(con.profile, 1e-5).passed
 
     # level circle passing 0.05 outside the first vertex: the mollified
     # lengths decrease strictly until eps drops below the clearance
-    t_near = float(np.log(1.25))
-    lengths = mollified_convergence(factor, spec, t_near, [0.2, 0.1, 0.05, 0.01])
-    limit = conical_circle_length(factor, 1.25)
+    lengths, limit = con.lengths, con.limit
     assert np.all(np.diff(lengths) <= 1e-6)
     assert lengths[0] > limit + 1e-3
     assert abs(lengths[-1] - limit) <= 1e-6
 
-    neg = conical_factor(0.0, [((1.3, 0.0), -0.5)])
-    neg_prof = bic_length_profile(neg, spec, inset_grid(0.0, 2.0, 120))
-    assert not log_convexity_check(neg_prof, 1e-5).passed
+    assert not log_convexity_check(con.negative, 1e-5).passed
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0
     report(7, f"discrete (ln L)'' >= {float(d2.min()):.2e} on 200 levels incl. "
@@ -204,30 +167,19 @@ def test_criterion_7_bic_convexity():
 
 def test_criterion_8_principle_audits_and_slope_identity():
     start = time.perf_counter()
-    chart = WarpedChart.cosh_cylinder(LN_LAMBDA / (2 * np.pi), 0.1, 1.6)
-    u = catalog_field("warped_arctan")
+    hyp = scenarios.hyperbolic(t_bounds=(0.1, 1.6))
     for case in ("max_on_boundary_nonpos_K", "min_on_boundary_nonpos_K"):
-        rep = principle_audit(u, chart, (0.2, 1.5), "phi_k", case)
+        rep = principle_audit(hyp.u, hyp.chart, (0.2, 1.5), "phi_k", case)
         assert rep.verdict == "pass", case
 
     worst_ident = 0.0
-    scenarios = []
-    flat_chart, flat_u = flat_setup()
-    prof = length_profile(flat_u, flat_chart, inset_grid(0.0, -2.0, 12))
-    scenarios.append((flat_u, flat_chart, prof))
-    hyp_chart = WarpedChart.cosh_cylinder(LN_LAMBDA / (2 * np.pi), 0.2, 1.5)
     s_lo, s_hi = (2 * np.arctan(np.exp(t)) for t in (0.2, 1.5))
-    scenarios.append((u, hyp_chart, length_profile(u, hyp_chart,
-                                                   inset_grid(s_lo, s_hi, 12))))
-    cap_chart = ConformalChart(sphere_cap_factor(0.1), 1.05, 1.5)
-    cap_u = catalog_field("log")
-    cap_prof = length_profile(cap_u, cap_chart,
-                              inset_grid(-np.log(1.5), -np.log(1.05), 12))
-    scenarios.append((cap_u, cap_chart, cap_prof))
-    for uu, cc, pp in scenarios:
-        rep = logL_slope_bound(uu, cc, pp)
+    for sc in (scenarios.flat(levels=12),
+               scenarios.hyperbolic(inset_grid(s_lo, s_hi, 12), t_bounds=(0.2, 1.5)),
+               scenarios.sphere_cap(bounds=(1.05, 1.5), levels=12)):
+        rep = sc.slope
         worst_ident = max(worst_ident, rep.identity_max_err)
-        assert rep.passed, (cc.kind, rep.variant)
+        assert rep.passed, (sc.chart.kind, rep.variant)
     assert worst_ident <= 1e-6
     elapsed = time.perf_counter() - start
     report(8, f"hyperbolic boundary-attainment audits pass; L' = "
@@ -237,20 +189,14 @@ def test_criterion_8_principle_audits_and_slope_identity():
 
 def test_criterion_9_cross_method_coherence():
     start = time.perf_counter()
-    scenarios = []
-    flat_chart, flat_u = flat_setup()
-    scenarios.append(("flat", flat_u, flat_chart, inset_grid(0.0, -2.0, 10)))
-    hyp_chart, hyp_u = hyperbolic_setup()
-    scenarios.append(("hyperbolic", hyp_u, hyp_chart,
-                      inset_grid(0.4, np.pi - 0.4, 10)))
-    cap_chart, cap_u = cap_setup()
-    scenarios.append(("sphere_cap", cap_u, cap_chart,
-                      inset_grid(-1.0, 0.0, 10)))
+    cases = {"flat": scenarios.flat(levels=10),
+             "hyperbolic": scenarios.hyperbolic(inset_grid(0.4, np.pi - 0.4, 10)),
+             "sphere_cap": scenarios.sphere_cap(levels=10)}
     orders = {}
-    for name, u, chart, grid in scenarios:
+    for name, sc in cases.items():
         errs = []
         for h in (2e-3, 1e-3):
-            prof = length_profile(u, chart, grid, fd_step=h)
+            prof = length_profile(sc.u, sc.chart, sc.grid, fd_step=h)
             errs.append((np.max(np.abs(prof.L_fd_p - prof.Lp)),
                          np.max(np.abs(prof.L_fd_pp - prof.Lpp))))
         op = np.log2(errs[0][0] / errs[1][0])

@@ -153,6 +153,11 @@ def test_bic_subcommand_reports_capped_levels(tmp_path):
     rows = (tmp_path / "out" / "profile.csv").read_text().splitlines()[1:]
     assert [i for i, row in enumerate(rows) if row.endswith(",nan")] == [20]
     assert "nan" not in rows[20].split(",")[1]
+    # the convexity subcommand writes the same profile and says why it has NaN
+    main(["convexity", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "conv")])
+    rep = json.loads((tmp_path / "conv" / "convexity_report.json").read_text())
+    assert rep["capped_levels"] == [grid[20]]
+    assert (tmp_path / "conv" / "profile.csv").read_text().splitlines()[1:] == rows
 
 
 def test_counterexample_subcommand(tmp_path):
@@ -166,11 +171,12 @@ def test_counterexample_subcommand(tmp_path):
         assert val == pytest.approx(rep["expected_limit"], rel=0.02)
 
 
-def test_examples_scenarios(tmp_path):
-    for name in ("flat", "hyperbolic"):
-        assert main(["examples", name, "--out", str(tmp_path / name)]) == 0
-        rep = json.loads((tmp_path / name / f"examples_{name}_report.json").read_text())
-        assert rep["passed"] is True
+@pytest.mark.parametrize("name", ["flat", "hyperbolic", "sphere_cap", "conical"])
+def test_examples_scenarios(tmp_path, name):
+    assert main(["examples", name, "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / f"examples_{name}_report.json").read_text())
+    assert rep["passed"] is True
+    assert (tmp_path / f"{name}_profile.csv").exists()
 
 
 def test_unknown_key_rejected_with_line_number(tmp_path, capsys):
@@ -232,6 +238,17 @@ def test_profile_warped_chart_config(tmp_path):
     lines = (tmp_path / "out" / "profile.csv").read_text().splitlines()
     s, L = (float(lines[6].split(",")[i]) for i in (0, 1))
     assert L * np.sin(s) == pytest.approx(2.0, rel=1e-10)
+
+
+@pytest.mark.parametrize("field", [{"catalog": "log"},
+                                   {"dirichlet": {"R": 2.0, "t1": 0.0, "t2": 1.0}}],
+                         ids=["log", "dirichlet"])
+def test_warped_chart_rejects_fields_radial_in_abs_z(tmp_path, field):
+    cfg = {"chart": {"kind": "warped", "profile": "cosh", "scale": 0.3,
+                     "t_min": 0.1, "t_max": 2.0},
+           "field": field, "analysis": {"levels": 12}}
+    assert main(["profile", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
 
 
 def test_format_json_emits_profile_json(tmp_path):

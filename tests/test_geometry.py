@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
-from levelflow import (ConformalChart, CriticalPointError, DomainError,
-                       SingularPointError, WarpedChart, bochner_residual,
-                       catalog_field, flat_factor, gauss_curvature,
-                       grad_gauss_curvature, half_plane_factor, kato_residual,
-                       level_curvature_k, log_gradient_residual,
-                       log_modulus_field, metric_gradient_norm,
-                       quasi_random_points, radial_log_field,
+from levelflow import (ConformalChart, CriticalPointError, DirichletSpec,
+                       DomainError, SingularPointError, WarpedChart,
+                       bochner_residual, catalog_field, flat_factor,
+                       gauss_curvature, grad_gauss_curvature,
+                       half_plane_factor, kato_residual, level_curvature_k,
+                       log_gradient_residual, log_modulus_field,
+                       metric_gradient_norm, quasi_random_points,
+                       radial_log_field, solve_annulus_dirichlet,
                        sphere_cap_factor, stereographic_sphere_factor)
 from levelflow.fields import ScalarField
 
@@ -29,9 +30,9 @@ def test_gauss_curvature_sphere_cap_center():
     chart = ConformalChart(sphere_cap_factor(0.1), 0.0, None)
     assert chart.gauss_curvature((0.0, 0.0)) == pytest.approx(0.4, abs=1e-13)
     # closed form K = 4c / (1 - c r^2)^4 away from the origin
-    r = 0.5
-    assert chart.gauss_curvature((r, 0.0)) == pytest.approx(
-        0.4 / (1 - 0.1 * r**2) ** 4, rel=1e-13)
+    for (x, y), rel in (((0.5, 0.0), 1e-13), ((1.3, 0.2), 1e-12)):
+        lam = 1 - 0.1 * (x**2 + y**2)
+        assert chart.gauss_curvature((x, y)) == pytest.approx(0.4 / lam**4, rel=rel)
 
 
 def test_stereographic_sphere_curvature_is_one():
@@ -65,41 +66,6 @@ def test_grad_gauss_curvature_constant_curvature_vanishes():
     assert np.allclose(sphere.grad_gauss_curvature((0.7, -0.2)), 0.0, atol=1e-11)
 
 
-def test_christoffels_flat_vanish_and_match_factor_gradient():
-    assert np.allclose(FLAT.christoffels((2.0, 1.0)), 0.0)
-    p = (1.3, 0.4)
-    g = CAP.factor.gradient(p)
-    gx, gy = g[0], g[1]
-    assert np.allclose(CAP.christoffels(p), [gx, gy, -gx, -gy, gx, gy], atol=1e-14)
-
-
-def test_metric_point_data():
-    data = CAP.point_data((1.3, 0.2))
-    lam = 1 - 0.1 * (1.3**2 + 0.2**2)
-    assert data.conf == pytest.approx(lam**2, rel=1e-14)
-    assert data.K == pytest.approx(0.4 / lam**4, rel=1e-12)
-    assert data.christoffels.shape == (6,)
-
-
-@pytest.mark.parametrize("chart,p", [(CAP, (1.3, 0.2)), (HALF, (0.4, 1.7)), (HYP, (0.6, 0.3))],
-                         ids=["sphere_cap", "half_plane", "warped"])
-def test_point_data_takes_one_metric_jet(chart, p, monkeypatch):
-    expected = (chart.gauss_curvature(p), chart.grad_gauss_curvature(p),
-                chart.christoffels(p))
-    orders = []
-    jet = ScalarField.jet
-
-    def counted(self, q, order=4):
-        orders.append(order)
-        return jet(self, q, order)
-
-    monkeypatch.setattr(ScalarField, "jet", counted)
-    data = chart.point_data(p)
-    assert orders == [3]
-    got = (data.K, data.gradK, data.christoffels)
-    assert [np.asarray(a).tobytes() for a in got] == [np.asarray(a).tobytes() for a in expected]
-
-
 def test_metric_gradient_norm_examples():
     u = catalog_field("log")
     r = np.hypot(0.3, 0.4)
@@ -110,6 +76,14 @@ def test_metric_gradient_norm_examples():
     uw = catalog_field("warped_arctan")
     assert metric_gradient_norm(uw, HYP, (0.7, 0.0)) == pytest.approx(
         1.0 / np.cosh(0.7), rel=1e-14)
+
+
+def test_warped_chart_rejects_fields_radial_in_abs_z():
+    # a + b ln|z| read at the points (t, theta) of a warped chart depends on theta
+    chart = WarpedChart.cosh_cylinder(0.3, 0.1, 2.0)
+    for u in (catalog_field("log"), solve_annulus_dirichlet(DirichletSpec(2.0, 0.0, 1.0))):
+        with pytest.raises(DomainError):
+            metric_gradient_norm(u, chart, [(0.5, 0.0), (0.5, 1.0)])
 
 
 def test_singular_point_evaluation_raises():
