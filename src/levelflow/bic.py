@@ -10,14 +10,17 @@ circles through a vertex still have finite length.
 Level lengths for the annulus Dirichlet solution are circle integrals of
 ``e^v``; the integrand has an ``|theta - theta_j|^alpha`` singularity when a
 circle meets a vertex, absorbed by the dyadically refined double-exponential
-rule in :mod:`levelflow.quadrature`.  The vertex angles split every level
-circle at the same places, so a profile integrates all its circles as rows
-of one batched call for ``L`` and one for ``aux_invgrad2``; each row keeps
-its own convergence test, so a profile row equals the one-row call for that
-circle.  Rows that use every refinement level without converging (the
-``e^{3v}`` integrand at a vertex with alpha <= -1/3 is not integrable) are
-logged as one warning per profile and listed in its
-``meta["capped_levels"]``; their ``aux_invgrad2`` is NaN.  Profile
+rule in :mod:`levelflow.quadrature`.  Every length here (the profile's
+``L``, :func:`conical_circle_length`, the mollified circles) ends in that
+module's circle-length finish, with its fixed ``REL_TOL``: a diverged
+integral raises, a capped one-circle integral is logged there.  The vertex
+angles split every level circle at the same places, so a profile integrates
+all its circles as rows of one batched call for ``L`` and one for
+``aux_invgrad2``; each row keeps its own convergence test, so a profile row
+equals the one-row call for that circle.  Rows that use every refinement
+level without converging (the ``e^{3v}`` integrand at a vertex with
+alpha <= -1/3 is not integrable) are logged as one warning per profile and
+listed in its ``meta["capped_levels"]``; their ``aux_invgrad2`` is NaN.  Profile
 derivative columns use centered differences on the level grid only; the
 smooth integral formulas are never evaluated across vertices.
 
@@ -35,11 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jets
-from .errors import DomainError, SolverError
+from .errors import DomainError
 from .fields import ScalarField, as_points
 from .harmonic import DirichletSpec
 from .levelsets import LengthProfile
-from .quadrature import segmented_circle_integral
+from .quadrature import REL_TOL, circle_length, circle_lengths, segmented_circle_integral
 
 logger = logging.getLogger(__name__)
 
@@ -142,33 +145,14 @@ def _conical_log_integrand(factor: ConicalFactor, radii, power: float):
     return log_f, angles
 
 
-def _circle_lengths(factor: ConicalFactor, radii, rel_tol: float):
-    """Lengths of the circles |z| = r in the metric e^{2v} g_0 and the
-    capped flags of their integrals."""
-    vals, capped = segmented_circle_integral(
-        *_conical_log_integrand(factor, radii, 1.0), rel_tol=rel_tol)
-    if not np.all(np.isfinite(vals)):
-        raise SolverError("circle integral diverged (non-integrable singularity?)")
-    return np.asarray(radii, dtype=float) * vals, capped
-
-
-def _warn_capped(what: str, r: float, rel_tol: float) -> None:
-    logger.warning("%s at r = %r used every refinement level without reaching "
-                   "rel_tol %g; finest-level value kept", what, r, rel_tol)
-
-
-def conical_circle_length(factor: ConicalFactor, r: float,
-                          rel_tol: float = 1e-10) -> float:
+def conical_circle_length(factor: ConicalFactor, r: float) -> float:
     """Length of the circle |z| = r in the metric e^{2v} g_0; a capped
     integral keeps its finest-level value and is logged as a warning."""
-    (length,), (capped,) = _circle_lengths(factor, [r], rel_tol)
-    if capped:
-        _warn_capped("conical circle length", r, rel_tol)
-    return float(length)
+    return circle_length(*_conical_log_integrand(factor, [r], 1.0), r,
+                         "conical circle length")
 
 
-def _conical_circle_invgrad2(factor: ConicalFactor, spec: DirichletSpec,
-                             radii, rel_tol: float = 1e-10):
+def _conical_circle_invgrad2(factor: ConicalFactor, spec: DirichletSpec, radii):
     """Integrals of |grad u|^-2 over the circles |z| = r (metric quantities)
     and the capped flags of their integrals.
 
@@ -178,8 +162,7 @@ def _conical_circle_invgrad2(factor: ConicalFactor, spec: DirichletSpec,
     capped; capped rows and sums that overflow give NaN.
     """
     b = (spec.t2 - spec.t1) / np.log(spec.R)
-    vals, capped = segmented_circle_integral(
-        *_conical_log_integrand(factor, radii, 3.0), rel_tol=rel_tol)
+    vals, capped = segmented_circle_integral(*_conical_log_integrand(factor, radii, 3.0))
     # r**3 as a Python float power, for the same reason as (r - rho)^2 above
     cubes = np.array([float(r) ** 3 for r in radii])
     return np.where(np.isfinite(vals) & ~capped, cubes / b**2 * vals, np.nan), capped
@@ -189,14 +172,14 @@ def _level_radius(spec: DirichletSpec, t: float) -> float:
     return float(np.exp((t - spec.t1) * np.log(spec.R) / (spec.t2 - spec.t1)))
 
 
-def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid,
-                       rel_tol: float = 1e-10) -> LengthProfile:
+def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid
+                       ) -> LengthProfile:
     """Level-length profile for the annulus Dirichlet solution on a conical
     factor; derivative columns are centered differences on the grid.
 
     All level circles are integrated in one batched call for ``L`` and one
     for ``aux_invgrad2``.  Levels whose integral used every refinement level
-    without reaching ``rel_tol`` are logged as one warning and listed in
+    without reaching ``quadrature.REL_TOL`` are logged as one warning and listed in
     ``meta["capped_levels"]``; a capped ``L`` keeps its finest-level
     estimate (the convexity verdicts read it), a capped ``aux_invgrad2`` is
     NaN.
@@ -214,21 +197,21 @@ def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid,
     if t_grid.min() <= lo or t_grid.max() >= hi:
         raise DomainError("profile grid must lie strictly inside the boundary values")
     radii = [_level_radius(spec, t) for t in t_grid]
-    L, L_capped = _circle_lengths(factor, radii, rel_tol)
-    aux, aux_capped = _conical_circle_invgrad2(factor, spec, radii, rel_tol)
+    L, L_capped = circle_lengths(*_conical_log_integrand(factor, radii, 1.0), radii)
+    aux, aux_capped = _conical_circle_invgrad2(factor, spec, radii)
     capped_levels = [float(t) for t in t_grid[L_capped | aux_capped]]
     if capped_levels:
         logger.warning(
             "tanh-sinh used every refinement level without reaching rel_tol %g "
             "(L on %d, aux_invgrad2 on %d levels; finest-level L kept, capped "
-            "aux_invgrad2 set to NaN) at levels t = %s", rel_tol,
+            "aux_invgrad2 set to NaN) at levels t = %s", REL_TOL,
             int(L_capped.sum()), int(aux_capped.sum()), capped_levels)
     L_fd_p = np.gradient(L, t_grid, edge_order=2)
     L_fd_pp = np.gradient(L_fd_p, t_grid, edge_order=2)
     lnL_pp = (L_fd_pp * L - L_fd_p**2) / L**2
     return LengthProfile(t_grid, L, L_fd_p.copy(), L_fd_pp.copy(), lnL_pp,
                          L_fd_p, L_fd_pp, aux, derivative_mode="grid_fd",
-                         meta={"rel_tol": rel_tol, "rule": "tanh_sinh",
+                         meta={"rel_tol": REL_TOL, "rule": "tanh_sinh",
                                "capped_levels": capped_levels})
 
 
@@ -285,7 +268,7 @@ class MollifiedFactor:
             out += a * _log_kernel_profile(d, self.eps)
         return float(out[0]) if single else out
 
-    def circle_length(self, r: float, rel_tol: float = 1e-10) -> float:
+    def circle_length(self, r: float) -> float:
         """Length of |z| = r in the mollified metric.
 
         The integrand is piecewise analytic with C^2 joints where the circle
@@ -307,12 +290,8 @@ class MollifiedFactor:
             pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
             return self.value(pts)[None, :]
 
-        (val,), (capped,) = segmented_circle_integral(log_f, breaks, rel_tol=rel_tol)
-        if not np.isfinite(val):
-            raise SolverError("circle integral diverged (non-integrable singularity?)")
-        if capped:
-            _warn_capped(f"mollified circle length (eps = {self.eps!r})", r, rel_tol)
-        return r * float(val)
+        return circle_length(log_f, breaks, r,
+                             f"mollified circle length (eps = {self.eps!r})")
 
 
 def mollify(factor: ConicalFactor, eps: float) -> MollifiedFactor:
@@ -322,7 +301,7 @@ def mollify(factor: ConicalFactor, eps: float) -> MollifiedFactor:
 
 
 def mollified_convergence(factor: ConicalFactor, spec: DirichletSpec, t: float,
-                          eps_sequence, rel_tol: float = 1e-10) -> np.ndarray:
+                          eps_sequence) -> np.ndarray:
     """Level lengths under the mollified metrics for a decreasing eps list.
 
     For nonpositive-curvature factors the lengths decrease monotonically to
@@ -332,5 +311,5 @@ def mollified_convergence(factor: ConicalFactor, spec: DirichletSpec, t: float,
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise DomainError("eps sequence must be strictly decreasing")
     r = _level_radius(spec, t)
-    return np.array([MollifiedFactor(factor, e).circle_length(r, rel_tol)
+    return np.array([MollifiedFactor(factor, e).circle_length(r)
                      for e in eps_sequence])

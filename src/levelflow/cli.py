@@ -393,14 +393,15 @@ def cmd_counterexample(cfg, out_dir, tol, fmt):
 def _example_flat(tol, out_dir):
     sc = scenarios.flat()
     conv = ls.log_convexity_check(sc.profile, tol["convexity"])
+    slope = cf.logL_slope_bound(sc.u, sc.chart, sc.profile, tol["identity"])
     sc.profile.to_csv(out_dir / "flat_profile.csv")
     return {
         "scenario": "flat",
         "max_abs_lnL_pp": float(np.max(np.abs(sc.profile.lnL_pp))),
         "convexity_passed": conv.passed,
-        "slope_bound_passed": sc.slope.passed,
-        "identity_max_err": sc.slope.identity_max_err,
-        "passed": bool(conv.passed and sc.slope.passed),
+        "slope_bound_passed": slope.passed,
+        "identity_max_err": slope.identity_max_err,
+        "passed": bool(conv.passed and slope.passed),
     }
 
 

@@ -447,15 +447,11 @@ def principle_audit(u, chart, domain_spec, quantity: str, corollary_case: str,
                                     boundary_ext, verdict, "; ".join(notes), tol)
 
     # hypothesis signs
-    k_name = "pairing_star_u" if h_family else "pairing_grad_u"
-    if corollary_case == "min_abs_on_boundary":
-        pairing_ok = flags[k_name]["nonneg" if h_family else "nonpos"]
-    else:
-        # for h-quantities the four sign cases are stated for <grad K, -star grad u>
-        want = rule["pairing"]
-        if h_family:
-            want = {"nonneg": "nonpos", "nonpos": "nonneg"}[want]
-        pairing_ok = flags[k_name][want]
+    # for h-quantities the cases are stated for <grad K, -star grad u>
+    want = rule["pairing"]
+    if h_family:
+        want = {"nonneg": "nonpos", "nonpos": "nonneg"}[want]
+    pairing_ok = flags["pairing_star_u" if h_family else "pairing_grad_u"][want]
     if not (flags["K"][rule["K"]] and pairing_ok):
         return PrincipleAuditReport(quantity, corollary_case, flags, interior_ext,
                                     boundary_ext, "hypotheses_unmet", "", tol)
@@ -506,17 +502,19 @@ class SlopeBoundReport:
     notes: str = ""
 
 
-def logL_slope_bound(u, chart, profile: LengthProfile, boundary_samples: int = 1024,
-                     n_samples: int = 512, tolerance: float = 1e-9,
+def logL_slope_bound(u, chart, profile: LengthProfile,
                      identity_tolerance: float = 1e-6) -> SlopeBoundReport:
-    """Check (ln L)'(t) against the boundary bound on -k/|grad u|.
+    """Check (ln L)'(t), to 1e-9, against the boundary bound on -k/|grad u|.
 
     Variant "nonpos_K" (K <= 0, <grad K, grad u> <= 0) bounds the slope by
     max(-inf_boundary k/|grad u|, 0); variant "nonneg_K" (K >= 0,
     <grad K, grad u> <= 0, k >= 0) bounds it by -inf_boundary k/|grad u|,
     audited over the full chart annulus.  Also verifies, per level, the
-    identity L'(t) = -integral of (k/|grad u|) over the level curve.
+    identity L'(t) = -integral of (k/|grad u|) over the level curve, on 512
+    points per level, to ``identity_tolerance``.  The boundary carries 1024
+    points per circle.
     """
+    tolerance = 1e-9
     if chart.kind == "conformal":
         lo = chart.inner_radius
         hi = chart.outer_radius
@@ -526,7 +524,7 @@ def logL_slope_bound(u, chart, profile: LengthProfile, boundary_samples: int = 1
     else:
         span = chart.t_max - chart.t_min
         lo, hi = chart.t_min + 1e-7 * span, chart.t_max - 1e-7 * span
-    interior, boundary, _, _ = _audit_grids(chart, (lo, hi), (64, 128), boundary_samples)
+    interior, boundary, _, _ = _audit_grids(chart, (lo, hi), (64, 128), 1024)
     geo = local_geometry(u, chart, np.concatenate([interior, boundary], axis=0))
     slack = 1e-10 * max(1.0, float(np.max(np.abs(geo.K))))
     flags = {"K": _sign_flags(geo.K, slack), "pairing_grad_u": _sign_flags(geo.pairing, slack),
@@ -536,7 +534,7 @@ def logL_slope_bound(u, chart, profile: LengthProfile, boundary_samples: int = 1
     # hypotheses; verify it on every level of the profile
     ident_err = 0.0
     for t, lp in zip(profile.t_grid, profile.Lp):
-        curve = extract_level_curve(u, chart, float(t), n_samples)
+        curve = extract_level_curve(u, chart, float(t), 512)
         g = local_geometry(u, chart, curve.points)
         ident = float(np.sum(g.k / g.G * (g.level_weight * curve.weights)))
         ident_err = max(ident_err, abs(lp + ident))

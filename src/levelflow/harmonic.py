@@ -118,8 +118,8 @@ def _no_extra(params):
 
 # -- critical points -----------------------------------------------------------
 
-def critical_points(u: ScalarField, chart, resolution: int = 64,
-                    tol: float = 1e-8) -> list[tuple[float, float]]:
+def critical_points(u: ScalarField, chart, resolution: int = 64
+                    ) -> list[tuple[float, float]]:
     """All zeros of grad u in the chart interior, located to ~1e-8.
 
     Grid scan of |grad u|^2 local minima followed by damped Newton on the
@@ -129,7 +129,7 @@ def critical_points(u: ScalarField, chart, resolution: int = 64,
     if resolution < 16:
         raise DomainError("resolution must be at least 16")
     if chart.kind == "warped":
-        return _critical_points_warped(u, chart, resolution, tol)
+        return _critical_points_warped(u, chart, resolution)
     r_lo = chart.inner_radius if chart.inner_radius > 0 else 1e-3
     r_hi = chart.outer_radius
     if r_hi is None:
@@ -141,18 +141,12 @@ def critical_points(u: ScalarField, chart, resolution: int = 64,
     g = u.jet(pts, 1).grad
     q = (g[:, 0] ** 2 + g[:, 1] ** 2).reshape(resolution, resolution)
 
-    seeds = []
-    for i in range(resolution):
-        for j in range(resolution):
-            v = q[i, j]
-            neigh = [q[i - 1, j], q[(i + 1) % resolution, j],
-                     q[i, j - 1], q[i, (j + 1) % resolution]]
-            if i == 0:
-                neigh.remove(q[i - 1, j])
-            if i == resolution - 1:
-                neigh.remove(q[(i + 1) % resolution, j])
-            if all(v <= w for w in neigh):
-                seeds.append(pts[i * resolution + j])
+    # grid minima: no larger than any neighbour, periodic in theta; the
+    # +inf rows stand for the missing neighbours beyond the radial ends
+    padded = np.pad(q, ((1, 1), (0, 0)), constant_values=np.inf)
+    is_min = ((q <= padded[:-2]) & (q <= padded[2:])
+              & (q <= np.roll(q, 1, axis=1)) & (q <= np.roll(q, -1, axis=1)))
+    seeds = pts[np.flatnonzero(is_min)]
 
     roots: list[np.ndarray] = []
     for seed in seeds:
@@ -187,7 +181,7 @@ def _newton_polish(u, seed, damping: float = 0.5, max_iter: int = 50,
     return None
 
 
-def _critical_points_warped(u, chart, resolution, tol):
+def _critical_points_warped(u, chart, resolution):
     ts = np.linspace(chart.t_min, chart.t_max, resolution)
     pts = np.stack([ts, np.zeros_like(ts)], axis=-1)
     du = u.jet(pts, 1).grad[:, 0]

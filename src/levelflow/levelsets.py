@@ -34,7 +34,6 @@ second order on traced curves, whose weights are averaged chord lengths.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -48,9 +47,7 @@ from .errors import (CriticalPointError, DomainError, NormalizationError,
                      TopologyError)
 from .fields import ScalarField
 from .harmonic import catalog_field
-from .quadrature import segmented_circle_integral
-
-logger = logging.getLogger(__name__)
+from .quadrature import circle_length
 
 CSV_COLUMNS = ("t", "L", "Lp", "Lpp", "lnL_pp", "L_fd_p", "L_fd_pp", "aux_invgrad2")
 
@@ -83,14 +80,6 @@ def boundary_values(u: ScalarField, chart) -> tuple[float, float] | None:
         return (float(u.value((chart.inner_radius, 0.0))),
                 float(u.value((chart.outer_radius, 0.0))))
     return None
-
-
-def _check_level_inside(u, chart, t):
-    bv = boundary_values(u, chart)
-    if bv is not None:
-        lo, hi = min(bv), max(bv)
-        if not (lo < t < hi):
-            raise DomainError(f"level {t} not strictly between boundary values {bv}")
 
 
 def level_radius(u: ScalarField, chart, t: float) -> float:
@@ -197,7 +186,9 @@ def extract_level_curve(u: ScalarField, chart, t: float,
     """
     if n_samples < 8:
         raise DomainError("need at least 8 samples")
-    _check_level_inside(u, chart, t)
+    bv = boundary_values(u, chart)
+    if bv is not None and not min(bv) < t < max(bv):
+        raise DomainError(f"level {t} not strictly between boundary values {bv}")
     if u.radial:
         return _circle_curve(chart, t, level_radius(u, chart, t), n_samples)
     if chart.kind == "warped":
@@ -331,7 +322,7 @@ def _near_singular(chart, pts) -> bool:
 def _singular_circle_length(chart, curve) -> float:
     """Adaptive escalation for circles through/near a singular factor point;
     a capped integral keeps its finest-level value and is logged as a
-    warning."""
+    warning by :func:`~levelflow.quadrature.circle_length`."""
     r = np.hypot(*curve.points[0])
     if not np.allclose(np.hypot(curve.points[:, 0], curve.points[:, 1]), r,
                        rtol=1e-9, atol=1e-12):
@@ -346,14 +337,7 @@ def _singular_circle_length(chart, curve) -> float:
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
         return chart.factor.jet(pts, 0).value[None, :]
 
-    (val,), (capped,) = segmented_circle_integral(log_f, angles)
-    if not np.isfinite(val):
-        raise SolverError("circle integral diverged (non-integrable singularity?)")
-    if capped:
-        logger.warning("singular circle length at r = %r used every refinement "
-                       "level without reaching the rule's rel_tol; finest-level "
-                       "value kept", float(r))
-    return r * float(val)
+    return circle_length(log_f, angles, r, "singular circle length")
 
 
 def _level_integrands(u, chart, pts):
@@ -365,7 +349,7 @@ def _level_integrands(u, chart, pts):
             geo.grad_G_sq / G**4 - geo.K / G**2, 1.0 / G**2)
 
 
-def _radial_fast_path(u, chart, method) -> bool:
+def _radial_fast_path(u, chart, method="auto") -> bool:
     """Whether the integrands are constant on every level circle."""
     if chart.kind == "warped":
         return True
@@ -391,53 +375,30 @@ def _curve_level_values(u, chart, curve):
             float(np.sum(iaux * dh1)))
 
 
-def _levels_values(u, chart, ts, n_samples=512, method="auto"):
-    """(L, Lp, Lpp, aux) arrays at every level in ``ts``.
-
-    On the radial fast path all levels are located in one batched solve and
-    integrated in one batched call; other levels are extracted and
-    integrated one at a time.
-    """
-    ts = np.asarray(ts, dtype=float)
-    if _radial_fast_path(u, chart, method):
-        return _radial_level_values(u, chart, _level_radii(u, chart, ts))
-    rows = [_curve_level_values(u, chart, extract_level_curve(u, chart, t, n_samples))
-            for t in ts]
-    return tuple(np.array(col) for col in zip(*rows))
-
-
-def _level_values(u, chart, t, n_samples=512, method="auto"):
-    """(L, Lp, Lpp, aux) at one level via the fast radial path or quadrature."""
-    return tuple(float(v[0]) for v in _levels_values(u, chart, [t], n_samples, method))
-
-
-def _checked_level_values(u, chart, t, n_samples, precondition):
-    """(L, Lp, Lpp, aux) at one level, after ``precondition`` has accepted
-    the curvature sampled on it; the level is located once for both."""
+def _level_values(u, chart, t, n_samples=512, precondition=None):
+    """(L, Lp, Lpp, aux) at one level via the fast radial path or quadrature,
+    after ``precondition`` (if given) has accepted the curvature sampled on
+    the level.  Locating the level by :func:`extract_level_curve` raises
+    :class:`DomainError` for a level off the chart."""
     n_check = max(64, min(n_samples, 512))
-    if u.radial:
-        _check_level_inside(u, chart, t)
-        r = level_radius(u, chart, t)
-        curve = _circle_curve(chart, t, r, n_check)
-    else:
-        curve = extract_level_curve(u, chart, t, n_check)
-    precondition(chart.gauss_curvature(curve.points))
-    if _radial_fast_path(u, chart, "auto"):
-        return tuple(float(v[0]) for v in _radial_level_values(u, chart, np.array([r])))
+    curve = extract_level_curve(u, chart, t, n_check)
+    if precondition is not None:
+        precondition(chart.gauss_curvature(curve.points))
+    if _radial_fast_path(u, chart):
+        return tuple(float(v[0]) for v in _radial_level_values(u, chart, curve.points[:1, 0]))
     if n_check != n_samples:
-        curve = (_circle_curve(chart, t, r, n_samples) if u.radial
-                 else extract_level_curve(u, chart, t, n_samples))
+        curve = extract_level_curve(u, chart, t, n_samples)
     return _curve_level_values(u, chart, curve)
 
 
-def dlength_integral(u, chart, t, n_samples: int = 512, method: str = "auto") -> float:
+def dlength_integral(u, chart, t, n_samples: int = 512) -> float:
     """L'(t) from the level-curve integral formula."""
-    return _level_values(u, chart, t, n_samples, method)[1]
+    return _level_values(u, chart, t, n_samples)[1]
 
 
-def d2length_integral(u, chart, t, n_samples: int = 512, method: str = "auto") -> float:
+def d2length_integral(u, chart, t, n_samples: int = 512) -> float:
     """L''(t) from the level-curve integral formula."""
-    return _level_values(u, chart, t, n_samples, method)[2]
+    return _level_values(u, chart, t, n_samples)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +434,11 @@ class LengthProfile:
                      + "".join(row % values for values in zip(*cols)))
 
 
-def inset_grid(t1: float, t2: float, n: int, inset_frac: float = 1e-3) -> np.ndarray:
-    """Uniform ascending level grid inset from the boundary values."""
+def inset_grid(t1: float, t2: float, n: int) -> np.ndarray:
+    """Uniform ascending level grid inset by 1e-3 of the span from the
+    boundary values."""
     lo, hi = min(t1, t2), max(t1, t2)
-    inset = inset_frac * (hi - lo)
+    inset = 1e-3 * (hi - lo)
     return np.linspace(lo + inset, hi - inset, n)
 
 
@@ -488,6 +450,9 @@ def length_profile(u, chart, t_grid: Sequence[float], n_samples: int = 512,
     On the radial fast path the levels t and t +- step are located in one
     batched solve per profile; a row depends only on its own level and the
     step, so profiles over pieces of a grid concatenate to the whole one.
+    Other levels are extracted and integrated one at a time.  A grid level
+    off the chart raises :class:`DomainError`; the t +- step levels are not
+    checked.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 8:
@@ -497,9 +462,19 @@ def length_profile(u, chart, t_grid: Sequence[float], n_samples: int = 512,
         lo, hi = min(bv), max(bv)
         if t_grid.min() <= lo or t_grid.max() >= hi:
             raise DomainError("profile grid must lie strictly inside the boundary values")
+    elif u.radial:
+        # radial harmonic fields are monotone in r: the extreme levels
+        # bound the rest
+        level_radius(u, chart, t_grid.min())
+        level_radius(u, chart, t_grid.max())
     h = fd_step if fd_step is not None else 1e-3 * (t_grid.max() - t_grid.min())
     levels = np.concatenate([t_grid, t_grid + h, t_grid - h])
-    L3, Lp, Lpp, aux = _levels_values(u, chart, levels, n_samples, method)
+    if _radial_fast_path(u, chart, method):
+        L3, Lp, Lpp, aux = _radial_level_values(u, chart, _level_radii(u, chart, levels))
+    else:
+        rows = [_curve_level_values(u, chart, extract_level_curve(u, chart, t, n_samples))
+                for t in levels]
+        L3, Lp, Lpp, aux = (np.array(col) for col in zip(*rows))
     L, Lplus, Lminus = np.split(L3, 3)
     Lp, Lpp, aux = (col[:t_grid.size] for col in (Lp, Lpp, aux))
     L_fd_p = (Lplus - Lminus) / (2.0 * h)
@@ -557,8 +532,7 @@ def log_convexity_check(profile: LengthProfile, tolerance: float = 1e-8
                            float(d2[j]), float(t[j + 1]), tolerance, passed)
 
 
-def sharp_bound_gap(u, chart, t, kappa: float, n_samples: int = 512,
-                    tol: float = 1e-10) -> float:
+def sharp_bound_gap(u, chart, t, kappa: float) -> float:
     """(ln L)''(t) + (kappa / L) * integral of |grad u|^-2, for K <= kappa <= 0.
 
     The curvature bound is checked by sampling the level; violation raises.
@@ -568,17 +542,16 @@ def sharp_bound_gap(u, chart, t, kappa: float, n_samples: int = 512,
         raise DomainError("kappa must be <= 0")
 
     def precondition(K):
-        if np.max(K) > kappa + tol * max(1.0, abs(kappa)):
+        if np.max(K) > kappa + 1e-10 * max(1.0, abs(kappa)):
             raise PreconditionError(
                 f"curvature bound violated on the level: max K = {np.max(K):.6g} > "
                 f"kappa = {kappa:.6g}")
 
-    L, Lp, Lpp, aux = _checked_level_values(u, chart, t, n_samples, precondition)
+    L, Lp, Lpp, aux = _level_values(u, chart, t, precondition=precondition)
     return (Lpp * L - Lp**2) / L**2 + kappa * aux / L
 
 
-def pinched_bound_check(u, chart, t, kappa1: float, kappa2: float,
-                        n_samples: int = 512, tol: float = 1e-10) -> float:
+def pinched_bound_check(u, chart, t, kappa1: float, kappa2: float) -> float:
     """(ln L)''(t) - (kappa2/kappa1) / t^2 under -kappa1 <= K <= -kappa2 <= 0.
 
     Requires positive level values (u > 0); preconditions are sampled on the
@@ -590,15 +563,15 @@ def pinched_bound_check(u, chart, t, kappa1: float, kappa2: float,
         raise PreconditionError("the bound needs positive level values")
 
     def precondition(K):
-        if np.max(K) > -kappa2 + tol or np.min(K) < -kappa1 - tol:
+        if np.max(K) > -kappa2 + 1e-10 or np.min(K) < -kappa1 - 1e-10:
             raise PreconditionError(
                 "pinching -kappa1 <= K <= -kappa2 violated on the level")
 
-    L, Lp, Lpp, _ = _checked_level_values(u, chart, t, n_samples, precondition)
+    L, Lp, Lpp, _ = _level_values(u, chart, t, precondition=precondition)
     return (Lpp * L - Lp**2) / L**2 - (kappa2 / kappa1) / t**2
 
 
-def asymptotic_defect(factor, t, n_samples: int = 2048) -> float:
+def asymptotic_defect(factor, t) -> float:
     """e^{4t} (L L'' - (L')^2) for u = -ln|z| on a punctured-disc chart.
 
     Requires the normalisation phi(0) = 0, grad phi(0) = 0; as t grows the
@@ -610,6 +583,5 @@ def asymptotic_defect(factor, t, n_samples: int = 2048) -> float:
             "factor must satisfy phi(0) = 0 and grad phi(0) = 0")
     chart = ConformalChart(factor, inner_radius=0.0, outer_radius=None)
     u = catalog_field("log", c=-1.0)
-    L, Lp, Lpp, _ = _level_values(u, chart, t, n_samples,
-                                  method="auto" if factor.radial else "quadrature")
+    L, Lp, Lpp, _ = _level_values(u, chart, t, 2048)
     return float(np.exp(4.0 * t) * (L * Lpp - Lp**2))

@@ -15,8 +15,8 @@ evaluates only those midpoints (the odd-index nodes) and adds them to half
 the previous estimate, so every node of the finest level used is evaluated
 once.  The part of a tanh-sinh level that does not depend on the segment
 (``1 +- tanh s`` and ``cosh tau sech^2 s`` at the new nodes) is built once
-per process in a table keyed by ``(level, tau_max)``; a call scales it by
-its half-width.
+per process in a table keyed by the level; a call scales it by its
+half-width.
 
 Both rules integrate a batch of integrands at once, one row each (for
 instance one level circle of a profile per row).  Each level's nodes and
@@ -30,21 +30,36 @@ estimate, and the caller reports them.
 Integrands receive the distances to both segment endpoints, computed in a
 cancellation-free way, so a factor like ``|theta - theta_atom|^alpha`` can be
 evaluated accurately even at machine-scale distances.
+
+A row has converged when its relative change is at most :data:`REL_TOL`;
+tanh-sinh nodes span ``|tau| <= TAU_MAX``.  Every circle length (through
+cone points, mollified, through a singular chart factor) ends in
+:func:`circle_lengths`, which raises :class:`SolverError` on a diverged row,
+or its one-row :func:`circle_length`, which also logs a cap.
 """
 
 from __future__ import annotations
 
+import logging
 from functools import lru_cache
 
 import numpy as np
 
+from .errors import SolverError
+
+logger = logging.getLogger(__name__)
+
+#: a row has converged when its relative change between levels is at most this
+REL_TOL = 1e-10
+#: tanh-sinh nodes tau = j h cover |tau| <= TAU_MAX
+TAU_MAX = 5.0
 #: evaluation budget matching the documented 2^20 subinterval cap: with
 #: nested levels a trapezoid row evaluates at most this many nodes, the
 #: finest level's, each once
 MAX_EVALS = 1 << 20
 
 
-def _refine(level_sum, n_levels: int, rel_tol: float):
+def _refine(level_sum, n_levels: int):
     """Per-row refinement over nested levels.
 
     ``level_sum(k, rows, prev)`` is the level-k estimate of the selected
@@ -62,17 +77,16 @@ def _refine(level_sum, n_levels: int, rel_tol: float):
         cur = level_sum(k, live, prev)
         values[live] = cur
         with np.errstate(invalid="ignore"):  # inf - inf: a diverging row stays live
-            done = np.abs(cur - prev) <= rel_tol * np.maximum(np.abs(cur), 1e-300)
+            done = np.abs(cur - prev) <= REL_TOL * np.maximum(np.abs(cur), 1e-300)
         prev, live = cur[~done], live[~done]
     capped = np.zeros(values.size, dtype=bool)
     capped[live] = True
     return values, capped
 
 
-def periodic_trapezoid(f, period: float = 2.0 * np.pi, *, rel_tol: float = 1e-10,
-                       n0: int = 64, max_n: int = MAX_EVALS
+def periodic_trapezoid(f, *, n0: int = 64, max_n: int = MAX_EVALS
                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Integrals of smooth periodic functions over one period, one per row.
+    """Integrals of smooth 2 pi-periodic functions over [0, 2 pi), one per row.
 
     ``f(x, rows)`` returns the rows ``rows`` of the integrands at the nodes
     ``x``, shape (number of rows, x.size).  Returns ``(values, capped)``.
@@ -80,11 +94,11 @@ def periodic_trapezoid(f, period: float = 2.0 * np.pi, *, rel_tol: float = 1e-10
     def level_sum(k, rows, prev):
         n = n0 << k
         step = 1 if prev is None else 2  # levels k > 0 add the odd-index nodes
-        x = np.arange(step - 1, n, step) * (period / n)
-        total = np.sum(f(x, rows), axis=1) * (period / n)
+        x = np.arange(step - 1, n, step) * (2.0 * np.pi / n)
+        total = np.sum(f(x, rows), axis=1) * (2.0 * np.pi / n)
         return total if prev is None else 0.5 * prev + total
 
-    return _refine(level_sum, (max_n // n0).bit_length(), rel_tol)
+    return _refine(level_sum, (max_n // n0).bit_length())
 
 
 def _one_plus_tanh(s: np.ndarray) -> np.ndarray:
@@ -103,13 +117,13 @@ def _sech_sq(s: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=64)
-def _tanh_sinh_nodes(level: int, tau_max: float):
+def _tanh_sinh_nodes(level: int):
     """``(1 + tanh s, 1 - tanh s, pi/2 cosh(tau) sech^2 s)`` at the nodes
     that tanh-sinh level ``level`` adds, s = pi/2 sinh(tau): every
-    tau = j h with |tau| <= tau_max on level 0, the odd j afterwards, with
+    tau = j h with |tau| <= TAU_MAX on level 0, the odd j afterwards, with
     h = 2^-(level + 1).  Cached per process; the arrays are read-only."""
     h = 0.5 / (1 << level)
-    j = np.arange(-int(np.floor(tau_max / h)), int(np.floor(tau_max / h)) + 1)
+    j = np.arange(-int(np.floor(TAU_MAX / h)), int(np.floor(TAU_MAX / h)) + 1)
     if level > 0:
         j = j[j % 2 != 0]
     tau = j * h
@@ -121,8 +135,7 @@ def _tanh_sinh_nodes(level: int, tau_max: float):
     return table
 
 
-def tanh_sinh(f, a: float, b: float, *, rel_tol: float = 1e-10,
-              max_level: int = 11, tau_max: float = 5.0
+def tanh_sinh(f, a: float, b: float, *, max_level: int = 11
               ) -> tuple[np.ndarray, np.ndarray]:
     """Double-exponential quadrature over [a, b] of a batch of integrands.
 
@@ -136,18 +149,17 @@ def tanh_sinh(f, a: float, b: float, *, rel_tol: float = 1e-10,
     half = 0.5 * (b - a)
 
     def level_sum(level, rows, prev):
-        one_plus, one_minus, wt = _tanh_sinh_nodes(level, tau_max)
+        one_plus, one_minus, wt = _tanh_sinh_nodes(level)
         da, db, w = half * one_plus, half * one_minus, half * wt
         ok = (da > 0) & (db > 0) & (w > 0)
         da, db, w = da[ok], db[ok], w[ok]
         total = np.sum(f(a + da, da, db, rows) * w, axis=1) * (0.5 / (1 << level))
         return total if prev is None else 0.5 * prev + total
 
-    return _refine(level_sum, max_level + 1, rel_tol)
+    return _refine(level_sum, max_level + 1)
 
 
-def segmented_circle_integral(log_f, singular_angles, *, rel_tol: float = 1e-10,
-                              max_level: int = 11
+def segmented_circle_integral(log_f, singular_angles
                               ) -> tuple[np.ndarray, np.ndarray]:
     """Integrals over [0, 2 pi) of exp(log_f), one per row, split at
     singular angles shared by all rows.
@@ -163,8 +175,7 @@ def segmented_circle_integral(log_f, singular_angles, *, rel_tol: float = 1e-10,
     """
     angles = np.mod(np.asarray(singular_angles, dtype=float), 2.0 * np.pi)
     if angles.size == 0:
-        return periodic_trapezoid(lambda th, rows: np.exp(log_f(th, None, None, rows)),
-                                  rel_tol=rel_tol)
+        return periodic_trapezoid(lambda th, rows: np.exp(log_f(th, None, None, rows)))
     order = np.argsort(angles)
     total, capped = 0.0, False
     for pos in range(order.size):
@@ -186,8 +197,28 @@ def segmented_circle_integral(log_f, singular_angles, *, rel_tol: float = 1e-10,
                  for xs, anchor, delta in ((x[:k], ia, da[:k]), (x[k:], ib, -db[k:]))
                  if xs.size], axis=1))
 
-        seg_values, seg_capped = tanh_sinh(seg, a, b, rel_tol=rel_tol,
-                                           max_level=max_level)
+        seg_values, seg_capped = tanh_sinh(seg, a, b)
         total = total + seg_values
         capped = capped | seg_capped
     return total, capped
+
+
+def circle_lengths(log_f, angles, radii) -> tuple[np.ndarray, np.ndarray]:
+    """``(radii * values, capped)`` for :func:`segmented_circle_integral`'s
+    rows, one per circle |z| = r of length element ``r exp(log_f) dtheta``;
+    raises :class:`SolverError` if a row diverged."""
+    vals, capped = segmented_circle_integral(log_f, angles)
+    if not np.all(np.isfinite(vals)):
+        raise SolverError("circle integral diverged (non-integrable singularity?)")
+    return np.asarray(radii, dtype=float) * vals, capped
+
+
+def circle_length(log_f, angles, r: float, what: str) -> float:
+    """The one-row :func:`circle_lengths` of the circle of radius ``r``; a
+    capped integral keeps its finest-level value and is logged as a
+    warning naming ``what``."""
+    (length,), (capped,) = circle_lengths(log_f, angles, [r])
+    if capped:
+        logger.warning("%s at r = %r used every refinement level without reaching "
+                       "rel_tol %g; finest-level value kept", what, float(r), REL_TOL)
+    return float(length)

@@ -9,13 +9,12 @@ from .errors import DomainError
 
 
 def quasi_random_points(chart, n: int, seed: int = 0, radial_range=None,
-                        min_gradient_field=None, min_gradient: float = 1e-6
-                        ) -> np.ndarray:
+                        min_gradient_field=None) -> np.ndarray:
     """n Halton points in the chart interior, area-uniform on annuli.
 
     ``radial_range`` overrides the chart's own radial bounds.  When
     ``min_gradient_field`` is given, points where its Euclidean gradient is
-    below ``min_gradient`` are discarded (and replaced from the sequence).
+    at most 1e-6 are discarded (and replaced from the sequence).
     """
     if radial_range is not None:
         lo, hi = radial_range
@@ -42,7 +41,7 @@ def quasi_random_points(chart, n: int, seed: int = 0, radial_range=None,
             keep &= np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1]) > 1e-3
         if min_gradient_field is not None:
             g = min_gradient_field.jet(pts, 1).grad
-            keep &= np.hypot(g[:, 0], g[:, 1]) > min_gradient
+            keep &= np.hypot(g[:, 0], g[:, 1]) > 1e-6
         out.append(pts[keep])
         if sum(len(o) for o in out) >= n:
             break

@@ -10,7 +10,7 @@ from levelflow import (ConformalChart, DirichletSpec, DomainError,
                        bic_length_profile, conical_circle_length, conical_factor,
                        inset_grid, log_convexity_check, mollified_convergence,
                        mollify)
-from levelflow import bic
+from levelflow import bic, quadrature
 
 TWO_ATOM = conical_factor(0.0, [((1.2, 0.0), 0.5), ((0.0, -1.6), 0.3)])
 SPEC = DirichletSpec(np.e**2, 0.0, 2.0)
@@ -179,16 +179,17 @@ def test_one_circle_lengths_log_a_capped_integral(caplog):
     # alpha = -0.99 on the circle |z| = 1.5: integrable, but too close to
     # -1 for the rule to converge, on the singular and the eps = 1e-9 circles
     factor = conical_factor(0.0, [((1.5, 0.0), -0.99)])
-    with caplog.at_level(logging.WARNING, logger="levelflow.bic"):
+    with caplog.at_level(logging.WARNING, logger="levelflow.quadrature"):
         conical_circle_length(TWO_ATOM, 1.5)
         mollify(factor, 0.1).circle_length(1.5)
     assert caplog.records == []
     cases = [(lambda: conical_circle_length(factor, 1.5),
-              bic._circle_lengths(factor, [1.5], 1e-10)[0][0]),
+              quadrature.circle_lengths(*bic._conical_log_integrand(factor, [1.5], 1.0),
+                                        [1.5])[0][0]),
              (lambda: mollify(factor, 1e-9).circle_length(1.5), None)]
     for length, want in cases:
         caplog.clear()
-        with caplog.at_level(logging.WARNING, logger="levelflow.bic"):
+        with caplog.at_level(logging.WARNING, logger="levelflow.quadrature"):
             got = length()
         (record,) = caplog.records
         assert record.levelname == "WARNING"

@@ -207,6 +207,14 @@ def test_tol_scale_flag(tmp_path):
     code = main(["convexity", "--config", write_config(tmp_path, CAP_CONFIG),
                  "--out", str(tmp_path / "out"), "--tol-scale", "1e12"])
     assert code == 0
+    # scaling them down must fail the flat example's L' identity (error
+    # ~1e-14) against the identity tolerance its report states
+    out = tmp_path / "flat"
+    code = main(["examples", "flat", "--out", str(out), "--tol-scale", "1e-9"])
+    rep = json.loads((out / "examples_flat_report.json").read_text())
+    assert rep["identity_max_err"] > rep["tolerances"]["identity"] == 1e-15
+    assert not rep["slope_bound_passed"]
+    assert code == 1
 
 
 def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):

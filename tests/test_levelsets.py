@@ -87,9 +87,19 @@ def test_level_outside_the_chart_raises_on_both_radius_paths():
         for call in (lambda: level_radius(u, disc, 2.0),
                      lambda: extract_level_curve(u, disc, 2.0, 64),
                      lambda: sharp_bound_gap(u, disc, 2.0, 0.0),
-                     lambda: pinched_bound_check(u, disc, 2.0, 1.0, 0.0)):
+                     lambda: pinched_bound_check(u, disc, 2.0, 1.0, 0.0),
+                     lambda: dlength_integral(u, disc, 2.0),
+                     lambda: d2length_integral(u, disc, 2.0),
+                     lambda: length_profile(u, disc, np.linspace(1.0, 2.0, 8))):
             with pytest.raises(DomainError, match="no level 2.0 on the radial section"):
                 call()
+    # the level circle r = e^5 lies outside both annuli; the integral
+    # formulas screen it with the boundary values, as extraction does
+    for chart in (ConformalChart(flat_factor(), 1.0, np.e),
+                  ConformalChart(sphere_cap_factor(0.1), 1.0, 2.0)):
+        for integral in (dlength_integral, d2length_integral):
+            with pytest.raises(DomainError, match="not strictly between boundary values"):
+                integral(catalog_field("log"), chart, -5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +146,7 @@ def test_length_logs_a_capped_singular_circle(caplog):
     # close to the limit for the rule to converge
     chart = ConformalChart(log_modulus_field(-0.99, (1.5, 0.0)), 1.0, 2.0)
     curve = extract_level_curve(catalog_field("log"), chart, -np.log(1.5), 256)
-    with caplog.at_level(logging.WARNING, logger="levelflow.levelsets"):
+    with caplog.at_level(logging.WARNING, logger="levelflow.quadrature"):
         got = length(curve, chart)
     (record,) = caplog.records
     assert "singular circle length at r = 1.5 used every refinement level" \

@@ -1,9 +1,14 @@
-"""Exact answers and row independence of the batched quadrature rules."""
+"""Exact answers and row independence of the batched quadrature rules, and
+the circle-length finish every circle integral shares."""
 
 import numpy as np
 import pytest
 from scipy.special import i0
 
+from levelflow import (ConformalChart, DirichletSpec, SolverError, bic_length_profile,
+                       catalog_field, conical_circle_length, conical_factor,
+                       extract_level_curve, inset_grid, length, log_modulus_field,
+                       mollify)
 from levelflow.quadrature import MAX_EVALS, periodic_trapezoid, tanh_sinh
 
 
@@ -109,3 +114,23 @@ def test_nested_levels_evaluate_each_finest_node_once():
     x = np.sort(np.concatenate(nodes)[:, 0])
     assert x.size == MAX_EVALS
     assert x.tobytes() == (np.arange(MAX_EVALS) * (2.0 * np.pi / MAX_EVALS)).tobytes()
+
+
+# e^800 overflows: every circle integral of these factors is infinite
+HUGE_CONE = conical_factor(800.0, [((1.5, 0.0), 0.5)])
+HUGE_CHART = ConformalChart(log_modulus_field(800.0, (1.5, 0.0)), 1.0, 2.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
+@pytest.mark.parametrize("length_call", [
+    lambda: length(extract_level_curve(catalog_field("log"), HUGE_CHART,
+                                       -np.log(1.5), 256), HUGE_CHART),
+    lambda: conical_circle_length(HUGE_CONE, 1.5),
+    lambda: mollify(HUGE_CONE, 0.1).circle_length(1.5),
+    lambda: bic_length_profile(HUGE_CONE, DirichletSpec(np.e**2, 0.0, 2.0),
+                               inset_grid(0.0, 2.0, 8)),
+], ids=["singular_chart_circle", "conical_circle", "mollified_circle", "bic_profile"])
+def test_divergent_circle_integrals_raise(length_call):
+    with pytest.raises(SolverError, match="circle integral diverged"):
+        length_call()
