@@ -181,10 +181,9 @@ def _write_profile(prof, out_dir: Path, fmt: str) -> None:
     """The profile table is always CSV; --format json adds a JSON copy."""
     prof.to_csv(out_dir / "profile.csv")
     if fmt == "json":
-        from .levelsets import CSV_COLUMNS
         doc = {c: [float(v) for v in
                    getattr(prof, "t_grid" if c == "t" else c)]
-               for c in CSV_COLUMNS}
+               for c in ls.CSV_COLUMNS}
         _write_report(doc, out_dir, "profile.json")
 
 
@@ -489,8 +488,8 @@ def run(subcommand: str, config_path: str | None, *, out: str = ".",
         fmt: str = "json", example_name: str | None = None) -> int:
     """Programmatic entry point mirroring the CLI; returns the exit code.
 
-    ``threads`` (and the LEVELFLOW_THREADS variable) is accepted and has no
-    effect: everything runs on one thread.
+    ``threads`` has no effect (everything runs on one thread); it stays
+    because ``perfbench/workloads.py`` passes ``threads=1``.
     """
     out_dir = Path(out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -542,14 +541,11 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=".", help="output directory for reports")
     parser.add_argument("--tol-scale", type=float, default=1.0,
                         help="multiply all default tolerances")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="accepted for compatibility; has no effect (as "
-                             "LEVELFLOW_THREADS): everything runs on one thread")
     parser.add_argument("--format", dest="fmt", choices=["csv", "json"],
                         default="json", help="preferred report format")
     args = parser.parse_args(argv)
     return run(args.subcommand, args.config, out=args.out, tol_scale=args.tol_scale,
-               threads=args.threads, fmt=args.fmt, example_name=args.name)
+               fmt=args.fmt, example_name=args.name)
 
 
 if __name__ == "__main__":

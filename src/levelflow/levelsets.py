@@ -20,16 +20,18 @@ flat annulus: u = -ln|z| gives L(t) = 2 pi e^{-t} and L'(t) = -2 pi e^{-t}.
 The integrands read G, <grad u, grad G>_g, |grad G|_g^2, K and the length
 element from the local geometry of :mod:`levelflow.charts`, which also
 applies the critical-point floor ``CRITICAL_GRAD`` that the tracer here uses.
-Integrand points skip the chart's domain check: they come from the level
-solver, and the levels t +- h of a profile's FD columns may lie just outside.
+Fast-path integrand points skip the chart's domain check (the levels t +- h
+of a profile's FD columns may lie just outside); the points of a sampled
+level curve are checked.
 
-Radial fields on radial factors admit an exact fast path (the integrand is
-constant on the level circle).  On it all radial levels of a profile are
-located in one batched bracketed Newton solve and integrated in one batched
-call; each level still runs its own iteration, so its values do not depend
-on the other levels in the batch.  Everything else is quadrature over
-curves sampled one level at a time: spectrally accurate on radial circles,
-second order on traced curves, whose weights are averaged chord lengths.
+:func:`_level_values` is the one place that chooses between the exact
+radial fast path (radial fields on radial factors, and warped charts: the
+integrands and K are constant on each level circle, so all levels are
+located in one batched Newton solve, each by its own iteration, and
+integrated at one point each in one call) and quadrature over curves
+sampled one level at a time (spectrally accurate on radial circles, second
+order on traced curves, whose weights are averaged chord lengths).
+Profiles, bound checks and the integral formulas all read it.
 """
 
 from __future__ import annotations
@@ -186,14 +188,21 @@ def extract_level_curve(u: ScalarField, chart, t: float,
     """
     if n_samples < 8:
         raise DomainError("need at least 8 samples")
+    _screen_level(u, chart, t)
+    if u.radial:
+        return _circle_curve(chart, t, level_radius(u, chart, t), n_samples)
+    return _trace_level_curve(u, chart, t, n_samples)
+
+
+def _screen_level(u, chart, t) -> bool:
+    """Whether u has boundary values; DomainError if t is not strictly
+    between them, or for a non-radial field on a warped chart."""
     bv = boundary_values(u, chart)
     if bv is not None and not min(bv) < t < max(bv):
         raise DomainError(f"level {t} not strictly between boundary values {bv}")
-    if u.radial:
-        return _circle_curve(chart, t, level_radius(u, chart, t), n_samples)
-    if chart.kind == "warped":
+    if chart.kind == "warped" and not u.radial:
         raise DomainError("warped charts support radial fields only")
-    return _trace_level_curve(u, chart, t, n_samples)
+    return bv is not None
 
 
 def _circle_curve(chart, t, r, n_samples) -> LevelCurve:
@@ -341,12 +350,13 @@ def _singular_circle_length(chart, curve) -> float:
 
 
 def _level_integrands(u, chart, pts):
-    """Per-point (length element, I1, I2, Iaux): e^phi (or w) and the L',
-    L'' and 1/|grad u|^2 integrands, without the chart's domain check."""
+    """Per-point (length element, I1, I2, Iaux, K): e^phi (or w), the L',
+    L'' and 1/|grad u|^2 integrands and the Gauss curvature, without the
+    chart's domain check."""
     geo = _geometry(u, chart, pts)
     G = geo.G
     return (geo.level_weight, -geo.pairing_G / G**3,
-            geo.grad_G_sq / G**4 - geo.K / G**2, 1.0 / G**2)
+            geo.grad_G_sq / G**4 - geo.K / G**2, 1.0 / G**2, geo.K)
 
 
 def _radial_fast_path(u, chart, method="auto") -> bool:
@@ -357,48 +367,49 @@ def _radial_fast_path(u, chart, method="auto") -> bool:
             and not chart.singular_points)
 
 
-def _radial_level_values(u, chart, r):
-    """(L, Lp, Lpp, aux) arrays at the radial levels with radial coordinates r,
-    all evaluated in one batched call."""
-    pts = np.stack([r, np.zeros_like(r)], axis=-1)
-    weight, i1, i2, iaux = _level_integrands(u, chart, pts)
-    L = 2.0 * np.pi * weight if chart.kind == "warped" else 2.0 * np.pi * r * weight
-    return L, i1 * L, i2 * L, iaux * L
+def _level_values(u, chart, ts, n_samples=512, method="auto"):
+    """(L, Lp, Lpp, aux, K_min, K_max) arrays, one entry per level of ``ts``:
+    the one choice between the radial fast path and curve quadrature.
 
-
-def _curve_level_values(u, chart, curve):
-    """(L, Lp, Lpp, aux) by quadrature over a sampled level curve."""
-    e_phi, i1, i2, iaux = _level_integrands(u, chart, curve.points)
-    dh1 = e_phi * curve.weights
-    L = float(np.sum(dh1))
-    return (L, float(np.sum(i1 * dh1)), float(np.sum(i2 * dh1)),
-            float(np.sum(iaux * dh1)))
-
-
-def _level_values(u, chart, t, n_samples=512, precondition=None):
-    """(L, Lp, Lpp, aux) at one level via the fast radial path or quadrature,
-    after ``precondition`` (if given) has accepted the curvature sampled on
-    the level.  Locating the level by :func:`extract_level_curve` raises
-    :class:`DomainError` for a level off the chart."""
-    n_check = max(64, min(n_samples, 512))
-    curve = extract_level_curve(u, chart, t, n_check)
-    if precondition is not None:
-        precondition(chart.gauss_curvature(curve.points))
-    if _radial_fast_path(u, chart):
-        return tuple(float(v[0]) for v in _radial_level_values(u, chart, curve.points[:1, 0]))
-    if n_check != n_samples:
+    The fast path locates all levels in one batched solve and evaluates
+    their integrands and K at (r, 0), one call for all; it screens nothing,
+    so callers check their levels first.  Otherwise each level is extracted
+    with ``n_samples`` points (which screens it), domain-checked and
+    integrated by quadrature, and K_min, K_max range over its points."""
+    if _radial_fast_path(u, chart, method):
+        r = _level_radii(u, chart, ts)
+        weight, i1, i2, iaux, K = _level_integrands(
+            u, chart, np.stack([r, np.zeros_like(r)], axis=-1))
+        L = 2.0 * np.pi * weight if chart.kind == "warped" else 2.0 * np.pi * r * weight
+        return L, i1 * L, i2 * L, iaux * L, K, K
+    rows = []
+    for t in ts:
         curve = extract_level_curve(u, chart, t, n_samples)
-    return _curve_level_values(u, chart, curve)
+        e_phi, i1, i2, iaux, K = _level_integrands(u, chart,
+                                                   chart.check_points(curve.points))
+        dh1 = e_phi * curve.weights
+        rows.append((np.sum(dh1), np.sum(i1 * dh1), np.sum(i2 * dh1),
+                     np.sum(iaux * dh1), np.min(K), np.max(K)))
+    return tuple(np.array(col) for col in zip(*rows))
+
+
+def _level_at(u, chart, t, n_samples=512):
+    """:func:`_level_values` at the level t, as floats, screened as
+    :func:`extract_level_curve` screens it (:class:`DomainError`)."""
+    if not _screen_level(u, chart, t) and u.radial:
+        level_radius(u, chart, t)
+    return tuple(float(v[0]) for v in
+                 _level_values(u, chart, np.array([t], dtype=float), n_samples))
 
 
 def dlength_integral(u, chart, t, n_samples: int = 512) -> float:
     """L'(t) from the level-curve integral formula."""
-    return _level_values(u, chart, t, n_samples)[1]
+    return _level_at(u, chart, t, n_samples)[1]
 
 
 def d2length_integral(u, chart, t, n_samples: int = 512) -> float:
     """L''(t) from the level-curve integral formula."""
-    return _level_values(u, chart, t, n_samples)[2]
+    return _level_at(u, chart, t, n_samples)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -447,12 +458,11 @@ def length_profile(u, chart, t_grid: Sequence[float], n_samples: int = 512,
     """LengthProfile over ``t_grid`` with integral and finite-difference
     derivative columns (cross-check step defaults to 1e-3 of the grid span).
 
-    On the radial fast path the levels t and t +- step are located in one
-    batched solve per profile; a row depends only on its own level and the
-    step, so profiles over pieces of a grid concatenate to the whole one.
-    Other levels are extracted and integrated one at a time.  A grid level
-    off the chart raises :class:`DomainError`; the t +- step levels are not
-    checked.
+    The levels t and t +- step go through one :func:`_level_values` call: on
+    the radial fast path they are located in one batched solve; a row
+    depends only on its own level and the step, so profiles over pieces of
+    a grid concatenate to the whole one.  A grid level off the chart raises
+    :class:`DomainError`; the t +- step levels are not checked.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 8:
@@ -469,12 +479,7 @@ def length_profile(u, chart, t_grid: Sequence[float], n_samples: int = 512,
         level_radius(u, chart, t_grid.max())
     h = fd_step if fd_step is not None else 1e-3 * (t_grid.max() - t_grid.min())
     levels = np.concatenate([t_grid, t_grid + h, t_grid - h])
-    if _radial_fast_path(u, chart, method):
-        L3, Lp, Lpp, aux = _radial_level_values(u, chart, _level_radii(u, chart, levels))
-    else:
-        rows = [_curve_level_values(u, chart, extract_level_curve(u, chart, t, n_samples))
-                for t in levels]
-        L3, Lp, Lpp, aux = (np.array(col) for col in zip(*rows))
+    L3, Lp, Lpp, aux, _, _ = _level_values(u, chart, levels, n_samples, method)
     L, Lplus, Lminus = np.split(L3, 3)
     Lp, Lpp, aux = (col[:t_grid.size] for col in (Lp, Lpp, aux))
     L_fd_p = (Lplus - Lminus) / (2.0 * h)
@@ -535,39 +540,32 @@ def log_convexity_check(profile: LengthProfile, tolerance: float = 1e-8
 def sharp_bound_gap(u, chart, t, kappa: float) -> float:
     """(ln L)''(t) + (kappa / L) * integral of |grad u|^-2, for K <= kappa <= 0.
 
-    The curvature bound is checked by sampling the level; violation raises.
+    The curvature bound is checked on the level's K; violation raises.
     Equality (gap ~ 0) is attained on constant-curvature charts.
     """
     if kappa > 0:
         raise DomainError("kappa must be <= 0")
-
-    def precondition(K):
-        if np.max(K) > kappa + 1e-10 * max(1.0, abs(kappa)):
-            raise PreconditionError(
-                f"curvature bound violated on the level: max K = {np.max(K):.6g} > "
-                f"kappa = {kappa:.6g}")
-
-    L, Lp, Lpp, aux = _level_values(u, chart, t, precondition=precondition)
+    L, Lp, Lpp, aux, _, k_max = _level_at(u, chart, t)
+    if k_max > kappa + 1e-10 * max(1.0, abs(kappa)):
+        raise PreconditionError(
+            f"curvature bound violated on the level: max K = {k_max:.6g} > "
+            f"kappa = {kappa:.6g}")
     return (Lpp * L - Lp**2) / L**2 + kappa * aux / L
 
 
 def pinched_bound_check(u, chart, t, kappa1: float, kappa2: float) -> float:
     """(ln L)''(t) - (kappa2/kappa1) / t^2 under -kappa1 <= K <= -kappa2 <= 0.
 
-    Requires positive level values (u > 0); preconditions are sampled on the
-    level and violations raise.
+    Requires positive level values (u > 0); the pinching is checked on the
+    level's K and violations raise.
     """
     if not (kappa1 >= kappa2 >= 0):
         raise DomainError("need kappa1 >= kappa2 >= 0")
     if t <= 0:
         raise PreconditionError("the bound needs positive level values")
-
-    def precondition(K):
-        if np.max(K) > -kappa2 + 1e-10 or np.min(K) < -kappa1 - 1e-10:
-            raise PreconditionError(
-                "pinching -kappa1 <= K <= -kappa2 violated on the level")
-
-    L, Lp, Lpp, _ = _level_values(u, chart, t, precondition=precondition)
+    L, Lp, Lpp, _, k_min, k_max = _level_at(u, chart, t)
+    if k_max > -kappa2 + 1e-10 or k_min < -kappa1 - 1e-10:
+        raise PreconditionError("pinching -kappa1 <= K <= -kappa2 violated on the level")
     return (Lpp * L - Lp**2) / L**2 - (kappa2 / kappa1) / t**2
 
 
@@ -583,5 +581,5 @@ def asymptotic_defect(factor, t) -> float:
             "factor must satisfy phi(0) = 0 and grad phi(0) = 0")
     chart = ConformalChart(factor, inner_radius=0.0, outer_radius=None)
     u = catalog_field("log", c=-1.0)
-    L, Lp, Lpp, _ = _level_values(u, chart, t, 2048)
+    L, Lp, Lpp = _level_at(u, chart, t, 2048)[:3]
     return float(np.exp(4.0 * t) * (L * Lpp - Lp**2))

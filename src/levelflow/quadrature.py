@@ -24,8 +24,9 @@ weights are shared across the rows; every row keeps its own relative-change
 test and is no longer evaluated once it has converged, so a row's value
 does not depend on the other rows in its batch.  Both return
 ``(values, capped)``: ``capped`` marks the rows that used every refinement
-level without meeting the target; their value is the finest level's
-estimate, and the caller reports them.
+level without meeting the target, or whose level sum stopped being
+finite; their value is the last estimate they reached, and the caller
+reports them.
 
 Integrands receive the distances to both segment endpoints, computed in a
 cancellation-free way, so a factor like ``|theta - theta_atom|^alpha`` can be
@@ -67,19 +68,23 @@ def _refine(level_sum, n_levels: int):
     result fixes the batch size.  Afterwards ``rows`` holds the indices of
     the live rows and ``prev`` their level-(k-1) estimates: level k
     evaluates only the nodes level k - 1 lacked and returns
-    ``0.5 * prev + h * sum(new nodes)``."""
-    prev = level_sum(0, slice(None), None)
-    values = prev.copy()
-    live = np.arange(values.size)
-    for k in range(1, n_levels):
-        if live.size == 0:
-            break
-        cur = level_sum(k, live, prev)
-        values[live] = cur
-        with np.errstate(invalid="ignore"):  # inf - inf: a diverging row stays live
+    ``0.5 * prev + h * sum(new nodes)``.  Overflow is ignored: a row whose
+    sum is not finite (an inf or NaN sum stays so at every later level)
+    and has not met the target is retired at once and flagged capped."""
+    with np.errstate(over="ignore"):
+        values = level_sum(0, slice(None), None)
+        capped = ~np.isfinite(values)
+        live = np.flatnonzero(~capped)
+        for k in range(1, n_levels):
+            if live.size == 0:
+                break
+            prev = values[live]
+            cur = level_sum(k, live, prev)
+            values[live] = cur
             done = np.abs(cur - prev) <= REL_TOL * np.maximum(np.abs(cur), 1e-300)
-        prev, live = cur[~done], live[~done]
-    capped = np.zeros(values.size, dtype=bool)
+            diverged = ~done & ~np.isfinite(cur)
+            capped[live[diverged]] = True
+            live = live[~(done | diverged)]
     capped[live] = True
     return values, capped
 

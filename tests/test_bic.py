@@ -137,7 +137,6 @@ EDGE_FACTOR = conical_factor(30.0, [((EDGE_RADII[5], 0.0), -0.9),
                                     ((-EDGE_RADII[18], 0.0), 0.5)])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
 def test_profile_rows_match_single_circles_byte_for_byte():
     prof = bic_length_profile(EDGE_FACTOR, SPEC, EDGE_GRID)
     L = np.array([conical_circle_length(EDGE_FACTOR, r) for r in EDGE_RADII])
@@ -150,7 +149,6 @@ def test_profile_rows_match_single_circles_byte_for_byte():
     assert prof.meta["capped_levels"] == [EDGE_GRID[5], EDGE_GRID[12]]
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
 def test_profile_splits_into_halves_byte_for_byte():
     whole = bic_length_profile(EDGE_FACTOR, SPEC, EDGE_GRID)
     halves = [bic_length_profile(EDGE_FACTOR, SPEC, part)
@@ -160,7 +158,6 @@ def test_profile_splits_into_halves_byte_for_byte():
         assert getattr(whole, name).tobytes() == joined.tobytes(), name
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
 def test_profile_reports_capped_levels(caplog):
     with caplog.at_level(logging.WARNING, logger="levelflow.bic"):
         clean = bic_length_profile(TWO_ATOM, SPEC, EDGE_GRID)

@@ -217,18 +217,12 @@ def test_tol_scale_flag(tmp_path):
     assert code == 1
 
 
-def test_thread_count_does_not_change_bytes(tmp_path, monkeypatch):
-    out1, out2, out3 = (tmp_path / d for d in ("t1", "t4", "env"))
+def test_threads_flag_is_gone(tmp_path, capsys):
     cfg = write_config(tmp_path, FLAT_CONFIG)
-    assert main(["profile", "--config", cfg, "--out", str(out1), "--threads", "1"]) == 0
-    assert main(["profile", "--config", cfg, "--out", str(out2), "--threads", "4"]) == 0
-    monkeypatch.setenv("LEVELFLOW_THREADS", "3")
-    assert main(["profile", "--config", cfg, "--out", str(out3)]) == 0
-    b1 = (out1 / "profile.csv").read_bytes()
-    assert b1 == (out2 / "profile.csv").read_bytes()
-    assert b1 == (out3 / "profile.csv").read_bytes()
-    r1 = (out1 / "profile_report.json").read_bytes()
-    assert r1 == (out2 / "profile_report.json").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--config", cfg, "--out", str(tmp_path), "--threads", "4"])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err
 
 
 def test_profile_warped_chart_config(tmp_path):

@@ -7,14 +7,14 @@ import pytest
 from scipy.integrate import quad
 
 from levelflow import (ConformalChart, DirichletSpec, DomainError,
-                       NormalizationError, PreconditionError, SolverError,
-                       TopologyError, WarpedChart, asymptotic_defect, catalog_field,
-                       d2length_integral, dlength_integral, extract_level_curve,
-                       flat_factor, inset_grid, length, length_profile, level_radius,
-                       log_convexity_check, log_modulus_field,
-                       pinched_bound_check, radial_log_field,
-                       second_divided_differences, sharp_bound_gap,
-                       solve_annulus_dirichlet, sphere_cap_factor)
+                       NormalizationError, PreconditionError, ScalarField,
+                       SingularPointError, SolverError, TopologyError, WarpedChart,
+                       asymptotic_defect, catalog_field, d2length_integral,
+                       dlength_integral, extract_level_curve, flat_factor,
+                       inset_grid, length, length_profile, level_radius,
+                       log_convexity_check, log_modulus_field, pinched_bound_check,
+                       radial_log_field, second_divided_differences,
+                       sharp_bound_gap, solve_annulus_dirichlet, sphere_cap_factor)
 from levelflow import levelsets
 
 FLAT_BIG = ConformalChart(flat_factor(), 1.0, np.e**2)
@@ -222,14 +222,19 @@ BATCHED_CASES = pytest.mark.parametrize("u, chart, grid", [
 ], ids=["warped_arctan", "flat_log_modulus"])
 
 
+def one_level(u, chart, t):
+    """(L, Lp, Lpp, aux, K_min, K_max) of the level t alone."""
+    return [float(v[0]) for v in levelsets._level_values(u, chart, np.array([t]))]
+
+
 @BATCHED_CASES
 def test_batched_profile_rows_match_single_levels(u, chart, grid):
     prof = length_profile(u, chart, grid)
-    single = np.array([levelsets._level_values(u, chart, t) for t in grid])
+    single = np.array([one_level(u, chart, t)[:4] for t in grid])
     batched = np.stack([prof.L, prof.Lp, prof.Lpp, prof.aux_invgrad2], axis=-1)
     np.testing.assert_allclose(batched, single, rtol=1e-15, atol=0.0)
     h = prof.meta["fd_step"]
-    plus, minus = (np.array([levelsets._level_values(u, chart, t + s)[0] for t in grid])
+    plus, minus = (np.array([one_level(u, chart, t + s)[0] for t in grid])
                    for s in (h, -h))
     np.testing.assert_allclose(prof.L_fd_p, (plus - minus) / (2.0 * h), rtol=1e-15)
     np.testing.assert_allclose(prof.L_fd_pp, (plus - 2.0 * prof.L + minus) / h**2,
@@ -400,6 +405,53 @@ def test_sharp_bound_gap_preconditions():
         sharp_bound_gap(CANONICAL, FLAT_BIG, -1.0, -0.5)
     with pytest.raises(DomainError):
         sharp_bound_gap(CANONICAL, FLAT_BIG, -1.0, 0.5)
+
+
+def test_sharp_bound_quadrature_path_gates_on_the_curve_curvature():
+    # a non-radial field is traced: K ranges over the curve's points
+    u = catalog_field("perturbed_log", eps=0.1)
+    chart = ConformalChart(sphere_cap_factor(0.1), 0.5, 2.0)
+    k_max = np.max(chart.gauss_curvature(extract_level_curve(u, chart, 0.0, 512).points))
+    with pytest.raises(PreconditionError) as exc:
+        sharp_bound_gap(u, chart, 0.0, 0.0)
+    assert str(exc.value) == ("curvature bound violated on the level: "
+                              f"max K = {k_max:.6g} > kappa = 0")
+
+
+def test_quadrature_path_through_a_singular_point_raises():
+    # the level circle |z| = 1.5 has a sample on the factor's singular point
+    chart = ConformalChart(log_modulus_field(0.5, (1.5, 0.0)), 1.0, 2.0)
+    u = catalog_field("log")
+    for call in (lambda: sharp_bound_gap(u, chart, -np.log(1.5), 0.0),
+                 lambda: dlength_integral(u, chart, -np.log(1.5))):
+        with pytest.raises(SingularPointError, match="of singular point"):
+            call()
+
+
+@pytest.fixture
+def field_evaluations(monkeypatch):
+    """Point counts of every ScalarField evaluation, one entry per call."""
+    counts = []
+    for name in ("jet", "value", "gradient", "hessian", "laplacian"):
+        def counted(self, p, *args, _method=getattr(ScalarField, name), **kwargs):
+            counts.append(np.atleast_2d(np.asarray(p, dtype=float)).shape[0])
+            return _method(self, p, *args, **kwargs)
+        monkeypatch.setattr(ScalarField, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("call, max_calls, max_points", [
+    (lambda: sharp_bound_gap(ARCTAN, HYP, 1.0, -1.0), 9, 264),
+    (lambda: pinched_bound_check(ARCTAN, HYP, 1.0, 1.0, 1.0), 9, 264),
+    (lambda: sharp_bound_gap(CANONICAL, FLAT_BIG, -1.0, 0.0), 4, 4),
+], ids=["warped_sharp", "warped_pinched", "flat_sharp"])
+def test_radial_bound_checks_evaluation_budget(field_evaluations, call, max_calls,
+                                               max_points):
+    # boundary values, one located level and one point of integrands: no
+    # level curve is built
+    call()
+    assert len(field_evaluations) <= max_calls
+    assert sum(field_evaluations) <= max_points
 
 
 def test_pinched_bound_hyperbolic():

@@ -1,6 +1,8 @@
 """Exact answers and row independence of the batched quadrature rules, and
 the circle-length finish every circle integral shares."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import i0
@@ -116,13 +118,33 @@ def test_nested_levels_evaluate_each_finest_node_once():
     assert x.tobytes() == (np.arange(MAX_EVALS) * (2.0 * np.pi / MAX_EVALS)).tobytes()
 
 
+def test_diverged_rows_retire_at_their_first_non_finite_level():
+    # 1e308 at every node overflows the weighted level-0 sum to inf; the row
+    # is capped at once, while the other row of the batch converges
+    seen = []
+
+    def f(x, da, db, rows):
+        seen.append((x.size, np.arange(2)[rows].tolist()))
+        return np.stack([np.full(x.size, 1e308), da**-0.5])[rows]
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vals, capped = tanh_sinh(f, 0.0, 1.0)
+        inf_vals, inf_capped = periodic_trapezoid(
+            lambda x, rows: np.full((1, x.size), np.inf))
+    assert vals[0] == np.inf and capped.tolist() == [True, False]
+    assert vals[1] == pytest.approx(2.0, rel=1e-10)
+    # only the 21 level-0 nodes (|tau| <= 5 at h = 1/2), not the 40,961 of a cap
+    assert sum(n for n, rows in seen if 0 in rows) == seen[0][0] == 21
+    assert len(seen) > 1 and all(rows == [1] for _, rows in seen[1:])
+    assert inf_vals[0] == np.inf and inf_capped[0]
+
+
 # e^800 overflows: every circle integral of these factors is infinite
 HUGE_CONE = conical_factor(800.0, [((1.5, 0.0), 0.5)])
 HUGE_CHART = ConformalChart(log_modulus_field(800.0, (1.5, 0.0)), 1.0, 2.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in exp")
-@pytest.mark.filterwarnings("ignore:overflow encountered in multiply")
 @pytest.mark.parametrize("length_call", [
     lambda: length(extract_level_curve(catalog_field("log"), HUGE_CHART,
                                        -np.log(1.5), 256), HUGE_CHART),
