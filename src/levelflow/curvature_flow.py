@@ -44,7 +44,7 @@ import numpy as np
 from .charts import local_geometry
 from .errors import DomainError, LevelFlowError, PreconditionError
 from .fields import as_points
-from .levelsets import LengthProfile, extract_level_curve
+from .levelsets import LengthProfile, _level_curves, _screen_levels
 
 AUDIT_QUANTITIES = ("k", "h", "phi_k", "phi_h", "ln_abs_k", "ln_abs_h")
 
@@ -533,8 +533,9 @@ def logL_slope_bound(u, chart, profile: LengthProfile,
     # the representation L'(t) = -integral of k/|grad u| holds with no sign
     # hypotheses; verify it on every level of the profile
     ident_err = 0.0
-    for t, lp in zip(profile.t_grid, profile.Lp):
-        curve = extract_level_curve(u, chart, float(t), 512)
+    ts = profile.t_grid
+    for curve, lp in zip(_level_curves(u, chart, ts, _screen_levels(u, chart, ts), 512),
+                         profile.Lp):
         g = local_geometry(u, chart, curve.points)
         ident = float(np.sum(g.k / g.G * (g.level_weight * curve.weights)))
         ident_err = max(ident_err, abs(lp + ident))

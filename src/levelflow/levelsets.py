@@ -24,14 +24,14 @@ Fast-path integrand points skip the chart's domain check (the levels t +- h
 of a profile's FD columns may lie just outside); the points of a sampled
 level curve are checked.
 
-:func:`_level_values` is the one place that chooses between the exact
-radial fast path (radial fields on radial factors, and warped charts: the
-integrands and K are constant on each level circle, so all levels are
-located in one batched Newton solve, each by its own iteration, and
-integrated at one point each in one call) and quadrature over curves
-sampled one level at a time (spectrally accurate on radial circles, second
-order on traced curves, whose weights are averaged chord lengths).
-Profiles, bound checks and the integral formulas all read it.
+:func:`_screen_levels` screens an array of levels (the boundary values read
+once, radial levels located in one batched solve) and :func:`_level_values`
+chooses between the exact radial fast path (radial fields on radial
+factors, and warped charts: the integrands and K are constant on each level
+circle, so all levels are integrated at one point each in one call) and
+quadrature over the curves one level at a time (circles at the located
+radii, spectrally accurate; traced curves, second order).  Profiles, bound
+checks and the integral formulas, which take arrays of levels, read them.
 """
 
 from __future__ import annotations
@@ -44,9 +44,9 @@ from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
 from .charts import CRITICAL_GRAD, ConformalChart, _geometry
-from .errors import (CriticalPointError, DomainError, NormalizationError,
-                     PreconditionError, SingularPointError, SolverError,
-                     TopologyError)
+from .errors import (CriticalPointError, DomainError, LevelFlowError,
+                     NormalizationError, PreconditionError, SingularPointError,
+                     SolverError, TopologyError)
 from .fields import ScalarField
 from .harmonic import catalog_field
 from .quadrature import circle_length
@@ -91,11 +91,18 @@ def level_radius(u: ScalarField, chart, t: float) -> float:
     (with the tolerance of ``check_points``), whether the radius came in
     closed form or from the Newton solve.
     """
-    r = float(_level_radii(u, chart, np.array([t], dtype=float))[0])
+    return float(_located_radii(u, chart, np.array([t], dtype=float))[0])
+
+
+def _located_radii(u, chart, ts):
+    """:func:`_level_radii` with :func:`level_radius`'s on-chart check, the
+    first level off the chart raising."""
+    r = _level_radii(u, chart, ts)
     if chart.kind == "conformal" and chart.outer_radius is not None:
         eps = 1e-12 * max(1.0, chart.outer_radius)
-        if not chart.inner_radius - eps <= r <= chart.outer_radius + eps:
-            raise DomainError(f"no level {t} on the radial section")
+        off = ~((chart.inner_radius - eps <= r) & (r <= chart.outer_radius + eps))
+        if off.any():
+            raise DomainError(f"no level {ts[off][0]} on the radial section")
     return r
 
 
@@ -186,23 +193,32 @@ def extract_level_curve(u: ScalarField, chart, t: float,
     critical point raises; a level that runs into the domain boundary raises
     a topology error.
     """
-    if n_samples < 8:
-        raise DomainError("need at least 8 samples")
-    _screen_level(u, chart, t)
-    if u.radial:
-        return _circle_curve(chart, t, level_radius(u, chart, t), n_samples)
-    return _trace_level_curve(u, chart, t, n_samples)
+    ts = np.array([t], dtype=float)
+    return next(_level_curves(u, chart, ts, _screen_levels(u, chart, ts), n_samples))
 
 
-def _screen_level(u, chart, t) -> bool:
-    """Whether u has boundary values; DomainError if t is not strictly
-    between them, or for a non-radial field on a warped chart."""
+def _screen_levels(u, chart, ts):
+    """Radii of the levels ``ts`` (None for a non-radial field); DomainError
+    for the first level not strictly between u's boundary values, for a
+    non-radial field on a warped chart, or for the first level off the chart."""
     bv = boundary_values(u, chart)
-    if bv is not None and not min(bv) < t < max(bv):
-        raise DomainError(f"level {t} not strictly between boundary values {bv}")
+    if bv is not None:
+        out = ~((min(bv) < ts) & (ts < max(bv)))
+        if out.any():
+            raise DomainError(f"level {ts[out][0]} not strictly between boundary values {bv}")
     if chart.kind == "warped" and not u.radial:
         raise DomainError("warped charts support radial fields only")
-    return bv is not None
+    return _located_radii(u, chart, ts) if u.radial else None
+
+
+def _level_curves(u, chart, ts, radii, n_samples):
+    """The sampled curves of the levels ``ts``, one at a time: circles at
+    ``radii`` for a radial field, traced curves when ``radii`` is None."""
+    if n_samples < 8:
+        raise DomainError("need at least 8 samples")
+    if radii is None:
+        return (_trace_level_curve(u, chart, t, n_samples) for t in ts)
+    return (_circle_curve(chart, t, r, n_samples) for t, r in zip(ts, radii))
 
 
 def _circle_curve(chart, t, r, n_samples) -> LevelCurve:
@@ -367,49 +383,62 @@ def _radial_fast_path(u, chart, method="auto") -> bool:
             and not chart.singular_points)
 
 
-def _level_values(u, chart, ts, n_samples=512, method="auto"):
-    """(L, Lp, Lpp, aux, K_min, K_max) arrays, one entry per level of ``ts``:
-    the one choice between the radial fast path and curve quadrature.
+def _level_values(u, chart, ts, radii, n_samples=512, method="auto"):
+    """(L, Lp, Lpp, aux, K_min, K_max) arrays, one entry per level of ``ts``
+    at ``radii`` (None for a non-radial field): the one choice between the
+    radial fast path and curve quadrature.
 
-    The fast path locates all levels in one batched solve and evaluates
-    their integrands and K at (r, 0), one call for all; it screens nothing,
-    so callers check their levels first.  Otherwise each level is extracted
-    with ``n_samples`` points (which screens it), domain-checked and
+    It screens nothing, so callers check their levels first.  The fast path
+    evaluates the integrands and K at (r, 0), one call for all levels;
+    otherwise each level curve of ``n_samples`` points is domain-checked and
     integrated by quadrature, and K_min, K_max range over its points."""
     if _radial_fast_path(u, chart, method):
-        r = _level_radii(u, chart, ts)
         weight, i1, i2, iaux, K = _level_integrands(
-            u, chart, np.stack([r, np.zeros_like(r)], axis=-1))
-        L = 2.0 * np.pi * weight if chart.kind == "warped" else 2.0 * np.pi * r * weight
+            u, chart, np.stack([radii, np.zeros_like(radii)], axis=-1))
+        L = 2.0 * np.pi * weight if chart.kind == "warped" else 2.0 * np.pi * radii * weight
         return L, i1 * L, i2 * L, iaux * L, K, K
     rows = []
-    for t in ts:
-        curve = extract_level_curve(u, chart, t, n_samples)
+    for curve in _level_curves(u, chart, ts, radii, n_samples):
         e_phi, i1, i2, iaux, K = _level_integrands(u, chart,
                                                    chart.check_points(curve.points))
         dh1 = e_phi * curve.weights
         rows.append((np.sum(dh1), np.sum(i1 * dh1), np.sum(i2 * dh1),
                      np.sum(iaux * dh1), np.min(K), np.max(K)))
-    return tuple(np.array(col) for col in zip(*rows))
+    return tuple(np.reshape(rows, (-1, 6)).T)
 
 
-def _level_at(u, chart, t, n_samples=512):
-    """:func:`_level_values` at the level t, as floats, screened as
-    :func:`extract_level_curve` screens it (:class:`DomainError`)."""
-    if not _screen_level(u, chart, t) and u.radial:
-        level_radius(u, chart, t)
-    return tuple(float(v[0]) for v in
-                 _level_values(u, chart, np.array([t], dtype=float), n_samples))
+def _screened_values(u, chart, ts, n_samples=512):
+    """:func:`_level_values` at the levels ``ts``, screened by
+    :func:`_screen_levels`."""
+    return _level_values(u, chart, ts, _screen_levels(u, chart, ts), n_samples)
 
 
-def dlength_integral(u, chart, t, n_samples: int = 512) -> float:
-    """L'(t) from the level-curve integral formula."""
-    return _level_at(u, chart, t, n_samples)[1]
+def _over_levels(t, per_levels):
+    """``per_levels(ts)`` at t: a float for a scalar t, else one row per
+    level.  An array raises what the scalar call of its first failing level
+    raises, found by retrying the levels one at a time."""
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim == 0:
+        return float(per_levels(ts.reshape(1))[0])
+    try:
+        return per_levels(ts)
+    except LevelFlowError:
+        for level in ts:
+            per_levels(level.reshape(1))
+        raise
 
 
-def d2length_integral(u, chart, t, n_samples: int = 512) -> float:
-    """L''(t) from the level-curve integral formula."""
-    return _level_at(u, chart, t, n_samples)[2]
+def dlength_integral(u, chart, t, n_samples: int = 512):
+    """L'(t) from the level-curve integral formula: a float for a scalar t,
+    an array for an array of levels, which raises what the scalar call of
+    its first failing level raises."""
+    return _over_levels(t, lambda ts: _screened_values(u, chart, ts, n_samples)[1])
+
+
+def d2length_integral(u, chart, t, n_samples: int = 512):
+    """L''(t) from the level-curve integral formula, for t as in
+    :func:`dlength_integral`."""
+    return _over_levels(t, lambda ts: _screened_values(u, chart, ts, n_samples)[2])
 
 
 # ---------------------------------------------------------------------------
@@ -458,8 +487,8 @@ def length_profile(u, chart, t_grid: Sequence[float], n_samples: int = 512,
     """LengthProfile over ``t_grid`` with integral and finite-difference
     derivative columns (cross-check step defaults to 1e-3 of the grid span).
 
-    The levels t and t +- step go through one :func:`_level_values` call: on
-    the radial fast path they are located in one batched solve; a row
+    The levels t and t +- step go through one :func:`_level_values` call;
+    radial levels are located in one batched solve, on either path; a row
     depends only on its own level and the step, so profiles over pieces of
     a grid concatenate to the whole one.  A grid level off the chart raises
     :class:`DomainError`; the t +- step levels are not checked.
@@ -475,11 +504,12 @@ def length_profile(u, chart, t_grid: Sequence[float], n_samples: int = 512,
     elif u.radial:
         # radial harmonic fields are monotone in r: the extreme levels
         # bound the rest
-        level_radius(u, chart, t_grid.min())
-        level_radius(u, chart, t_grid.max())
+        _located_radii(u, chart, np.array([t_grid.min(), t_grid.max()]))
     h = fd_step if fd_step is not None else 1e-3 * (t_grid.max() - t_grid.min())
     levels = np.concatenate([t_grid, t_grid + h, t_grid - h])
-    L3, Lp, Lpp, aux, _, _ = _level_values(u, chart, levels, n_samples, method)
+    # unscreened; a non-radial field on a warped chart raises here
+    radii = _level_radii(u, chart, levels) if u.radial or chart.kind == "warped" else None
+    L3, Lp, Lpp, aux, _, _ = _level_values(u, chart, levels, radii, n_samples, method)
     L, Lplus, Lminus = np.split(L3, 3)
     Lp, Lpp, aux = (col[:t_grid.size] for col in (Lp, Lpp, aux))
     L_fd_p = (Lplus - Lminus) / (2.0 * h)
@@ -537,43 +567,56 @@ def log_convexity_check(profile: LengthProfile, tolerance: float = 1e-8
                            float(d2[j]), float(t[j + 1]), tolerance, passed)
 
 
-def sharp_bound_gap(u, chart, t, kappa: float) -> float:
+def sharp_bound_gap(u, chart, t, kappa: float):
     """(ln L)''(t) + (kappa / L) * integral of |grad u|^-2, for K <= kappa <= 0.
 
     The curvature bound is checked on the level's K; violation raises.
-    Equality (gap ~ 0) is attained on constant-curvature charts.
+    Equality (gap ~ 0) is attained on constant-curvature charts.  For t as
+    in :func:`dlength_integral`.
     """
     if kappa > 0:
         raise DomainError("kappa must be <= 0")
-    L, Lp, Lpp, aux, _, k_max = _level_at(u, chart, t)
-    if k_max > kappa + 1e-10 * max(1.0, abs(kappa)):
-        raise PreconditionError(
-            f"curvature bound violated on the level: max K = {k_max:.6g} > "
-            f"kappa = {kappa:.6g}")
-    return (Lpp * L - Lp**2) / L**2 + kappa * aux / L
+
+    def gaps(ts):
+        L, Lp, Lpp, aux, _, k_max = _screened_values(u, chart, ts)
+        over = k_max > kappa + 1e-10 * max(1.0, abs(kappa))
+        if over.any():
+            raise PreconditionError(
+                f"curvature bound violated on the level: max K = {k_max[over][0]:.6g} > "
+                f"kappa = {kappa:.6g}")
+        # squares through libm pow, as a float64 scalar does: numpy's array
+        # square differs from it in about one case in a thousand
+        return (Lpp * L - np.float_power(Lp, 2)) / np.float_power(L, 2) + kappa * aux / L
+
+    return _over_levels(t, gaps)
 
 
-def pinched_bound_check(u, chart, t, kappa1: float, kappa2: float) -> float:
+def pinched_bound_check(u, chart, t, kappa1: float, kappa2: float):
     """(ln L)''(t) - (kappa2/kappa1) / t^2 under -kappa1 <= K <= -kappa2 <= 0.
 
     Requires positive level values (u > 0); the pinching is checked on the
-    level's K and violations raise.
+    level's K and violations raise.  For t as in :func:`dlength_integral`.
     """
     if not (kappa1 >= kappa2 >= 0):
         raise DomainError("need kappa1 >= kappa2 >= 0")
-    if t <= 0:
-        raise PreconditionError("the bound needs positive level values")
-    L, Lp, Lpp, _, k_min, k_max = _level_at(u, chart, t)
-    if k_max > -kappa2 + 1e-10 or k_min < -kappa1 - 1e-10:
-        raise PreconditionError("pinching -kappa1 <= K <= -kappa2 violated on the level")
-    return (Lpp * L - Lp**2) / L**2 - (kappa2 / kappa1) / t**2
+
+    def margins(ts):
+        if np.any(ts <= 0):
+            raise PreconditionError("the bound needs positive level values")
+        L, Lp, Lpp, _, k_min, k_max = _screened_values(u, chart, ts)
+        if np.any((k_max > -kappa2 + 1e-10) | (k_min < -kappa1 - 1e-10)):
+            raise PreconditionError("pinching -kappa1 <= K <= -kappa2 violated on the level")
+        return ((Lpp * L - np.float_power(Lp, 2)) / np.float_power(L, 2)
+                - (kappa2 / kappa1) / np.float_power(ts, 2))
+
+    return _over_levels(t, margins)
 
 
-def asymptotic_defect(factor, t) -> float:
+def asymptotic_defect(factor, t):
     """e^{4t} (L L'' - (L')^2) for u = -ln|z| on a punctured-disc chart.
 
     Requires the normalisation phi(0) = 0, grad phi(0) = 0; as t grows the
-    value converges to -4 pi^2 K(0).
+    value converges to -4 pi^2 K(0).  For t as in :func:`dlength_integral`.
     """
     j0 = factor.jet(np.array([[0.0, 0.0]]), 1)
     if abs(j0.value[0]) > 1e-12 or np.max(np.abs(j0.grad[0])) > 1e-12:
@@ -581,5 +624,9 @@ def asymptotic_defect(factor, t) -> float:
             "factor must satisfy phi(0) = 0 and grad phi(0) = 0")
     chart = ConformalChart(factor, inner_radius=0.0, outer_radius=None)
     u = catalog_field("log", c=-1.0)
-    L, Lp, Lpp = _level_at(u, chart, t, 2048)[:3]
-    return float(np.exp(4.0 * t) * (L * Lpp - Lp**2))
+
+    def defects(ts):
+        L, Lp, Lpp = _screened_values(u, chart, ts, 2048)[:3]
+        return np.exp(4.0 * ts) * (L * Lpp - np.float_power(Lp, 2))
+
+    return _over_levels(t, defects)

@@ -77,8 +77,8 @@ def hyperbolic(grid=None, t_bounds=(-3.0, 3.0)) -> Scenario:
 def pinched_margins(sc: Scenario) -> np.ndarray:
     """(ln L)'' - 1/s^2 under -1 <= K <= -1 at 100 levels spaced evenly on
     [0.1, pi - 0.1] of the default :func:`hyperbolic` cylinder ``sc``."""
-    return np.array([ls.pinched_bound_check(sc.u, sc.chart, float(s), 1.0, 1.0)
-                     for s in np.linspace(0.1, np.pi - 0.1, 100)])
+    return ls.pinched_bound_check(sc.u, sc.chart, np.linspace(0.1, np.pi - 0.1, 100),
+                                  1.0, 1.0)
 
 
 def sphere_cap(c: float = -1.0, bounds=(1.0, np.e), levels: int = 50) -> Scenario:
@@ -127,5 +127,4 @@ def counterexample(c: float = -0.1, radii=(0.05, 0.04, 0.03, 0.02, 0.01)) -> Sce
     factor = radial_log_field(0.0, 1.0, c)
     return Scenario(chart=ConformalChart(factor, 0.0, None), u=catalog_field("log"),
                     grid=ls.inset_grid(3.0, 4.6, 24),
-                    defects=[ls.asymptotic_defect(factor, float(-np.log(r)))
-                             for r in radii])
+                    defects=ls.asymptotic_defect(factor, -np.log(radii)).tolist())

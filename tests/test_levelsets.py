@@ -12,10 +12,11 @@ from levelflow import (ConformalChart, DirichletSpec, DomainError,
                        asymptotic_defect, catalog_field, d2length_integral,
                        dlength_integral, extract_level_curve, flat_factor,
                        inset_grid, length, length_profile, level_radius,
-                       log_convexity_check, log_modulus_field, pinched_bound_check,
-                       radial_log_field, second_divided_differences,
-                       sharp_bound_gap, solve_annulus_dirichlet, sphere_cap_factor)
-from levelflow import levelsets
+                       log_convexity_check, log_modulus_field, logL_slope_bound,
+                       pinched_bound_check, radial_log_field,
+                       second_divided_differences, sharp_bound_gap,
+                       solve_annulus_dirichlet, sphere_cap_factor)
+from levelflow import levelsets, scenarios
 
 FLAT_BIG = ConformalChart(flat_factor(), 1.0, np.e**2)
 CANONICAL = solve_annulus_dirichlet(DirichletSpec(np.e**2, 0.0, -2.0))
@@ -224,7 +225,9 @@ BATCHED_CASES = pytest.mark.parametrize("u, chart, grid", [
 
 def one_level(u, chart, t):
     """(L, Lp, Lpp, aux, K_min, K_max) of the level t alone."""
-    return [float(v[0]) for v in levelsets._level_values(u, chart, np.array([t]))]
+    ts = np.array([t])
+    radii = levelsets._level_radii(u, chart, ts)
+    return [float(v[0]) for v in levelsets._level_values(u, chart, ts, radii)]
 
 
 @BATCHED_CASES
@@ -473,6 +476,95 @@ def test_pinched_bound_preconditions():
         pinched_bound_check(ARCTAN, HYP, np.pi / 2, 0.5, 0.5)  # K = -1 < -0.5
     with pytest.raises(DomainError):
         pinched_bound_check(ARCTAN, HYP, np.pi / 2, 1.0, 2.0)
+
+
+# ---------------------------------------------------------------------------
+# level arrays
+# ---------------------------------------------------------------------------
+
+DISC = ConformalChart(flat_factor(), 0.0, 4.0)
+# a radial field on a non-radial factor: circles integrated by quadrature
+OFF_CENTRE = ConformalChart(log_modulus_field(1.0, (1.5, 0.0)), 0.2, 1.2)
+
+# (u, chart, levels, kappa for the sharp bound, positive levels and
+# (kappa1, kappa2) for the pinched bound)
+ARRAY_CASES = pytest.mark.parametrize("u, chart, levels, kappa, positive, pinch", [
+    (ARCTAN, HYP, [0.3, 1.0, np.pi / 2, 2.9], -1.0, [0.3, 1.0, 2.9], (1.0, 1.0)),
+    (CANONICAL, FLAT_BIG, [-1.9, -1.0, -0.1], 0.0, None, None),
+    (log_modulus_field(1.0), DISC, [-2.0, 0.0, 1.3], 0.0, [0.2, 1.3], (1.0, 0.0)),
+    (catalog_field("log"), OFF_CENTRE, [-0.1, np.log(2.0), 1.5], 0.0, [0.1, 1.5],
+     (1.0, 0.0)),
+], ids=["warped", "flat_dirichlet", "punctured_disc", "off_centre_quadrature"])
+
+
+def assert_rows_are_scalar_calls(call, levels):
+    rows = call(np.array(levels))
+    singles = [call(t) for t in levels]
+    assert all(type(v) is float for v in singles)
+    assert rows.tobytes() == np.array(singles).tobytes()
+
+
+@ARRAY_CASES
+def test_level_array_rows_equal_scalar_calls(u, chart, levels, kappa, positive, pinch):
+    assert_rows_are_scalar_calls(lambda t: dlength_integral(u, chart, t), levels)
+    assert_rows_are_scalar_calls(lambda t: d2length_integral(u, chart, t), levels)
+    assert_rows_are_scalar_calls(lambda t: sharp_bound_gap(u, chart, t, kappa), levels)
+    if positive is not None:
+        assert_rows_are_scalar_calls(
+            lambda t: pinched_bound_check(u, chart, t, *pinch), positive)
+
+
+@pytest.mark.parametrize("factor", [radial_log_field(0.0, 1.0, -0.1),
+                                    catalog_field("re_poly", n=2)],
+                         ids=["radial", "quadrature"])
+def test_asymptotic_defect_array_rows_equal_scalar_calls(factor):
+    assert_rows_are_scalar_calls(lambda t: asymptotic_defect(factor, t), [3.0, 4.0])
+
+
+def scalar_error(call):
+    with pytest.raises(Exception) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+@pytest.mark.parametrize("call, levels, first_failing", [
+    # K = 0 > kappa on every level; the screen alone would name the level 0.5
+    (lambda t: sharp_bound_gap(CANONICAL, FLAT_BIG, t, -0.5), [-1.0, 0.5], -1.0),
+    (lambda t: sharp_bound_gap(CANONICAL, FLAT_BIG, t, 0.0), [-1.0, 0.5, -3.0], 0.5),
+    (lambda t: pinched_bound_check(ARCTAN, HYP, t, 1.0, 1.0), [1.0, 2.0, -0.5], -0.5),
+    # the t <= 0 check alone would name -0.5, but 3.5 fails first
+    (lambda t: pinched_bound_check(ARCTAN, HYP, t, 1.0, 1.0), [1.0, 3.5, -0.5], 3.5),
+    (lambda t: dlength_integral(log_modulus_field(1.0), DISC, t), [1.0, 2.0, 3.0], 2.0),
+    (lambda t: d2length_integral(catalog_field("log"), DISC, t), [-1.0, -2.0], -2.0),
+], ids=["K_then_off_chart", "boundary_values", "pinched_nonpositive",
+        "off_chart_then_nonpositive", "radial_section", "closed_form_off_chart"])
+def test_level_array_raises_its_first_failing_level(call, levels, first_failing):
+    want = scalar_error(lambda: call(first_failing))
+    assert scalar_error(lambda: call(np.array(levels))) == want
+    for t in levels[:levels.index(first_failing)]:
+        call(t)
+
+
+def test_level_screen_evaluation_budget(field_evaluations):
+    # boundary values once, one radius solve for all levels, then each level's
+    # integrands (fast path) or curve points (quadrature, slope identity)
+    flat, hyp = scenarios.flat(), scenarios.hyperbolic()
+    cases = [
+        ("pinched_margins", lambda: scenarios.pinched_margins(hyp), 10, 900),
+        ("disc_sharp", lambda: sharp_bound_gap(log_modulus_field(1.0), DISC, 1.0, 0.0),
+         8, 263),
+        ("quadrature_profile", lambda: length_profile(flat.u, flat.chart, flat.grid,
+                                                      method="quadrature"), 302, 153_602),
+    ]
+    for name, sc in (("slope_flat", flat), ("slope_hyperbolic", hyp)):
+        prof = sc.profile
+        cases.append((name, lambda sc=sc, prof=prof: logL_slope_bound(sc.u, sc.chart, prof),
+                      2 * sc.grid.size + 12, 71_682))
+    for label, call, max_calls, max_points in cases:
+        field_evaluations.clear()
+        call()
+        assert len(field_evaluations) <= max_calls, label
+        assert sum(field_evaluations) <= max_points, label
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,12 @@ OUT (created; it must not exist yet) receives
 * ``levels.txt``: the repr of ``sharp_bound_gap``, ``pinched_bound_check``,
   ``asymptotic_defect``, ``dlength_integral`` and ``d2length_integral`` at
   fixed inputs (fast path, quadrature path and raising inputs), or the
-  class and message of what they raise.
+  class and message of what they raise, likewise for raising
+  ``length_profile`` calls, then the ``identity_max_err`` of
+  ``logL_slope_bound`` for the flat, hyperbolic and sphere-cap scenarios;
+* ``profiles/<name>_quadrature.csv``: quadrature-path ``length_profile``
+  CSVs of the flat Dirichlet field, of ``log`` on the sphere cap and of
+  ``log`` on a chart whose factor is centred off the origin.
 
 The package is imported from the Python path, so two source trees compare
 byte for byte with
@@ -47,8 +52,10 @@ def _run(args, cwd: Path) -> str:
 
 
 def _level_calls():
-    """(label, call) pairs covering the five level functions."""
+    """(label, call) pairs covering the five level functions, raising
+    profiles and the slope-bound identity."""
     import levelflow as lf
+    from levelflow import scenarios
 
     hyp = lf.WarpedChart.cosh_cylinder(2.0 / (2 * np.pi), -3.0, 3.0)
     arctan = lf.catalog_field("warped_arctan")
@@ -107,6 +114,17 @@ def _level_calls():
         ("asymptotic_defect(log_modulus(1, (0.5, 0)), 4)",
          lambda: lf.asymptotic_defect(lf.log_modulus_field(1.0, (0.5, 0.0)), 4.0)),
     ]
+    lm = lf.log_modulus_field(1.0)
+    calls += [
+        ("sharp_bound_gap(log_modulus, disc, 1, 0)",
+         lambda: lf.sharp_bound_gap(lm, disc, 1.0, 0.0)),
+        ("sharp_bound_gap(log_modulus, disc, 2, 0)",
+         lambda: lf.sharp_bound_gap(lm, disc, 2.0, 0.0)),
+        ("pinched_bound_check(log_modulus, disc, 1, 1, 0)",
+         lambda: lf.pinched_bound_check(lm, disc, 1.0, 1.0, 0.0)),
+        ("pinched_bound_check(log_modulus, disc, 2, 1, 0)",
+         lambda: lf.pinched_bound_check(lm, disc, 2.0, 1.0, 0.0)),
+    ]
     integral_cases = [
         ("canonical, flat, -1.5", canonical, flat, -1.5, 512),
         ("arctan, hyp, 0.7", arctan, hyp, 0.7, 512),
@@ -114,6 +132,8 @@ def _level_calls():
         ("log, cap, -ln 1.5", log, cap, -np.log(1.5), 512),
         ("log, cap, -5", log, cap, -5.0, 512),
         ("log, disc, 2", log, disc, 2.0, 512),
+        ("log_modulus, disc, 1", lm, disc, 1.0, 512),
+        ("log_modulus, disc, 2", lm, disc, 2.0, 512),
         ("log, off_centre, ln 2", log, off_centre, np.log(2.0), 512),
         ("log, off_centre, ln 2, 1024", log, off_centre, np.log(2.0), 1024),
         ("traced, cap_wide, 0", traced, cap_wide, 0.0, 512),
@@ -126,6 +146,15 @@ def _level_calls():
         for fn in (lf.dlength_integral, lf.d2length_integral):
             calls.append((f"{fn.__name__}({label})",
                           lambda fn=fn, u=u, chart=chart, t=t, n=n: fn(u, chart, t, n)))
+    calls += [
+        ("length_profile(log_modulus, disc, linspace(1, 2, 8))",
+         lambda: lf.length_profile(lm, disc, np.linspace(1.0, 2.0, 8))),
+        ("length_profile(log, disc, linspace(-2, -1, 8))",
+         lambda: lf.length_profile(log, disc, np.linspace(-2.0, -1.0, 8))),
+    ]
+    for name in ("flat", "hyperbolic", "sphere_cap"):
+        calls.append((f"scenarios.{name}().slope.identity_max_err",
+                      lambda name=name: getattr(scenarios, name)().slope.identity_max_err))
     return calls
 
 
@@ -138,6 +167,20 @@ def _levels_text() -> str:
             got = f"raises {type(exc).__name__}: {exc}"
         lines.append(f"{label} -> {got}\n")
     return "".join(lines)
+
+
+def _write_profiles(out: Path) -> None:
+    """Quadrature-path profile CSVs under out."""
+    import levelflow as lf
+    from levelflow import scenarios
+
+    flat, cap = scenarios.flat(), scenarios.sphere_cap()
+    off_centre = lf.ConformalChart(lf.log_modulus_field(1.0, (1.5, 0.0)), 0.2, 1.2)
+    cases = [("flat", flat.u, flat.chart, flat.grid), ("sphere_cap", cap.u, cap.chart, cap.grid),
+             ("off_centre", lf.catalog_field("log"), off_centre, np.linspace(-0.1, 1.5, 8))]
+    for name, u, chart, grid in cases:
+        lf.length_profile(u, chart, grid, method="quadrature").to_csv(
+            out / f"{name}_quadrature.csv")
 
 
 def main(argv) -> int:
@@ -155,6 +198,8 @@ def main(argv) -> int:
     for demo in sorted((ROOT / "demos").glob("*.py")):
         (out / "demos" / f"{demo.stem}.txt").write_text(_run([str(demo)], out / "demos"))
     (out / "levels.txt").write_text(_levels_text())
+    (out / "profiles").mkdir()
+    _write_profiles(out / "profiles")
     return 0
 
 
