@@ -44,7 +44,7 @@ import numpy as np
 from .charts import local_geometry
 from .errors import DomainError, LevelFlowError, PreconditionError
 from .fields import as_points
-from .levelsets import LengthProfile, _level_curves, _screen_levels
+from .levelsets import LengthProfile, _integrate_levels, _level_points, _screen_levels
 
 AUDIT_QUANTITIES = ("k", "h", "phi_k", "phi_h", "ln_abs_k", "ln_abs_h")
 
@@ -511,8 +511,8 @@ def logL_slope_bound(u, chart, profile: LengthProfile,
     <grad K, grad u> <= 0, k >= 0) bounds it by -inf_boundary k/|grad u|,
     audited over the full chart annulus.  Also verifies, per level, the
     identity L'(t) = -integral of (k/|grad u|) over the level curve, on 512
-    points per level, to ``identity_tolerance``.  The boundary carries 1024
-    points per circle.
+    points per level (integrated as the profile's quadrature path does), to
+    ``identity_tolerance``.  The boundary carries 1024 points per circle.
     """
     tolerance = 1e-9
     if chart.kind == "conformal":
@@ -532,13 +532,10 @@ def logL_slope_bound(u, chart, profile: LengthProfile,
 
     # the representation L'(t) = -integral of k/|grad u| holds with no sign
     # hypotheses; verify it on every level of the profile
-    ident_err = 0.0
     ts = profile.t_grid
-    for curve, lp in zip(_level_curves(u, chart, ts, _screen_levels(u, chart, ts), 512),
-                         profile.Lp):
-        g = local_geometry(u, chart, curve.points)
-        ident = float(np.sum(g.k / g.G * (g.level_weight * curve.weights)))
-        ident_err = max(ident_err, abs(lp + ident))
+    pts, weights = _level_points(u, chart, ts, _screen_levels(u, chart, ts), 512)
+    ident = _integrate_levels(u, chart, pts, weights, lambda g: (g.k / g.G,))[1]
+    ident_err = np.max(np.abs(profile.Lp + ident))
 
     inf_bnd = float(np.min((geo.k / geo.G)[interior.shape[0]:]))
     if flags["K"]["nonpos"] and flags["pairing_grad_u"]["nonpos"]:

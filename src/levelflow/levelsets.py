@@ -20,18 +20,18 @@ flat annulus: u = -ln|z| gives L(t) = 2 pi e^{-t} and L'(t) = -2 pi e^{-t}.
 The integrands read G, <grad u, grad G>_g, |grad G|_g^2, K and the length
 element from the local geometry of :mod:`levelflow.charts`, which also
 applies the critical-point floor ``CRITICAL_GRAD`` that the tracer here uses.
-Fast-path integrand points skip the chart's domain check (the levels t +- h
-of a profile's FD columns may lie just outside); the points of a sampled
-level curve are checked.
 
 :func:`_screen_levels` screens an array of levels (the boundary values read
-once, radial levels located in one batched solve) and :func:`_level_values`
-chooses between the exact radial fast path (radial fields on radial
-factors, and warped charts: the integrands and K are constant on each level
-circle, so all levels are integrated at one point each in one call) and
-quadrature over the curves one level at a time (circles at the located
-radii, spectrally accurate; traced curves, second order).  Profiles, bound
-checks and the integral formulas, which take arrays of levels, read them.
+once, radial levels located in one batched solve).  :func:`_level_points`
+stacks the points and weights of all their curves (circles at the located
+radii, spectrally accurate; traced curves, second order, traced one at a
+time) and :func:`_integrate_levels` integrates them over blocks of whole
+levels of at most ``MAX_POINTS`` points.  The exact radial fast path
+(radial fields on radial factors, and warped charts) is its one-point case;
+its points skip the chart's domain check (the levels t +- h of a profile
+may lie just off the chart), those of a sampled curve are checked.
+Profiles, bound checks, the integral formulas and the slope identity of
+:func:`~levelflow.curvature_flow.logL_slope_bound` read them.
 """
 
 from __future__ import annotations
@@ -55,6 +55,9 @@ CSV_COLUMNS = ("t", "L", "Lp", "Lpp", "lnL_pp", "L_fd_p", "L_fd_pp", "aux_invgra
 
 _LEVEL_TOL_FRAC = 1e-9
 
+#: most points of one geometry evaluation over a set of level curves
+MAX_POINTS = 1 << 14
+
 
 @dataclass(frozen=True)
 class LevelCurve:
@@ -67,7 +70,6 @@ class LevelCurve:
     level: float
     points: np.ndarray   # (n, 2) chart coordinates
     weights: np.ndarray  # (n,) positive, summing to the coordinate length
-    closed: bool = True
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +196,8 @@ def extract_level_curve(u: ScalarField, chart, t: float,
     a topology error.
     """
     ts = np.array([t], dtype=float)
-    return next(_level_curves(u, chart, ts, _screen_levels(u, chart, ts), n_samples))
+    pts, w = _level_points(u, chart, ts, _screen_levels(u, chart, ts), n_samples)
+    return LevelCurve(ts[0], pts[0], w[0])
 
 
 def _screen_levels(u, chart, ts):
@@ -211,26 +214,29 @@ def _screen_levels(u, chart, ts):
     return _located_radii(u, chart, ts) if u.radial else None
 
 
-def _level_curves(u, chart, ts, radii, n_samples):
-    """The sampled curves of the levels ``ts``, one at a time: circles at
-    ``radii`` for a radial field, traced curves when ``radii`` is None."""
+def _level_points(u, chart, ts, radii, n_samples):
+    """(m, n_samples, 2) points and (m, n_samples) coordinate arclength
+    weights of the m level curves ``ts``: circles at ``radii``, or curves
+    traced one at a time and stacked when ``radii`` is None (non-radial u)."""
     if n_samples < 8:
         raise DomainError("need at least 8 samples")
     if radii is None:
-        return (_trace_level_curve(u, chart, t, n_samples) for t in ts)
-    return (_circle_curve(chart, t, r, n_samples) for t, r in zip(ts, radii))
+        curves = [_trace_level_curve(u, chart, t, n_samples) for t in ts]
+        return (np.reshape([c.points for c in curves], (-1, n_samples, 2)),
+                np.reshape([c.weights for c in curves], (-1, n_samples)))
+    return _circle_points(chart, radii, n_samples)
 
 
-def _circle_curve(chart, t, r, n_samples) -> LevelCurve:
-    """The radial level at radial coordinate r, sampled uniformly in angle."""
+def _circle_points(chart, radii, n_samples):
+    """:func:`_level_points` of the radial levels at ``radii``, sampled
+    uniformly in angle from theta = 0."""
     theta = np.arange(n_samples) * (2.0 * np.pi / n_samples)
+    r = radii[:, None]
     if chart.kind == "warped":
-        pts = np.stack([np.full(n_samples, r), theta], axis=-1)
-        w = np.full(n_samples, 2.0 * np.pi / n_samples)
-        return LevelCurve(t, pts, w)
+        pts = np.stack(np.broadcast_arrays(r, theta), axis=-1)
+        return pts, np.full(pts.shape[:2], 2.0 * np.pi / n_samples)
     pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-    w = np.full(n_samples, 2.0 * np.pi * r / n_samples)
-    return LevelCurve(t, pts, w)
+    return pts, np.repeat(2.0 * np.pi * r / n_samples, n_samples, axis=1)
 
 
 def _seed_on_level(u, chart, t):
@@ -302,10 +308,10 @@ def _trace_level_curve(u, chart, t, n_samples):
         raise TopologyError("level tracing did not close up")
 
     raw = np.array(pts)
-    seg = np.hypot(*np.diff(np.vstack([raw, raw[:1]]), axis=0).T)
+    closed = np.vstack([raw, raw[:1]])
+    seg = np.hypot(*np.diff(closed, axis=0).T)
     sigma = np.concatenate([[0.0], np.cumsum(seg)])
     total = sigma[-1]
-    closed = np.vstack([raw, raw[:1]])
     sx = CubicSpline(sigma, closed[:, 0], bc_type="periodic")
     sy = CubicSpline(sigma, closed[:, 1], bc_type="periodic")
     s_new = np.arange(n_samples) * (total / n_samples)
@@ -330,18 +336,11 @@ def length(curve: LevelCurve, chart) -> float:
         w, = chart.warp_jet(curve.points[:1, 0], 0)
         return float(w[0] * np.sum(curve.weights))
     pts = curve.points
-    near = _near_singular(chart, pts)
-    if near:
+    if any(np.min(np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1])) < 1e-6
+           for q in chart.singular_points):
         return _singular_circle_length(chart, curve)
     phi = chart.factor.jet(pts, 0).value
     return float(np.sum(np.exp(phi) * curve.weights))
-
-
-def _near_singular(chart, pts) -> bool:
-    for q in chart.singular_points:
-        if np.min(np.hypot(pts[:, 0] - q[0], pts[:, 1] - q[1])) < 1e-6:
-            return True
-    return False
 
 
 def _singular_circle_length(chart, curve) -> float:
@@ -354,8 +353,7 @@ def _singular_circle_length(chart, curve) -> float:
         raise SingularPointError(
             "curve passes near a singular point and is not a circle; "
             "adaptive escalation supports circles only")
-    sing = [q for q in chart.singular_points]
-    angles = [np.arctan2(q[1], q[0]) for q in sing
+    angles = [np.arctan2(q[1], q[0]) for q in chart.singular_points
               if abs(np.hypot(*q) - r) < 1e-3 * max(1.0, r)]
 
     def log_f(th, _anchor, _delta, _rows):
@@ -365,46 +363,45 @@ def _singular_circle_length(chart, curve) -> float:
     return circle_length(log_f, angles, r, "singular circle length")
 
 
-def _level_integrands(u, chart, pts):
-    """Per-point (length element, I1, I2, Iaux, K): e^phi (or w), the L',
-    L'' and 1/|grad u|^2 integrands and the Gauss curvature, without the
-    chart's domain check."""
-    geo = _geometry(u, chart, pts)
-    G = geo.G
-    return (geo.level_weight, -geo.pairing_G / G**3,
-            geo.grad_G_sq / G**4 - geo.K / G**2, 1.0 / G**2, geo.K)
-
-
-def _radial_fast_path(u, chart, method="auto") -> bool:
-    """Whether the integrands are constant on every level circle."""
-    if chart.kind == "warped":
-        return True
-    return (method == "auto" and u.radial and chart.factor.radial
-            and not chart.singular_points)
+def _integrate_levels(u, chart, pts, weights, integrands, checked=True):
+    """(L, the integral of each of ``integrands(geo)``, K_min, K_max) per
+    level of the (m, n, 2) points ``pts`` with (m, n) coordinate weights,
+    dH^1 = level_weight * weight.  The geometry is evaluated over blocks of
+    whole levels (one empty block if m = 0) of at most ``MAX_POINTS`` points
+    (one level if it alone has more), each domain-checked first if
+    ``checked``; a row depends only on its level."""
+    m, n = weights.shape
+    step = max(1, MAX_POINTS // n)
+    blocks = []
+    for i in range(0, max(m, 1), step):
+        p = pts[i:i + step].reshape(-1, 2)
+        geo = _geometry(u, chart, chart.check_points(p) if checked else p)
+        dh1 = geo.level_weight * weights[i:i + step].reshape(-1)
+        terms = (dh1, *(f * dh1 for f in integrands(geo)))
+        K = geo.K.reshape(-1, n)
+        blocks.append(np.array([a.reshape(-1, n).sum(axis=1) for a in terms]
+                               + [K.min(axis=1), K.max(axis=1)]))
+    return tuple(np.concatenate(blocks, axis=1))
 
 
 def _level_values(u, chart, ts, radii, n_samples=512, method="auto"):
     """(L, Lp, Lpp, aux, K_min, K_max) arrays, one entry per level of ``ts``
-    at ``radii`` (None for a non-radial field): the one choice between the
-    radial fast path and curve quadrature.
+    at ``radii`` (None for a non-radial field), from :func:`_integrate_levels`;
+    it screens nothing, so callers check their levels first.
 
-    It screens nothing, so callers check their levels first.  The fast path
-    evaluates the integrands and K at (r, 0), one call for all levels;
-    otherwise each level curve of ``n_samples`` points is domain-checked and
-    integrated by quadrature, and K_min, K_max range over its points."""
-    if _radial_fast_path(u, chart, method):
-        weight, i1, i2, iaux, K = _level_integrands(
-            u, chart, np.stack([radii, np.zeros_like(radii)], axis=-1))
-        L = 2.0 * np.pi * weight if chart.kind == "warped" else 2.0 * np.pi * radii * weight
-        return L, i1 * L, i2 * L, iaux * L, K, K
-    rows = []
-    for curve in _level_curves(u, chart, ts, radii, n_samples):
-        e_phi, i1, i2, iaux, K = _level_integrands(u, chart,
-                                                   chart.check_points(curve.points))
-        dh1 = e_phi * curve.weights
-        rows.append((np.sum(dh1), np.sum(i1 * dh1), np.sum(i2 * dh1),
-                     np.sum(iaux * dh1), np.min(K), np.max(K)))
-    return tuple(np.reshape(rows, (-1, 6)).T)
+    On the radial fast path (integrands and K constant on each level circle)
+    a level is the one unchecked point (r, 0) of weight 2 pi r (2 pi on
+    warped charts) and ``n_samples`` is ignored; otherwise each curve has
+    ``n_samples`` domain-checked points."""
+    def integrands(g):  # of L', L'' and 1/|grad u|^2
+        return -g.pairing_G / g.G**3, g.grad_G_sq / g.G**4 - g.K / g.G**2, 1.0 / g.G**2
+
+    if chart.kind == "warped" or (method == "auto" and u.radial and chart.factor.radial
+                                  and not chart.singular_points):
+        return _integrate_levels(u, chart, *_circle_points(chart, radii, 1), integrands,
+                                 checked=False)
+    return _integrate_levels(u, chart, *_level_points(u, chart, ts, radii, n_samples),
+                             integrands)
 
 
 def _screened_values(u, chart, ts, n_samples=512):
@@ -576,6 +573,9 @@ def sharp_bound_gap(u, chart, t, kappa: float):
     """
     if kappa > 0:
         raise DomainError("kappa must be <= 0")
+    if not np.isfinite(kappa):
+        # NaN passes the sign test, and -inf would make the K <= kappa gate NaN
+        raise DomainError(f"kappa must be finite, got {kappa}")
 
     def gaps(ts):
         L, Lp, Lpp, aux, _, k_max = _screened_values(u, chart, ts)
@@ -599,6 +599,8 @@ def pinched_bound_check(u, chart, t, kappa1: float, kappa2: float):
     """
     if not (kappa1 >= kappa2 >= 0):
         raise DomainError("need kappa1 >= kappa2 >= 0")
+    if kappa1 == 0:
+        raise DomainError("need kappa1 > 0: the bound divides by kappa1")
 
     def margins(ts):
         if np.any(ts <= 0):

@@ -37,7 +37,6 @@ def test_extract_radial_circle_exact():
     curve = extract_level_curve(CANONICAL, FLAT_BIG, -t, 256)
     r = np.hypot(curve.points[:, 0], curve.points[:, 1])
     assert np.max(np.abs(r - np.exp(t))) <= 1e-10
-    assert curve.closed
     assert np.all(curve.weights > 0)
     assert np.sum(curve.weights) == pytest.approx(2 * np.pi * np.exp(t), rel=1e-12)
 
@@ -215,12 +214,15 @@ def test_derivative_formulas_fd_convergence_order():
 
 
 # log_modulus_field is radial without log_radial_coeffs, so its levels go
-# through the Newton solve like the warped ones
+# through the Newton solve like the warped ones; on the off-centre factor the
+# 60 circles of 512 points (30,720) take more than one capped evaluation
 BATCHED_CASES = pytest.mark.parametrize("u, chart, grid", [
     (ARCTAN, HYP, inset_grid(0.4, np.pi - 0.4, 20)),
     (log_modulus_field(), ConformalChart(flat_factor(), 0.5, 3.0),
      inset_grid(np.log(0.5), np.log(3.0), 20)),
-], ids=["warped_arctan", "flat_log_modulus"])
+    (catalog_field("log"), ConformalChart(log_modulus_field(1.0, (1.5, 0.0)), 0.2, 1.2),
+     inset_grid(-np.log(1.2), np.log(5.0), 20)),
+], ids=["warped_arctan", "flat_log_modulus", "off_centre_quadrature"])
 
 
 def one_level(u, chart, t):
@@ -235,13 +237,12 @@ def test_batched_profile_rows_match_single_levels(u, chart, grid):
     prof = length_profile(u, chart, grid)
     single = np.array([one_level(u, chart, t)[:4] for t in grid])
     batched = np.stack([prof.L, prof.Lp, prof.Lpp, prof.aux_invgrad2], axis=-1)
-    np.testing.assert_allclose(batched, single, rtol=1e-15, atol=0.0)
+    assert batched.tobytes() == single.tobytes()
     h = prof.meta["fd_step"]
     plus, minus = (np.array([one_level(u, chart, t + s)[0] for t in grid])
                    for s in (h, -h))
-    np.testing.assert_allclose(prof.L_fd_p, (plus - minus) / (2.0 * h), rtol=1e-15)
-    np.testing.assert_allclose(prof.L_fd_pp, (plus - 2.0 * prof.L + minus) / h**2,
-                               rtol=1e-15)
+    assert prof.L_fd_p.tobytes() == ((plus - minus) / (2.0 * h)).tobytes()
+    assert prof.L_fd_pp.tobytes() == ((plus - 2.0 * prof.L + minus) / h**2).tobytes()
 
 
 @BATCHED_CASES
@@ -408,6 +409,10 @@ def test_sharp_bound_gap_preconditions():
         sharp_bound_gap(CANONICAL, FLAT_BIG, -1.0, -0.5)
     with pytest.raises(DomainError):
         sharp_bound_gap(CANONICAL, FLAT_BIG, -1.0, 0.5)
+    # NaN passes kappa > 0, and -inf made the K <= kappa gate NaN: K = 0 passed
+    for kappa in (np.nan, -np.inf):
+        with pytest.raises(DomainError, match="kappa must be finite"):
+            sharp_bound_gap(CANONICAL, FLAT_BIG, -1.0, kappa)
 
 
 def test_sharp_bound_quadrature_path_gates_on_the_curve_curvature():
@@ -476,6 +481,10 @@ def test_pinched_bound_preconditions():
         pinched_bound_check(ARCTAN, HYP, np.pi / 2, 0.5, 0.5)  # K = -1 < -0.5
     with pytest.raises(DomainError):
         pinched_bound_check(ARCTAN, HYP, np.pi / 2, 1.0, 2.0)
+    # K = 0 meets -0 <= K <= -0; the bound's kappa2 / kappa1 is undefined
+    with pytest.raises(DomainError, match="kappa1 > 0"):
+        pinched_bound_check(solve_annulus_dirichlet(DirichletSpec(np.e, 1.0, 2.0)),
+                            ConformalChart(flat_factor(), 1.0, np.e), 1.5, 0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -506,6 +515,7 @@ def assert_rows_are_scalar_calls(call, levels):
 
 @ARRAY_CASES
 def test_level_array_rows_equal_scalar_calls(u, chart, levels, kappa, positive, pinch):
+    assert dlength_integral(u, chart, np.array([])).shape == (0,)
     assert_rows_are_scalar_calls(lambda t: dlength_integral(u, chart, t), levels)
     assert_rows_are_scalar_calls(lambda t: d2length_integral(u, chart, t), levels)
     assert_rows_are_scalar_calls(lambda t: sharp_bound_gap(u, chart, t, kappa), levels)
@@ -554,17 +564,21 @@ def test_level_screen_evaluation_budget(field_evaluations):
         ("disc_sharp", lambda: sharp_bound_gap(log_modulus_field(1.0), DISC, 1.0, 0.0),
          8, 263),
         ("quadrature_profile", lambda: length_profile(flat.u, flat.chart, flat.grid,
-                                                      method="quadrature"), 302, 153_602),
+                                                      method="quadrature"), 12, 153_602),
+        # 150 curves of 2048 points, evaluated 8 whole curves at a time
+        ("quadrature_profile_2048", lambda: length_profile(
+            flat.u, flat.chart, flat.grid, 2048, method="quadrature"), 40, 614_402),
     ]
-    for name, sc in (("slope_flat", flat), ("slope_hyperbolic", hyp)):
+    for name, sc, max_calls in (("slope_flat", flat, 8), ("slope_hyperbolic", hyp, 13)):
         prof = sc.profile
         cases.append((name, lambda sc=sc, prof=prof: logL_slope_bound(sc.u, sc.chart, prof),
-                      2 * sc.grid.size + 12, 71_682))
+                      max_calls, 71_682))
     for label, call, max_calls, max_points in cases:
         field_evaluations.clear()
         call()
         assert len(field_evaluations) <= max_calls, label
         assert sum(field_evaluations) <= max_points, label
+        assert max(field_evaluations) <= levelsets.MAX_POINTS, label
 
 
 # ---------------------------------------------------------------------------

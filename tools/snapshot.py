@@ -11,13 +11,16 @@ OUT (created; it must not exist yet) receives
   under ``demos/``;
 * ``levels.txt``: the repr of ``sharp_bound_gap``, ``pinched_bound_check``,
   ``asymptotic_defect``, ``dlength_integral`` and ``d2length_integral`` at
-  fixed inputs (fast path, quadrature path and raising inputs), or the
-  class and message of what they raise, likewise for raising
-  ``length_profile`` calls, then the ``identity_max_err`` of
-  ``logL_slope_bound`` for the flat, hyperbolic and sphere-cap scenarios;
+  fixed inputs (fast path, quadrature path and raising inputs; level
+  arrays as lists of floats, among them one of more levels than a single
+  geometry evaluation takes), or the class and message of what they
+  raise, likewise for raising ``length_profile`` calls, then the
+  ``identity_max_err`` of ``logL_slope_bound`` for the flat, hyperbolic
+  and sphere-cap scenarios;
 * ``profiles/<name>_quadrature.csv``: quadrature-path ``length_profile``
-  CSVs of the flat Dirichlet field, of ``log`` on the sphere cap and of
-  ``log`` on a chart whose factor is centred off the origin.
+  CSVs of the flat Dirichlet field (at the default 512 samples and at
+  2048), of ``log`` on the sphere cap and of ``log`` on a chart whose
+  factor is centred off the origin.
 
 The package is imported from the Python path, so two source trees compare
 byte for byte with
@@ -146,6 +149,17 @@ def _level_calls():
         for fn in (lf.dlength_integral, lf.d2length_integral):
             calls.append((f"{fn.__name__}({label})",
                           lambda fn=fn, u=u, chart=chart, t=t, n=n: fn(u, chart, t, n)))
+    array_cases = [
+        ("dlength_integral(log, off_centre, linspace(-0.1, 1.5, 40))",
+         lambda: lf.dlength_integral(log, off_centre, np.linspace(-0.1, 1.5, 40))),
+        ("d2length_integral(traced, cap_wide, [0, 0.2])",
+         lambda: lf.d2length_integral(traced, cap_wide, np.array([0.0, 0.2]))),
+        ("dlength_integral(log, off_centre, [0.5, 1, 2])",
+         lambda: lf.dlength_integral(log, off_centre, np.array([0.5, 1.0, 2.0]))),
+        ("d2length_integral(log, disc, [1, -1, -2])",
+         lambda: lf.d2length_integral(log, disc, np.array([1.0, -1.0, -2.0]))),
+    ]
+    calls += [(label, lambda call=call: call().tolist()) for label, call in array_cases]
     calls += [
         ("length_profile(log_modulus, disc, linspace(1, 2, 8))",
          lambda: lf.length_profile(lm, disc, np.linspace(1.0, 2.0, 8))),
@@ -176,10 +190,13 @@ def _write_profiles(out: Path) -> None:
 
     flat, cap = scenarios.flat(), scenarios.sphere_cap()
     off_centre = lf.ConformalChart(lf.log_modulus_field(1.0, (1.5, 0.0)), 0.2, 1.2)
-    cases = [("flat", flat.u, flat.chart, flat.grid), ("sphere_cap", cap.u, cap.chart, cap.grid),
-             ("off_centre", lf.catalog_field("log"), off_centre, np.linspace(-0.1, 1.5, 8))]
-    for name, u, chart, grid in cases:
-        lf.length_profile(u, chart, grid, method="quadrature").to_csv(
+    cases = [("flat", flat.u, flat.chart, flat.grid, 512),
+             ("flat_2048", flat.u, flat.chart, flat.grid, 2048),
+             ("sphere_cap", cap.u, cap.chart, cap.grid, 512),
+             ("off_centre", lf.catalog_field("log"), off_centre, np.linspace(-0.1, 1.5, 8),
+              512)]
+    for name, u, chart, grid, n in cases:
+        lf.length_profile(u, chart, grid, n, method="quadrature").to_csv(
             out / f"{name}_quadrature.csv")
 
 
