@@ -3,12 +3,15 @@
 Two chart kinds cover everything in the package:
 
 * :class:`ConformalChart` -- planar coordinates with metric
-  ``exp(2*phi) * (dx^2 + dy^2)``; the Gaussian curvature is
-  ``K = -exp(-2*phi) * lap0(phi)``.
+  ``exp(2*phi) * (dx^2 + dy^2)``, circles |z| = r (``radial = "abs_z"``)
+  and Gaussian curvature ``K = -exp(-2*phi) * lap0(phi)``.
 * :class:`WarpedChart` -- cylinder coordinates (t, theta) with metric
-  ``dt^2 + w(t)^2 dtheta^2`` and curvature ``K = -w''(t)/w(t)``; scalar
-  fields on it are restricted to radial ones (functions of t), for which
-  the Laplacian is exactly ``f'' + (w'/w) f'``.
+  ``dt^2 + w(t)^2 dtheta^2``, circles t = const (``radial = "t"``) and
+  curvature ``K = -w''(t)/w(t)``; it takes fields of t only, for which the
+  Laplacian is exactly ``f'' + (w'/w) f'``.
+
+A field u is radial on a chart when ``u.radial == chart.radial``
+(:func:`_radial_on`, the one test of every radial path).
 
 :func:`point_jets` is the one place that takes the jets of a field u and
 of the metric at a point batch, each to the order its caller reads, and
@@ -16,8 +19,8 @@ tests for critical points against ``CRITICAL_GRAD``, the package's only
 critical-gradient floor.  The identity residuals read u to order 3 and the
 metric to order 2; :func:`local_geometry` reads u to order 2 and the metric
 to order 3 (for grad K), and builds from them k, h, K, the pairings and the
-pieces of the L' and L'' integrands.  On a warped chart u is radial and the
-warp depends on t only, so :func:`local_geometry` evaluates both, and the
+pieces of the L' and L'' integrands.  On a warped chart u and the warp
+depend on t only, so :func:`local_geometry` evaluates both, and the
 geometry built from them, once per distinct t of its batch: a 256 x 256
 audit grid has 258 of them.
 
@@ -48,6 +51,7 @@ class ConformalChart:
     """
 
     kind = "conformal"
+    radial = "abs_z"
 
     def __init__(self, factor: ScalarField, inner_radius: float = 1.0,
                  outer_radius: float | None = None):
@@ -109,12 +113,13 @@ class ConformalChart:
 class WarpedChart:
     """Cylinder chart (t, theta) with metric dt^2 + w(t)^2 dtheta^2.
 
-    ``w(t) = circumference_scale * shape(t)``; the shape is a radial
-    :class:`ScalarField` evaluated at points (t, .), so its derivative table
+    ``w(t) = circumference_scale * shape(t)``; the shape is a
+    :class:`ScalarField` of t evaluated at points (t, 0), so its derivative table
     provides w', w'', w''' in closed form.
     """
 
     kind = "warped"
+    radial = "t"
 
     def __init__(self, t_min: float, t_max: float, circumference_scale: float,
                  shape: ScalarField):
@@ -134,7 +139,7 @@ class WarpedChart:
     @classmethod
     def cosh_cylinder(cls, scale: float, t_min: float, t_max: float) -> "WarpedChart":
         """w(t) = scale * cosh t, the constant-curvature (K = -1) cylinder."""
-        shape = ScalarField.from_expression(lambda t, _th: jets.cosh(t), radial=True)
+        shape = ScalarField.from_expression(lambda t, _th: jets.cosh(t), radial="t")
         return cls(t_min, t_max, scale, shape)
 
     def check_points(self, p) -> np.ndarray:
@@ -214,7 +219,7 @@ def grad_gauss_curvature(chart, p):
 def metric_gradient_norm(u, chart, p):
     """|grad u| in the surface metric, read from :func:`local_geometry`.
 
-    Conformal charts: e^{-phi} |grad_0 u|; warped charts (radial u): |u'(t)|.
+    Conformal charts: e^{-phi} |grad_0 u|; warped charts: |u'(t)|.
     """
     _, single = as_points(p)
     out = local_geometry(u, chart, p).G
@@ -268,11 +273,10 @@ def point_jets(u, chart, pts, order: int, metric_order: int):
     warped charts the ``warp_jet`` tuple to that order) at ``pts``, which
     are not domain-checked here.  The geometry reads u to order 2 and the
     metric to order 3 (grad K); the identities read u to order 3 and the
-    metric to order 2 (lap phi, w'').  Raises :class:`CriticalPointError`
-    where |grad_0 u| < CRITICAL_GRAD (|u'(t)| on warped charts, which take
-    radial u only)."""
-    if chart.kind == "warped":
-        _require_radial(u)
+    metric to order 2 (lap phi, w'').  Raises as :func:`_radial_on` does,
+    then :class:`CriticalPointError` where |grad_0 u| < CRITICAL_GRAD
+    (|u'(t)| on warped charts)."""
+    if _radial_on(u, chart) and chart.kind == "warped":
         # the warp first, so that u's whole jet is not alive while it is built
         metric = chart.warp_jet(pts[:, 0], metric_order)
         ju = u.jet(pts, order)
@@ -334,9 +338,11 @@ def _bilinear(a, H, b):
             + a[:, 1] * H[:, 1, 0] * b[:, 0] + a[:, 1] * H[:, 1, 1] * b[:, 1])
 
 
-def _require_radial(u):
-    if not getattr(u, "radial", False):
-        raise DomainError("warped charts support radial fields (functions of t) only")
-    if getattr(u, "log_radial_coeffs", None) is not None:
-        raise DomainError("a + b ln|z| fields are radial in |z|, not in t: "
-                          "use a field of t on warped charts")
+def _radial_on(u, chart) -> bool:
+    """``u.radial == chart.radial``; False for a field without symmetry on a
+    conformal chart, :class:`DomainError` for any other field not radial on it."""
+    if u.radial != chart.radial and (u.radial or chart.kind == "warped"):
+        raise DomainError(
+            f"the field is radial in {u.radial!r}; {chart.kind} charts are radial in "
+            f"{chart.radial!r}" if u.radial else "warped charts support radial fields only")
+    return u.radial == chart.radial

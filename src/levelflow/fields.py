@@ -89,15 +89,18 @@ class ScalarField:
     ``jet_fn(pts, order)`` returns the :class:`FieldJet` of an (n, 2) point
     array up to ``order``.
 
-    ``radial`` marks fields that depend only on the chart's radial
-    coordinate (|z| on conformal charts, t on warped ones); several level-set
-    operations have exact fast paths for those.  ``log_radial_coeffs`` is
-    (a, b) for a field a + b ln|z|, whose levels invert in closed form.
+    ``radial`` names the coordinate the field is a function of: ``"abs_z"``
+    (|z|, radial on conformal charts), ``"t"`` (the first coordinate, radial
+    on warped charts) or None.  The exact level-set paths need ``u.radial ==
+    chart.radial``.  ``log_radial_coeffs`` is (a, b) for a field a + b ln|z|,
+    whose levels invert in closed form.
     """
 
     def __init__(self, jet_fn: Callable[[np.ndarray, int], FieldJet], *,
-                 source: str = CLOSED_FORM, radial: bool = False,
+                 source: str = CLOSED_FORM, radial: str | None = None,
                  singular_points: Sequence = ()):
+        if radial not in (None, "abs_z", "t"):
+            raise ValueError(f"radial must be None, 'abs_z' or 't', got {radial!r}")
         self._jet_fn = jet_fn
         self.derivative_source = source
         self.radial = radial
@@ -108,7 +111,7 @@ class ScalarField:
 
     @classmethod
     def from_expression(cls, expr: Callable[[Taylor2, Taylor2], Taylor2], *,
-                        radial: bool = False, singular_points: Sequence = ()):
+                        radial: str | None = None):
         def jet_fn(pts: np.ndarray, order: int) -> FieldJet:
             x, y = Taylor2.seeds(pts[:, 0], pts[:, 1], order)
             out = expr(x, y)
@@ -116,12 +119,11 @@ class ScalarField:
                 out = Taylor2.constant(np.broadcast_to(out, pts[:, 0].shape), x)
             return _jet_from_taylor(out)
 
-        return cls(jet_fn, source=CLOSED_FORM, radial=radial,
-                   singular_points=singular_points)
+        return cls(jet_fn, radial=radial)
 
     @classmethod
     def from_holomorphic_sum(cls, terms, constant: float = 0.0, *,
-                             radial: bool = False, singular_points: Sequence = ()):
+                             radial: str | None = None, singular_points: Sequence = ()):
         """Field ``constant + sum_k weight_k * part_k(f_k)``.
 
         ``terms`` is a sequence of ``(coeff_fn, part, weight)`` where
@@ -139,13 +141,11 @@ class ScalarField:
             acc = acc + constant
             return _jet_from_taylor(acc)
 
-        return cls(jet_fn, source=CLOSED_FORM, radial=radial,
-                   singular_points=singular_points)
+        return cls(jet_fn, radial=radial, singular_points=singular_points)
 
     @classmethod
     def from_callable(cls, f: Callable[[np.ndarray], np.ndarray], *,
-                      step: float | None = None, diameter: float = 1.0,
-                      radial: bool = False, singular_points: Sequence = ()):
+                      step: float | None = None, diameter: float = 1.0):
         """Black-box field; derivatives by nested central differences.
 
         The base step defaults to 1e-3 times the domain diameter and every
@@ -192,8 +192,7 @@ class ScalarField:
                 return FieldJet(value, grad, hess, third)
             return FieldJet(value, grad, hess, third, np.stack([d(pts) for d in d4], axis=-1))
 
-        return cls(jet_fn, source=FINITE_DIFFERENCE, radial=radial,
-                   singular_points=singular_points)
+        return cls(jet_fn, source=FINITE_DIFFERENCE)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -229,7 +228,7 @@ class ScalarField:
 # -- generic factor/field constructors ---------------------------------------
 
 def constant_field(value: float) -> ScalarField:
-    return ScalarField.from_expression(lambda x, y: x * 0.0 + value, radial=True)
+    return ScalarField.from_expression(lambda x, y: x * 0.0 + value, radial="abs_z")
 
 
 def radial_log_field(a: float, b: float, c: float) -> ScalarField:
@@ -238,7 +237,7 @@ def radial_log_field(a: float, b: float, c: float) -> ScalarField:
     def expr(x, y):
         return a + b * jets.log((x * x + y * y) * c + 1.0)
 
-    return ScalarField.from_expression(expr, radial=True)
+    return ScalarField.from_expression(expr, radial="abs_z")
 
 
 def half_plane_factor() -> ScalarField:
@@ -256,5 +255,5 @@ def log_modulus_field(weight: float = 1.0, center=(0.0, 0.0)) -> ScalarField:
 
     singular = [(cx, cy)]
     return ScalarField.from_holomorphic_sum(
-        [(coeffs, "re", weight)], radial=(cx == 0.0 and cy == 0.0),
+        [(coeffs, "re", weight)], radial="abs_z" if cx == cy == 0.0 else None,
         singular_points=singular)

@@ -4,12 +4,12 @@ critical-point detection and a validation-only polar grid solver.
 Harmonicity in the surface metric coincides with Euclidean harmonicity in
 the chart coordinates on conformal charts (conformal invariance in two
 dimensions), so every conformal-chart entry in the catalog is an exact
-planar harmonic function.  Warped-chart entries are radial and satisfy
-u'' + (w'/w) u' = 0 for their chart's warp.
+planar harmonic function.  Warped-chart entries are functions of t
+(``radial="t"``) and satisfy u'' + (w'/w) u' = 0 for their chart's warp.
 
 Every constructor returns a :class:`~levelflow.fields.ScalarField`; fields
-a + b ln|z| set its ``log_radial_coeffs`` and the numeric solver's its
-``grid_data``.
+a + b ln|z| are radial in |z| (``radial="abs_z"``) and set its
+``log_radial_coeffs``, and the numeric solver's sets its ``grid_data``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import spsolve
 
 from . import jets
+from .charts import _radial_on
 from .errors import DomainError, SolverError
 from .fields import ScalarField, constant_field
 
@@ -56,7 +57,7 @@ def solve_annulus_dirichlet(spec: DirichletSpec) -> ScalarField:
     else:
         field = ScalarField.from_holomorphic_sum(
             [(jets.log_z_coeffs, "re", b)], constant=spec.t1,
-            radial=True, singular_points=[(0.0, 0.0)])
+            radial="abs_z", singular_points=[(0.0, 0.0)])
     field.log_radial_coeffs = (spec.t1, b)
     return field
 
@@ -73,7 +74,7 @@ def catalog_field(name: str, **params) -> ScalarField:
         c = float(params.pop("c", -1.0))
         _no_extra(params)
         field = ScalarField.from_holomorphic_sum(
-            [(jets.log_z_coeffs, "re", c)], radial=True,
+            [(jets.log_z_coeffs, "re", c)], radial="abs_z",
             singular_points=[(0.0, 0.0)])
         field.log_radial_coeffs = (0.0, c)
         return field
@@ -107,7 +108,7 @@ def catalog_field(name: str, **params) -> ScalarField:
     if name == "warped_arctan":
         _no_extra(params)
         return ScalarField.from_expression(
-            lambda t, _th: 2.0 * jets.atan(jets.exp(t)), radial=True)
+            lambda t, _th: 2.0 * jets.atan(jets.exp(t)), radial="t")
     raise DomainError(f"unknown catalog field {name!r}")
 
 
@@ -128,7 +129,7 @@ def critical_points(u: ScalarField, chart, resolution: int = 64
     """
     if resolution < 16:
         raise DomainError("resolution must be at least 16")
-    if chart.kind == "warped":
+    if _radial_on(u, chart) and chart.kind == "warped":
         return _critical_points_warped(u, chart, resolution)
     r_lo = chart.inner_radius if chart.inner_radius > 0 else 1e-3
     r_hi = chart.outer_radius
@@ -267,6 +268,6 @@ def solve_annulus_numeric(spec: DirichletSpec, grid: tuple[int, int] = (64, 128)
         tt = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
         return spline.ev(np.clip(rr, 1.0, spec.R), tt)
 
-    field = ScalarField.from_callable(evaluate, diameter=spec.R - 1.0, radial=False)
+    field = ScalarField.from_callable(evaluate, diameter=spec.R - 1.0)
     field.grid_data = (r, np.arange(n_t) * dt, values)
     return field

@@ -27,9 +27,9 @@ stacks the points and weights of all their curves (circles at the located
 radii, spectrally accurate; traced curves, second order, traced one at a
 time) and :func:`_integrate_levels` integrates them over blocks of whole
 levels of at most ``MAX_POINTS`` points.  The exact radial fast path
-(radial fields on radial factors, and warped charts) is its one-point case;
-its points skip the chart's domain check (the levels t +- h of a profile
-may lie just off the chart), those of a sampled curve are checked.
+(u.radial == chart.radial, on warped charts or |z|-radial factors) is its
+one-point case; its points skip the chart's domain check (the levels t +- h
+of a profile may lie just off the chart), those of a sampled curve are checked.
 Profiles, bound checks, the integral formulas and the slope identity of
 :func:`~levelflow.curvature_flow.logL_slope_bound` read them.
 """
@@ -43,7 +43,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.optimize import brentq
 
-from .charts import CRITICAL_GRAD, ConformalChart, _geometry
+from .charts import CRITICAL_GRAD, ConformalChart, _geometry, _radial_on
 from .errors import (CriticalPointError, DomainError, LevelFlowError,
                      NormalizationError, PreconditionError, SingularPointError,
                      SolverError, TopologyError)
@@ -61,11 +61,8 @@ MAX_POINTS = 1 << 14
 
 @dataclass(frozen=True)
 class LevelCurve:
-    """Sampled closed level curve with Euclidean arclength weights.
-
-    On warped charts the 'Euclidean' weights are coordinate arclength in
-    theta (the level is a coordinate circle t = const).
-    """
+    """Sampled closed level curve with coordinate arclength weights (in theta
+    on warped charts, where the level is a circle t = const)."""
 
     level: float
     points: np.ndarray   # (n, 2) chart coordinates
@@ -77,17 +74,18 @@ class LevelCurve:
 # ---------------------------------------------------------------------------
 
 def boundary_values(u: ScalarField, chart) -> tuple[float, float] | None:
-    """Values of a radial field on the two boundary circles, if available."""
+    """u on the two boundary circles if radial on the chart, else None; on
+    warped charts u at theta = 0 for any u, which the screens then check."""
     if chart.kind == "warped":
         return (float(u.value((chart.t_min, 0.0))), float(u.value((chart.t_max, 0.0))))
-    if u.radial and chart.outer_radius is not None and chart.inner_radius > 0:
+    if u.radial == chart.radial and chart.outer_radius is not None and chart.inner_radius > 0:
         return (float(u.value((chart.inner_radius, 0.0))),
                 float(u.value((chart.outer_radius, 0.0))))
     return None
 
 
 def level_radius(u: ScalarField, chart, t: float) -> float:
-    """Radial coordinate of the level {u = t} for a radial field.
+    """Radial coordinate of the level {u = t} for a field radial on the chart.
 
     A level circle outside a bounded chart's annulus raises DomainError
     (with the tolerance of ``check_points``), whether the radius came in
@@ -111,21 +109,20 @@ def _located_radii(u, chart, ts):
 def _level_radii(u, chart, ts, max_iter=60):
     """Radial coordinates of the levels {u = t}, one per entry of ``ts``.
 
-    Conformal fields u = a + b ln|z| invert in closed form.  Otherwise one
-    256-point sweep of the radial section brackets every level and a single
-    batched Newton solve polishes all brackets together.
+    Fields u = a + b ln|z| invert in closed form.  Otherwise one 256-point
+    sweep of the radial section brackets every level and a single batched
+    Newton solve polishes all brackets together.
     """
-    if not u.radial:
+    if not _radial_on(u, chart):
         raise DomainError("level_radius needs a radial field")
     if chart.kind == "warped":
         lo, hi = chart.t_min, chart.t_max
+    elif chart.outer_radius is None:
+        lo, hi = 1e-8, 1e8
     else:
-        lo = chart.inner_radius if chart.inner_radius > 0 else 1e-8
-        hi = chart.outer_radius
-        if hi is None:
-            lo, hi = 1e-8, 1e8
-    coeffs = u.log_radial_coeffs
-    if chart.kind == "conformal" and coeffs is not None:
+        lo, hi = chart.inner_radius or 1e-8, chart.outer_radius
+    coeffs = u.log_radial_coeffs  # set on fields radial in |z| only
+    if coeffs is not None:
         a, b = coeffs
         if b == 0.0:
             raise DomainError("constant field has no level curves")
@@ -190,7 +187,7 @@ def extract_level_curve(u: ScalarField, chart, t: float,
                         n_samples: int = 512) -> LevelCurve:
     """Sampled closed curve on {u = t}.
 
-    Radial fields use the exact circle reparametrised uniformly; other fields
+    Fields radial on the chart use the exact circle sampled uniformly; others
     are traced by a predictor-corrector marcher and resampled.  Hitting a
     critical point raises; a level that runs into the domain boundary raises
     a topology error.
@@ -201,23 +198,21 @@ def extract_level_curve(u: ScalarField, chart, t: float,
 
 
 def _screen_levels(u, chart, ts):
-    """Radii of the levels ``ts`` (None for a non-radial field); DomainError
-    for the first level not strictly between u's boundary values, for a
-    non-radial field on a warped chart, or for the first level off the chart."""
+    """Radii of the levels ``ts`` (None for u not radial on the chart);
+    DomainError for the first level not strictly between u's boundary values,
+    as :func:`_radial_on` raises, or for the first level off the chart."""
     bv = boundary_values(u, chart)
     if bv is not None:
         out = ~((min(bv) < ts) & (ts < max(bv)))
         if out.any():
             raise DomainError(f"level {ts[out][0]} not strictly between boundary values {bv}")
-    if chart.kind == "warped" and not u.radial:
-        raise DomainError("warped charts support radial fields only")
-    return _located_radii(u, chart, ts) if u.radial else None
+    return _located_radii(u, chart, ts) if _radial_on(u, chart) else None
 
 
 def _level_points(u, chart, ts, radii, n_samples):
     """(m, n_samples, 2) points and (m, n_samples) coordinate arclength
     weights of the m level curves ``ts``: circles at ``radii``, or curves
-    traced one at a time and stacked when ``radii`` is None (non-radial u)."""
+    traced one at a time and stacked when ``radii`` is None."""
     if n_samples < 8:
         raise DomainError("need at least 8 samples")
     if radii is None:
@@ -229,14 +224,14 @@ def _level_points(u, chart, ts, radii, n_samples):
 
 def _circle_points(chart, radii, n_samples):
     """:func:`_level_points` of the radial levels at ``radii``, sampled
-    uniformly in angle from theta = 0."""
+    uniformly in angle from theta = 0; the weights are a broadcast view."""
     theta = np.arange(n_samples) * (2.0 * np.pi / n_samples)
     r = radii[:, None]
     if chart.kind == "warped":
         pts = np.stack(np.broadcast_arrays(r, theta), axis=-1)
-        return pts, np.full(pts.shape[:2], 2.0 * np.pi / n_samples)
+        return pts, np.broadcast_to(2.0 * np.pi / n_samples, pts.shape[:2])
     pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-    return pts, np.repeat(2.0 * np.pi * r / n_samples, n_samples, axis=1)
+    return pts, np.broadcast_to(2.0 * np.pi * r / n_samples, pts.shape[:2])
 
 
 def _seed_on_level(u, chart, t):
@@ -247,14 +242,11 @@ def _seed_on_level(u, chart, t):
     rr = np.linspace(r_lo * 1.0001, r_hi * 0.9999, 64)
     for ang in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
         c, s = np.cos(ang), np.sin(ang)
-
-        def ray(r):
-            return float(u.value((r * c, r * s))) - t
-
         vals = u.value(np.stack([rr * c, rr * s], axis=-1)) - t
         j = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
         if j.size:
-            r0 = brentq(ray, rr[j[0]], rr[j[0] + 1], xtol=1e-13)
+            r0 = brentq(lambda r: float(u.value((r * c, r * s))) - t,
+                        rr[j[0]], rr[j[0] + 1], xtol=1e-13)
             return np.array([r0 * c, r0 * s])
     raise DomainError(f"level {t} not found in the chart annulus")
 
@@ -386,7 +378,7 @@ def _integrate_levels(u, chart, pts, weights, integrands, checked=True):
 
 def _level_values(u, chart, ts, radii, n_samples=512, method="auto"):
     """(L, Lp, Lpp, aux, K_min, K_max) arrays, one entry per level of ``ts``
-    at ``radii`` (None for a non-radial field), from :func:`_integrate_levels`;
+    at ``radii`` (None for u not radial on the chart), from :func:`_integrate_levels`;
     it screens nothing, so callers check their levels first.
 
     On the radial fast path (integrands and K constant on each level circle)
@@ -396,8 +388,8 @@ def _level_values(u, chart, ts, radii, n_samples=512, method="auto"):
     def integrands(g):  # of L', L'' and 1/|grad u|^2
         return -g.pairing_G / g.G**3, g.grad_G_sq / g.G**4 - g.K / g.G**2, 1.0 / g.G**2
 
-    if chart.kind == "warped" or (method == "auto" and u.radial and chart.factor.radial
-                                  and not chart.singular_points):
+    if u.radial == chart.radial and (chart.kind == "warped" or (
+            method == "auto" and chart.factor.radial == "abs_z" and not chart.singular_points)):
         return _integrate_levels(u, chart, *_circle_points(chart, radii, 1), integrands,
                                  checked=False)
     return _integrate_levels(u, chart, *_level_points(u, chart, ts, radii, n_samples),
@@ -498,14 +490,14 @@ def length_profile(u, chart, t_grid: Sequence[float], n_samples: int = 512,
         lo, hi = min(bv), max(bv)
         if t_grid.min() <= lo or t_grid.max() >= hi:
             raise DomainError("profile grid must lie strictly inside the boundary values")
-    elif u.radial:
+    radial = _radial_on(u, chart)
+    if bv is None and radial:
         # radial harmonic fields are monotone in r: the extreme levels
         # bound the rest
         _located_radii(u, chart, np.array([t_grid.min(), t_grid.max()]))
     h = fd_step if fd_step is not None else 1e-3 * (t_grid.max() - t_grid.min())
     levels = np.concatenate([t_grid, t_grid + h, t_grid - h])
-    # unscreened; a non-radial field on a warped chart raises here
-    radii = _level_radii(u, chart, levels) if u.radial or chart.kind == "warped" else None
+    radii = _level_radii(u, chart, levels) if radial else None  # unscreened
     L3, Lp, Lpp, aux, _, _ = _level_values(u, chart, levels, radii, n_samples, method)
     L, Lplus, Lminus = np.split(L3, 3)
     Lp, Lpp, aux = (col[:t_grid.size] for col in (Lp, Lpp, aux))

@@ -253,6 +253,15 @@ def test_warped_chart_rejects_fields_radial_in_abs_z(tmp_path, field):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+def test_conformal_chart_rejects_fields_of_t(tmp_path):
+    cfg = {"chart": {"kind": "conformal", "factor": {"name": "flat"},
+                     "inner_radius": 1.0, "outer_radius": 2.0},
+           "field": {"catalog": "warped_arctan"},
+           "analysis": {"levels": 12, "t_range": [2.0, 2.7]}}
+    assert main(["profile", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == 2
+
+
 def test_format_json_emits_profile_json(tmp_path):
     code = main(["profile", "--config", write_config(tmp_path, FLAT_CONFIG),
                  "--out", str(tmp_path / "out"), "--format", "json"])

@@ -5,7 +5,8 @@ import pytest
 
 from levelflow import (ConformalChart, CriticalPointError, DirichletSpec,
                        DomainError, SingularPointError, WarpedChart,
-                       bochner_residual, catalog_field, flat_factor,
+                       bochner_residual, catalog_field, constant_field,
+                       critical_points, dlength_integral, flat_factor,
                        gauss_curvature, grad_gauss_curvature,
                        half_plane_factor, kato_residual, level_curvature_k,
                        log_gradient_residual, log_modulus_field,
@@ -79,11 +80,52 @@ def test_metric_gradient_norm_examples():
 
 
 def test_warped_chart_rejects_fields_radial_in_abs_z():
-    # a + b ln|z| read at the points (t, theta) of a warped chart depends on theta
+    # a field of |z| read at the points (t, theta) of a warped chart depends on theta
     chart = WarpedChart.cosh_cylinder(0.3, 0.1, 2.0)
-    for u in (catalog_field("log"), solve_annulus_dirichlet(DirichletSpec(2.0, 0.0, 1.0))):
+    for u in (catalog_field("log"), solve_annulus_dirichlet(DirichletSpec(2.0, 0.0, 1.0)),
+              log_modulus_field(1.0), radial_log_field(0.0, 1.0, 0.5)):
         with pytest.raises(DomainError):
             metric_gradient_norm(u, chart, [(0.5, 0.0), (0.5, 1.0)])
+
+
+CONSTRUCTORS = {
+    **{name: catalog_field(name, **params) for name, params in (
+        ("log", {}), ("arg", {}), ("re_poly", {"n": 2}), ("im_poly", {"n": 2}),
+        ("joukowski", {}), ("im_joukowski", {}), ("perturbed_log", {}),
+        ("warped_arctan", {}))},
+    "dirichlet": solve_annulus_dirichlet(DirichletSpec(4.0, 0.0, 1.0)),
+    "log_modulus": log_modulus_field(1.0),
+    "log_modulus_off_origin": log_modulus_field(1.0, (0.3, 0.2)),
+    "radial_log": radial_log_field(0.0, 1.0, 0.5),
+    "constant": constant_field(0.7),
+}
+
+
+@pytest.mark.parametrize("name", CONSTRUCTORS)
+@pytest.mark.parametrize("chart", [FLAT, WarpedChart.cosh_cylinder(0.3, 0.1, 2.0)],
+                         ids=["flat", "cosh_cylinder"])
+def test_radial_declarations_hold_or_the_chart_refuses(name, chart):
+    u = CONSTRUCTORS[name]
+    # two angles of the coordinate circle |z| = 1.5 (conformal) or t = 0.5 (warped)
+    pts = np.array([(1.5 * np.cos(a), 1.5 * np.sin(a)) if chart.kind == "conformal"
+                    else (0.5, a) for a in (0.3, 2.1)])
+    if u.radial == chart.radial:
+        a, b = u.value(pts)
+        assert a == pytest.approx(b, rel=1e-14, abs=0.0)
+    elif chart.kind == "warped":
+        # a level between u's values at the ends of theta = 0 passes the
+        # boundary screen where they differ, so the field's kind is checked
+        level = np.mean(u.value([(chart.t_min, 0.0), (chart.t_max, 0.0)]))
+        for call in (lambda: metric_gradient_norm(u, chart, pts),
+                     lambda: dlength_integral(u, chart, level),
+                     lambda: critical_points(u, chart)):
+            with pytest.raises(DomainError):
+                call()
+
+
+def test_radial_takes_a_coordinate_name():
+    with pytest.raises(ValueError, match="radial must be None, 'abs_z' or 't'"):
+        ScalarField.from_expression(lambda x, y: x * x + y * y, radial=True)
 
 
 def test_singular_point_evaluation_raises():
@@ -183,6 +225,6 @@ def test_identity_residuals_fd_fallback_tolerance():
 def test_warp_must_be_positive():
     from levelflow import ScalarField
     from levelflow import jets as J
-    shape = ScalarField.from_expression(lambda t, _th: J.sin(t), radial=True)
+    shape = ScalarField.from_expression(lambda t, _th: J.sin(t), radial="t")
     with pytest.raises(DomainError):
         WarpedChart(0.0, 6.0, 1.0, shape)  # sin crosses zero

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from levelflow import (ConformalChart, DirichletSpec, DomainError, catalog_field,
-                       critical_points, flat_factor, solve_annulus_dirichlet,
-                       solve_annulus_numeric)
+from levelflow import (ConformalChart, DirichletSpec, DomainError, WarpedChart,
+                       catalog_field, critical_points, flat_factor,
+                       solve_annulus_dirichlet, solve_annulus_numeric)
 
 
 def test_dirichlet_closed_form_values():
@@ -84,6 +84,14 @@ def test_critical_points_dirichlet_always_empty():
     for t1, t2 in [(0.0, 1.0), (2.0, -1.0)]:
         u = solve_annulus_dirichlet(DirichletSpec(3.0, t1, t2))
         assert critical_points(u, chart, 32) == []
+
+
+def test_critical_points_on_a_warped_chart_need_a_field_of_t():
+    # Im z^2 read at (t, theta) has grad 0 nowhere on theta = 0, but its t-derivative
+    # vanishes there: the warped scan must refuse it, not report those points
+    chart = WarpedChart.cosh_cylinder(0.3, 0.1, 2.0)
+    with pytest.raises(DomainError):
+        critical_points(catalog_field("im_poly", n=2), chart)
 
 
 def test_critical_points_resolution_validation():

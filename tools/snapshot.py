@@ -20,7 +20,14 @@ OUT (created; it must not exist yet) receives
 * ``profiles/<name>_quadrature.csv``: quadrature-path ``length_profile``
   CSVs of the flat Dirichlet field (at the default 512 samples and at
   2048), of ``log`` on the sphere cap and of ``log`` on a chart whose
-  factor is centred off the origin.
+  factor is centred off the origin;
+* ``symmetry.txt``: for every field constructor (the catalog entries, a
+  Dirichlet solution, ``log_modulus_field`` on and off the origin,
+  ``radial_log_field`` and ``constant_field``) on a flat annulus and on a
+  cosh cylinder, ``metric_gradient_norm`` at two points of one coordinate
+  circle, ``dlength_integral`` at the level midway between u's values at
+  the two ends of theta = 0 and the number of ``critical_points``, or the
+  class and message of what they raise.
 
 The package is imported from the Python path, so two source trees compare
 byte for byte with
@@ -172,9 +179,44 @@ def _level_calls():
     return calls
 
 
-def _levels_text() -> str:
+def _symmetry_calls():
+    """(label, call) pairs of every field constructor on both chart kinds."""
+    import levelflow as lf
+
+    fields = {name: lf.catalog_field(name, **params) for name, params in (
+        ("log", {}), ("arg", {}), ("re_poly", {"n": 2}), ("im_poly", {"n": 2}),
+        ("joukowski", {}), ("im_joukowski", {}), ("perturbed_log", {}),
+        ("warped_arctan", {}))}
+    fields.update({
+        "dirichlet": lf.solve_annulus_dirichlet(lf.DirichletSpec(4.0, 0.0, 1.0)),
+        "log_modulus": lf.log_modulus_field(1.0),
+        "log_modulus_off_origin": lf.log_modulus_field(1.0, (0.3, 0.2)),
+        "radial_log": lf.radial_log_field(0.0, 1.0, 0.5),
+        "constant": lf.constant_field(0.7)})
+    # (chart, two points of one coordinate circle, the ends of theta = 0)
+    charts = {"flat": (lf.ConformalChart(lf.flat_factor(), 1.0, 4.0),
+                       [(1.5 * np.cos(a), 1.5 * np.sin(a)) for a in (0.3, 2.1)],
+                       [(1.0, 0.0), (4.0, 0.0)]),
+              "cosh_cylinder": (lf.WarpedChart.cosh_cylinder(0.3, 0.1, 2.0),
+                                [(0.5, 0.3), (0.5, 2.1)], [(0.1, 0.0), (2.0, 0.0)])}
+    calls = []
+    for name, u in fields.items():
+        for chart_name, (chart, pts, ends) in charts.items():
+            level = float(np.mean(u.value(ends)))
+            calls += [
+                (f"metric_gradient_norm({name}, {chart_name})",
+                 lambda u=u, chart=chart, pts=pts:
+                 lf.metric_gradient_norm(u, chart, pts).tolist()),
+                (f"dlength_integral({name}, {chart_name}, {level!r})",
+                 lambda u=u, chart=chart, level=level: lf.dlength_integral(u, chart, level)),
+                (f"len(critical_points({name}, {chart_name}))",
+                 lambda u=u, chart=chart: len(lf.critical_points(u, chart)))]
+    return calls
+
+
+def _calls_text(calls) -> str:
     lines = []
-    for label, call in _level_calls():
+    for label, call in calls:
         try:
             got = repr(call())
         except Exception as exc:  # the class and message are the output
@@ -214,9 +256,10 @@ def main(argv) -> int:
     (out / "demos").mkdir()
     for demo in sorted((ROOT / "demos").glob("*.py")):
         (out / "demos" / f"{demo.stem}.txt").write_text(_run([str(demo)], out / "demos"))
-    (out / "levels.txt").write_text(_levels_text())
+    (out / "levels.txt").write_text(_calls_text(_level_calls()))
     (out / "profiles").mkdir()
     _write_profiles(out / "profiles")
+    (out / "symmetry.txt").write_text(_calls_text(_symmetry_calls()))
     return 0
 
 
