@@ -44,7 +44,8 @@ import numpy as np
 from .charts import local_geometry
 from .errors import DomainError, LevelFlowError, PreconditionError
 from .fields import as_points
-from .levelsets import LengthProfile, _integrate_levels, _level_points, _screen_levels
+from .levelsets import (LengthProfile, _circle_points, _integrate_levels, _level_points,
+                        _screen_levels)
 
 AUDIT_QUANTITIES = ("k", "h", "phi_k", "phi_h", "ln_abs_k", "ln_abs_h")
 
@@ -84,14 +85,6 @@ def curvature_sample(u, chart, p) -> CurvatureSample:
     k, h, G = g.k[0], g.h[0], g.G[0]
     return CurvatureSample(tuple(np.asarray(g.pts[0])), float(k), float(h), float(G),
                            float(k / G), float(h / G), float(g.K[0]), g.gradK[0])
-
-
-def _phi_k_field(u, chart):
-    """k/|grad u| as a pointwise field."""
-    def f(pts):
-        g = local_geometry(u, chart, pts)
-        return g.k / g.G
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +334,7 @@ class PrincipleAuditReport:
 
 
 def _audit_values(geo, quantity):
-    c = geo.h if quantity in ("h", "phi_h", "ln_abs_h") else geo.k
+    c = getattr(geo, quantity[-1])  # the last letter names the curvature
     if quantity.startswith("phi"):
         return c / geo.G
     if quantity.startswith("ln_abs"):
@@ -352,26 +345,17 @@ def _audit_values(geo, quantity):
 
 
 def _audit_grids(chart, domain_spec, n_interior, n_boundary):
+    """(interior points, boundary points, grid spacing): nr circles of nt
+    points, n_interior = (nr, nt), strictly inside the radial range
+    ``domain_spec``, radius-major, and n_boundary points on each of its ends."""
     lo, hi = float(domain_spec[0]), float(domain_spec[1])
     if not hi > lo:
         raise DomainError("domain_spec must be (lo, hi) with lo < hi")
     nr, nt = n_interior
-    rr = np.linspace(lo, hi, nr + 2)[1:-1]
-    th = np.arange(nt) * (2.0 * np.pi / nt)
-    R, T = np.meshgrid(rr, th, indexing="ij")
-    if chart.kind == "conformal":
-        interior = np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], axis=-1)
-    else:
-        interior = np.stack([R.ravel(), T.ravel()], axis=-1)
-    tb = np.arange(n_boundary) * (2.0 * np.pi / n_boundary)
-    bnd = []
-    for rho in (lo, hi):
-        if chart.kind == "conformal":
-            bnd.append(np.stack([rho * np.cos(tb), rho * np.sin(tb)], axis=-1))
-        else:
-            bnd.append(np.stack([np.full_like(tb, rho), tb], axis=-1))
+    interior = _circle_points(chart, np.linspace(lo, hi, nr + 2)[1:-1], nt)[0]
+    boundary = _circle_points(chart, np.array([lo, hi]), n_boundary)[0]
     spacing = max((hi - lo) / (nr + 1), (2.0 * np.pi / nt) * (hi if chart.kind == "conformal" else 1.0))
-    return interior, np.concatenate(bnd, axis=0), (nr, nt), spacing
+    return interior.reshape(-1, 2), boundary.reshape(-1, 2), spacing
 
 
 def _sign_flags(vals, slack):
@@ -387,16 +371,21 @@ def principle_audit(u, chart, domain_spec, quantity: str, corollary_case: str,
 
     ``domain_spec = (lo, hi)`` bounds the radial coordinate of the audited
     sub-annulus (|z| on conformal charts, t on warped ones); the closure must
-    be free of critical points.  Verdict is ``pass``/``fail``/
-    ``hypotheses_unmet``; vacuous side conditions pass with a note.
+    be free of critical points.  The verdict is ``hypotheses_unmet`` when
+    the sampled signs of K and the pairing miss the case's; else ``pass``
+    with a note when the claim is vacuous (its side condition fails, or the
+    minimum is attained on the boundary); else, for the interior bound,
+    ``hypotheses_unmet`` when K <= 0 at the argmin; else ``fail`` when the
+    interior extremum beats the boundary one (or |grad K|/K) beyond the grid
+    tolerance, and ``pass`` otherwise.
     """
     if quantity not in AUDIT_QUANTITIES:
         raise DomainError(f"quantity must be one of {AUDIT_QUANTITIES}")
     if corollary_case not in AUDIT_CASES:
         raise DomainError(f"unknown corollary case {corollary_case!r}")
     rule = AUDIT_CASES[corollary_case]
-    interior, boundary, (nr, nt), spacing = _audit_grids(
-        chart, domain_spec, n_interior, n_boundary)
+    nr, nt = n_interior
+    interior, boundary, spacing = _audit_grids(chart, domain_spec, n_interior, n_boundary)
     geo = local_geometry(u, chart, np.concatenate([interior, boundary], axis=0))
     vi, vb = np.split(_audit_values(geo, quantity), [interior.shape[0]])
     if not (np.all(np.isfinite(vi)) and np.all(np.isfinite(vb))):
@@ -404,8 +393,7 @@ def principle_audit(u, chart, domain_spec, quantity: str, corollary_case: str,
             f"audit quantity {quantity!r} is not finite on the sampled domain "
             "(vanishing curvature under a log?)")
 
-    scale = max(1.0, float(np.max(np.abs(geo.K))))
-    slack = 1e-10 * scale
+    slack = 1e-10 * max(1.0, float(np.max(np.abs(geo.K))))
     flags = {
         "K": _sign_flags(geo.K, slack),
         "pairing_grad_u": _sign_flags(geo.pairing, slack),
@@ -417,72 +405,42 @@ def principle_audit(u, chart, domain_spec, quantity: str, corollary_case: str,
               np.max(np.abs(np.diff(grid_vals, axis=1))) / (2.0 * np.pi / nt), 1e-30)
     tol = 10.0 * spacing * lip
 
-    kind = rule["kind"]
-    if kind == "max":
-        ii, bi = int(np.argmax(vi)), int(np.argmax(vb))
+    want = rule.get("pairing")
+    if quantity[-1] == "h":
+        # the cases state the h-quantities' pairing for <grad K, -star grad u>
+        pairing, want = flags["pairing_star_u"], {"nonneg": "nonpos", "nonpos": "nonneg"}.get(want)
     else:
-        ii, bi = int(np.argmin(vi)), int(np.argmin(vb))
-    interior_ext = (tuple(interior[ii]), float(vi[ii]))
-    boundary_ext = (tuple(boundary[bi]), float(vb[bi]))
+        pairing = flags["pairing_grad_u"]
+    held = want is None or (flags["K"][rule["K"]] and pairing[want])
+    if held and corollary_case == "min_abs_on_boundary" and not quantity.startswith("ln_abs"):
+        vi, vb = np.abs(vi), np.abs(vb)
+    kind, side = rule["kind"], rule.get("side")
+    pick = np.argmax if kind == "max" else np.argmin
+    ii, bi = int(pick(vi)), int(pick(vb))
+    v_in, v_bd = float(vi[ii]), float(vb[bi])
 
-    h_family = quantity in ("h", "phi_h", "ln_abs_h")
-    notes = []
-    verdict = "pass"
-
-    if corollary_case == "interior_min_curvature_bound":
-        attained = interior_ext[1] >= boundary_ext[1] - tol
-        if attained:
-            notes.append("minimum attained on the boundary; interior-minimum premise vacuous")
-        else:
-            Ky = float(geo.K[ii])
-            if Ky <= 0:
-                verdict = "hypotheses_unmet"
-                notes.append("curvature bound |grad K|/K undefined (K <= 0 at the argmin)")
-            else:
-                bound = float(np.hypot(*geo.gradK[ii])) / Ky
-                if interior_ext[1] > bound + tol:
-                    verdict = "fail"
-                    notes.append(f"interior minimum {interior_ext[1]:.6g} exceeds |grad K|/K = {bound:.6g}")
-        return PrincipleAuditReport(quantity, corollary_case, flags, interior_ext,
-                                    boundary_ext, verdict, "; ".join(notes), tol)
-
-    # hypothesis signs
-    # for h-quantities the cases are stated for <grad K, -star grad u>
-    want = rule["pairing"]
-    if h_family:
-        want = {"nonneg": "nonpos", "nonpos": "nonneg"}[want]
-    pairing_ok = flags["pairing_star_u" if h_family else "pairing_grad_u"][want]
-    if not (flags["K"][rule["K"]] and pairing_ok):
-        return PrincipleAuditReport(quantity, corollary_case, flags, interior_ext,
-                                    boundary_ext, "hypotheses_unmet", "", tol)
-
-    if corollary_case == "min_abs_on_boundary":
-        vi_eff, vb_eff = np.abs(vi), np.abs(vb)
-        if quantity.startswith("ln_abs"):
-            vi_eff, vb_eff = vi, vb
-        ii, bi = int(np.argmin(vi_eff)), int(np.argmin(vb_eff))
-        interior_ext = (tuple(interior[ii]), float(vi_eff[ii]))
-        boundary_ext = (tuple(boundary[bi]), float(vb_eff[bi]))
-        if interior_ext[1] < boundary_ext[1] - tol:
-            verdict = "fail"
-        return PrincipleAuditReport(quantity, corollary_case, flags, interior_ext,
-                                    boundary_ext, verdict, "; ".join(notes), tol)
-
-    side = rule["side"]
-    side_holds = (interior_ext[1] >= -tol) if side == "nonneg" else (interior_ext[1] <= tol)
-    if not side_holds:
-        notes.append(f"side condition ({kind} {side}) not met; claim vacuous")
-        return PrincipleAuditReport(quantity, corollary_case, flags, interior_ext,
-                                    boundary_ext, "pass", "; ".join(notes), tol)
-    if kind == "max":
-        attained = boundary_ext[1] >= interior_ext[1] - tol
-    else:
-        attained = boundary_ext[1] <= interior_ext[1] + tol
-    if not attained:
-        verdict = "fail"
-        notes.append("interior extremum exceeds the boundary extremum beyond tolerance")
-    return PrincipleAuditReport(quantity, corollary_case, flags, interior_ext,
-                                boundary_ext, verdict, "; ".join(notes), tol)
+    verdict, notes = "pass", ""
+    if not held:
+        verdict = "hypotheses_unmet"
+    elif corollary_case == "interior_min_curvature_bound":
+        Ky = float(geo.K[ii])
+        bound = None if Ky <= 0 else float(np.hypot(*geo.gradK[ii])) / Ky
+        if v_in >= v_bd - tol:
+            notes = "minimum attained on the boundary; interior-minimum premise vacuous"
+        elif bound is None:
+            verdict, notes = ("hypotheses_unmet",
+                              "curvature bound |grad K|/K undefined (K <= 0 at the argmin)")
+        elif v_in > bound + tol:
+            verdict, notes = "fail", f"interior minimum {v_in:.6g} exceeds |grad K|/K = {bound:.6g}"
+    elif corollary_case == "min_abs_on_boundary":
+        verdict = "fail" if v_in < v_bd - tol else "pass"
+    elif not ((v_in >= -tol) if side == "nonneg" else (v_in <= tol)):
+        notes = f"side condition ({kind} {side}) not met; claim vacuous"
+    elif not ((v_bd >= v_in - tol) if kind == "max" else (v_bd <= v_in + tol)):
+        verdict, notes = "fail", "interior extremum exceeds the boundary extremum beyond tolerance"
+    return PrincipleAuditReport(quantity, corollary_case, flags,
+                                (tuple(interior[ii]), v_in), (tuple(boundary[bi]), v_bd),
+                                verdict, notes, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +482,7 @@ def logL_slope_bound(u, chart, profile: LengthProfile,
     else:
         span = chart.t_max - chart.t_min
         lo, hi = chart.t_min + 1e-7 * span, chart.t_max - 1e-7 * span
-    interior, boundary, _, _ = _audit_grids(chart, (lo, hi), (64, 128), 1024)
+    interior, boundary, _ = _audit_grids(chart, (lo, hi), (64, 128), 1024)
     geo = local_geometry(u, chart, np.concatenate([interior, boundary], axis=0))
     slack = 1e-10 * max(1.0, float(np.max(np.abs(geo.K))))
     flags = {"K": _sign_flags(geo.K, slack), "pairing_grad_u": _sign_flags(geo.pairing, slack),

@@ -24,7 +24,7 @@ from scipy.optimize import brentq
 from scipy.sparse.linalg import spsolve
 
 from . import jets
-from .charts import _radial_on
+from .charts import CRITICAL_GRAD, _radial_on
 from .errors import DomainError, SolverError
 from .fields import ScalarField, constant_field
 
@@ -42,10 +42,6 @@ class DirichletSpec:
     def __post_init__(self):
         if not self.R > 1.0:
             raise DomainError(f"annulus outer radius must exceed 1, got {self.R}")
-
-    @property
-    def span(self) -> float:
-        return abs(self.t2 - self.t1)
 
 
 def solve_annulus_dirichlet(spec: DirichletSpec) -> ScalarField:
@@ -119,28 +115,32 @@ def _no_extra(params):
 
 # -- critical points -----------------------------------------------------------
 
-def critical_points(u: ScalarField, chart, resolution: int = 64
-                    ) -> list[tuple[float, float]]:
+# grid points per axis of the critical-point scan
+SCAN_POINTS = 64
+
+
+def critical_points(u: ScalarField, chart) -> list[tuple[float, float]]:
     """All zeros of grad u in the chart interior, located to ~1e-8.
 
     Grid scan of |grad u|^2 local minima followed by damped Newton on the
     gradient.  An empty list certifies that the grid minimum of |grad u|
-    stayed above the polish threshold.
+    stayed above the polish threshold.  A field with |grad u| below
+    ``CRITICAL_GRAD`` at every grid point (a constant) raises DomainError:
+    its critical points are not isolated.
     """
-    if resolution < 16:
-        raise DomainError("resolution must be at least 16")
     if _radial_on(u, chart) and chart.kind == "warped":
-        return _critical_points_warped(u, chart, resolution)
+        return _critical_points_warped(u, chart)
     r_lo = chart.inner_radius if chart.inner_radius > 0 else 1e-3
     r_hi = chart.outer_radius
     if r_hi is None:
         raise DomainError("critical point scan needs a bounded chart")
-    rr = np.linspace(r_lo * 1.001, r_hi * 0.999, resolution)
-    th = np.linspace(0.0, 2.0 * np.pi, resolution, endpoint=False)
+    rr = np.linspace(r_lo * 1.001, r_hi * 0.999, SCAN_POINTS)
+    th = np.linspace(0.0, 2.0 * np.pi, SCAN_POINTS, endpoint=False)
     R, T = np.meshgrid(rr, th, indexing="ij")
     pts = np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], axis=-1)
     g = u.jet(pts, 1).grad
-    q = (g[:, 0] ** 2 + g[:, 1] ** 2).reshape(resolution, resolution)
+    q = (g[:, 0] ** 2 + g[:, 1] ** 2).reshape(SCAN_POINTS, SCAN_POINTS)
+    _require_gradient(q)
 
     # grid minima: no larger than any neighbour, periodic in theta; the
     # +inf rows stand for the missing neighbours beyond the radial ends
@@ -182,12 +182,21 @@ def _newton_polish(u, seed, damping: float = 0.5, max_iter: int = 50,
     return None
 
 
-def _critical_points_warped(u, chart, resolution):
-    ts = np.linspace(chart.t_min, chart.t_max, resolution)
+def _require_gradient(grad_sq):
+    """DomainError where |grad u|^2 on the scan grid stays below
+    CRITICAL_GRAD^2 at every grid point."""
+    if not np.any(grad_sq >= CRITICAL_GRAD**2):
+        raise DomainError(f"|grad u| < {CRITICAL_GRAD:g} at every scan point: "
+                          "u is constant, its critical points are not isolated")
+
+
+def _critical_points_warped(u, chart):
+    ts = np.linspace(chart.t_min, chart.t_max, SCAN_POINTS)
     pts = np.stack([ts, np.zeros_like(ts)], axis=-1)
     du = u.jet(pts, 1).grad[:, 0]
+    _require_gradient(du**2)
     roots = []
-    for i in range(resolution - 1):
+    for i in range(SCAN_POINTS - 1):
         if du[i] == 0.0 or du[i] * du[i + 1] < 0:
             t0 = brentq(lambda t: float(u.jet([[t, 0.0]], 1).grad[0, 0]),
                         ts[i], ts[i + 1], xtol=1e-12)

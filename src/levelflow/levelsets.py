@@ -74,11 +74,13 @@ class LevelCurve:
 # ---------------------------------------------------------------------------
 
 def boundary_values(u: ScalarField, chart) -> tuple[float, float] | None:
-    """u on the two boundary circles if radial on the chart, else None; on
-    warped charts u at theta = 0 for any u, which the screens then check."""
+    """u on the two boundary circles if radial on the chart and the chart
+    bounded, else None; raises as :func:`_radial_on` does, before reading u."""
+    if not _radial_on(u, chart):
+        return None
     if chart.kind == "warped":
         return (float(u.value((chart.t_min, 0.0))), float(u.value((chart.t_max, 0.0))))
-    if u.radial == chart.radial and chart.outer_radius is not None and chart.inner_radius > 0:
+    if chart.outer_radius is not None and chart.inner_radius > 0:
         return (float(u.value((chart.inner_radius, 0.0))),
                 float(u.value((chart.outer_radius, 0.0))))
     return None

@@ -10,13 +10,12 @@ import pytest
 from levelflow import (ConformalChart, CriticalPointError, DirichletSpec,
                        LevelFlowError, PreconditionError, ScalarField, WarpedChart,
                        catalog_field, curvature_sample, flat_factor,
-                       half_plane_factor, inset_grid, length_profile,
+                       half_plane_factor, inset_grid, jets, length_profile,
                        level_curvature_k, local_geometry, logL_slope_bound,
                        metric_gradient_norm, pde1_residual, pde1_star_residual,
                        pde2_gap, pde2_star_gap, principle_audit,
                        quasi_random_points, solve_annulus_dirichlet,
                        sphere_cap_factor, steepest_descent_curvature_h)
-from levelflow.curvature_flow import _phi_k_field
 
 FLAT = ConformalChart(flat_factor(), 0.4, 4.0)
 CAP = ConformalChart(sphere_cap_factor(0.1), 1.0, np.e)
@@ -129,7 +128,8 @@ def test_pde1_sphere_cap_fd_tolerance_and_order():
     pts = quasi_random_points(CAP, 50, seed=4, min_gradient_field=LOG)
     for p in pts:
         r = pde1_residual(LOG, CAP, p)
-        assert abs(r) <= 1e-4 * (1 + abs(_phi_k_field(LOG, CAP)(np.atleast_2d(p))[0]))
+        g = local_geometry(LOG, CAP, p)
+        assert abs(r) <= 1e-4 * (1 + abs(g.k[0] / g.G[0]))
     ure = catalog_field("re_poly", n=1)
     for p in pts[:20]:
         assert abs(pde1_star_residual(ure, CAP, p)) <= 1e-4
@@ -334,6 +334,67 @@ def test_audit_json_key_order():
     doc = json.loads(rep.to_json())
     assert list(doc)[:6] == ["quantity", "case", "hypothesis_flags",
                              "interior_extremum", "boundary_extremum", "verdict"]
+
+
+# Fields of t alone, harmonic or not (the audit does not ask), whose
+# phi_k = k/|grad u| has an interior extremum: on the flat plane in polar
+# coordinates (w = t, K = 0) phi_k = -sign / (1 + bump (t - 4)^2 / 9); on the
+# round sphere (w = sin t, K = 1) phi_k = 1 / (1 + 2 sin^2 t - 2 sin^4 t).
+POLAR_PLANE = WarpedChart(1.0, 7.5, 1.0,
+                          ScalarField.from_expression(lambda t, _th: t, radial="t"))
+ROUND_SPHERE = WarpedChart(0.2, 1.55, 1.0,
+                           ScalarField.from_expression(lambda t, _th: jets.sin(t), radial="t"))
+
+
+def _plane_bump(sign, bump):
+    a, b, c = 1 + bump * 16 / 9, -bump * 8 / 9, bump / 18
+    return ScalarField.from_expression(
+        lambda t, _th: sign * (a * jets.log(t) + b * t + c * t * t), radial="t")
+
+
+def _sphere_bump():
+    def expr(t, _th):
+        x = jets.sin(t) * jets.sin(t)
+        return -(0.5 * jets.log(x) + x - 0.5 * x * x)
+    return ScalarField.from_expression(expr, radial="t")
+
+
+FAILS = "interior extremum exceeds the boundary extremum beyond tolerance"
+
+
+@pytest.mark.parametrize("u, chart, domain, case, verdict, notes", [
+    (_plane_bump(-1, 1.0), POLAR_PLANE, (1.0, 7.0), "max_on_boundary_nonpos_K", "fail", FAILS),
+    (_plane_bump(1, 1.0), POLAR_PLANE, (1.0, 7.0), "min_on_boundary_nonpos_K", "fail", FAILS),
+    (_plane_bump(1, -0.5), POLAR_PLANE, (1.0, 7.0), "max_on_boundary_nonneg_K", "fail", FAILS),
+    (_plane_bump(-1, -0.5), POLAR_PLANE, (1.0, 7.0), "min_on_boundary_nonneg_K", "fail", FAILS),
+    (_plane_bump(-1, -0.5), POLAR_PLANE, (1.0, 7.0), "min_abs_on_boundary", "fail", ""),
+    (_sphere_bump(), ROUND_SPHERE, (0.3, 1.5), "interior_min_curvature_bound", "fail",
+     "interior minimum 0.666669 exceeds |grad K|/K = 0"),
+    (_plane_bump(-1, -0.5), POLAR_PLANE, (1.0, 7.0), "interior_min_curvature_bound",
+     "hypotheses_unmet", "curvature bound |grad K|/K undefined (K <= 0 at the argmin)"),
+    (_plane_bump(1, 1.0), POLAR_PLANE, (1.0, 7.0), "max_on_boundary_nonpos_K", "pass",
+     "side condition (max nonneg) not met; claim vacuous"),
+], ids=["max_nonpos_K", "min_nonpos_K", "max_nonneg_K", "min_nonneg_K", "min_abs",
+        "interior_bound", "interior_bound_K_zero", "vacuous_side"])
+def test_audit_verdicts_and_notes(u, chart, domain, case, verdict, notes):
+    rep = principle_audit(u, chart, domain, "phi_k", case, n_interior=(128, 512),
+                          n_boundary=128)
+    assert (rep.verdict, rep.notes) == (verdict, notes)
+    if verdict == "fail":
+        # the interior extremum lies strictly inside the sub-annulus
+        assert domain[0] < rep.interior_extremum[0][0] < domain[1]
+        assert rep.tolerance > 0
+
+
+def test_audit_min_abs_reports_raw_extrema_when_unmet():
+    # K = -1 fails the K >= 0 hypothesis, so the extrema stay those of the
+    # signed phi_k = -sinh t, not of its absolute value
+    chart = WarpedChart.cosh_cylinder(2.0 / (2 * np.pi), 0.1, 1.6)
+    rep = principle_audit(ARCTAN, chart, (0.2, 1.5), "phi_k", "min_abs_on_boundary",
+                          n_interior=(64, 32), n_boundary=128)
+    assert (rep.verdict, rep.notes) == ("hypotheses_unmet", "")
+    assert rep.boundary_extremum[1] == pytest.approx(-np.sinh(1.5), rel=1e-6)
+    assert rep.interior_extremum[1] < 0
 
 
 # ---------------------------------------------------------------------------

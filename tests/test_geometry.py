@@ -113,13 +113,15 @@ def test_radial_declarations_hold_or_the_chart_refuses(name, chart):
         a, b = u.value(pts)
         assert a == pytest.approx(b, rel=1e-14, abs=0.0)
     elif chart.kind == "warped":
-        # a level between u's values at the ends of theta = 0 passes the
-        # boundary screen where they differ, so the field's kind is checked
+        # the field's kind is checked before u is read as if it were a
+        # function of t: a level outside u's values at the ends of theta = 0
+        # is refused for it too, not as off the boundary values
         level = np.mean(u.value([(chart.t_min, 0.0), (chart.t_max, 0.0)]))
         for call in (lambda: metric_gradient_norm(u, chart, pts),
                      lambda: dlength_integral(u, chart, level),
+                     lambda: dlength_integral(u, chart, level + 10.0),
                      lambda: critical_points(u, chart)):
-            with pytest.raises(DomainError):
+            with pytest.raises(DomainError, match="radial in|radial fields only"):
                 call()
 
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from levelflow import (ConformalChart, DirichletSpec, DomainError, WarpedChart,
-                       catalog_field, critical_points, flat_factor,
-                       solve_annulus_dirichlet, solve_annulus_numeric)
+from levelflow import (ConformalChart, DirichletSpec, DomainError, ScalarField,
+                       WarpedChart, catalog_field, constant_field, critical_points,
+                       flat_factor, solve_annulus_dirichlet, solve_annulus_numeric)
 
 
 def test_dirichlet_closed_form_values():
@@ -69,21 +69,33 @@ def test_catalog_unknown_name_and_params():
 
 def test_critical_points_examples():
     flat = ConformalChart(flat_factor(), 0.5, 2.0)
-    cps = critical_points(catalog_field("joukowski", a=1.0), flat, 64)
+    cps = critical_points(catalog_field("joukowski", a=1.0), flat)
     assert len(cps) == 2
     found = sorted(cps)
     assert np.allclose(found, [(-1.0, 0.0), (1.0, 0.0)], atol=1e-8)
 
     annulus = ConformalChart(flat_factor(), 1.0, 2.0)
-    assert critical_points(catalog_field("log"), annulus, 32) == []
-    assert critical_points(catalog_field("re_poly", n=1), annulus, 32) == []
+    assert critical_points(catalog_field("log"), annulus) == []
+    assert critical_points(catalog_field("re_poly", n=1), annulus) == []
 
 
 def test_critical_points_dirichlet_always_empty():
     chart = ConformalChart(flat_factor(), 1.0, 3.0)
     for t1, t2 in [(0.0, 1.0), (2.0, -1.0)]:
         u = solve_annulus_dirichlet(DirichletSpec(3.0, t1, t2))
-        assert critical_points(u, chart, 32) == []
+        assert critical_points(u, chart) == []
+
+
+def test_critical_points_refuse_constant_fields():
+    # every point of a constant is critical, so none is isolated to report
+    for u, chart in [
+            (constant_field(0.7), ConformalChart(flat_factor(), 1.0, 4.0)),
+            (solve_annulus_dirichlet(DirichletSpec(3.0, 1.0, 1.0)),
+             ConformalChart(flat_factor(), 1.0, 3.0)),
+            (ScalarField.from_expression(lambda t, _th: 0.7, radial="t"),
+             WarpedChart.cosh_cylinder(0.3, 0.1, 2.0))]:
+        with pytest.raises(DomainError, match="u is constant"):
+            critical_points(u, chart)
 
 
 def test_critical_points_on_a_warped_chart_need_a_field_of_t():
@@ -92,12 +104,6 @@ def test_critical_points_on_a_warped_chart_need_a_field_of_t():
     chart = WarpedChart.cosh_cylinder(0.3, 0.1, 2.0)
     with pytest.raises(DomainError):
         critical_points(catalog_field("im_poly", n=2), chart)
-
-
-def test_critical_points_resolution_validation():
-    chart = ConformalChart(flat_factor(), 1.0, 2.0)
-    with pytest.raises(DomainError):
-        critical_points(catalog_field("log"), chart, 8)
 
 
 def test_numeric_solver_accuracy_and_order():

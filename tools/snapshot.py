@@ -27,7 +27,13 @@ OUT (created; it must not exist yet) receives
   cosh cylinder, ``metric_gradient_norm`` at two points of one coordinate
   circle, ``dlength_integral`` at the level midway between u's values at
   the two ends of theta = 0 and the number of ``critical_points``, or the
-  class and message of what they raise.
+  class and message of what they raise;
+* ``audits.txt``: ``principle_audit(...).to_json()``, or the class and
+  message of what it raises, for every quantity and case on reduced grids:
+  the hyperbolic cylinder, the sphere cap with u = c ln|z| for c = -1 and
+  c = 1, the flat Dirichlet field, the non-radial ``perturbed_log`` on a
+  sphere cap, and fields of t whose phi_k has an interior extremum on a
+  polar-coordinate plane and on a round sphere (the inputs that fail).
 
 The package is imported from the Python path, so two source trees compare
 byte for byte with
@@ -214,11 +220,55 @@ def _symmetry_calls():
     return calls
 
 
-def _calls_text(calls) -> str:
+def _audit_calls():
+    """(label, call) pairs of every audit quantity and case on each setup."""
+    import levelflow as lf
+    from levelflow import jets, scenarios
+
+    def of_t(expr):
+        return lf.ScalarField.from_expression(lambda t, _th: expr(t), radial="t")
+
+    def plane_bump(sign, bump):
+        # t u'(t) = sign (1 + bump (t - 4)^2 / 9) on w = t
+        a, b, c = 1 + bump * 16 / 9, -bump * 8 / 9, bump / 18
+        return of_t(lambda t: sign * (a * jets.log(t) + b * t + c * t * t))
+
+    def sphere_bump(t):
+        x = jets.sin(t) * jets.sin(t)
+        return -(0.5 * jets.log(x) + x - 0.5 * x * x)
+
+    hyp, flat = scenarios.hyperbolic(), scenarios.flat()
+    plane = lf.WarpedChart(1.0, 7.5, 1.0, of_t(lambda t: t))
+    sphere = lf.WarpedChart(0.2, 1.55, 1.0, of_t(jets.sin))
+    coarse = ((48, 40), 96)
+    setups = [("hyperbolic", hyp.u, hyp.chart, (0.2, 1.5), coarse)]
+    for c in (-1.0, 1.0):
+        cap = scenarios.sphere_cap(c)
+        setups.append((f"sphere_cap(c={c!r})", cap.u, cap.chart, (1.05, 1.5), coarse))
+    setups += [
+        ("flat", flat.u, flat.chart, (1.5, 6.0), coarse),
+        ("perturbed_log, cap 0.5..2", lf.catalog_field("perturbed_log"),
+         lf.ConformalChart(lf.sphere_cap_factor(0.1), 0.5, 2.0), (0.6, 1.8), coarse)]
+    for sign, bump in ((-1, 1.0), (1, 1.0), (1, -0.5), (-1, -0.5)):
+        setups.append((f"plane_bump({sign}, {bump!r})", plane_bump(sign, bump), plane,
+                       (1.0, 7.0), ((128, 128), 128)))
+    setups.append(("sphere_bump", of_t(sphere_bump), sphere, (0.3, 1.5), ((64, 512), 128)))
+    calls = []
+    for name, u, chart, domain, (n_interior, n_boundary) in setups:
+        for quantity in lf.curvature_flow.AUDIT_QUANTITIES:
+            for case in lf.curvature_flow.AUDIT_CASES:
+                calls.append((f"principle_audit({name}, {quantity}, {case})",
+                              lambda u=u, chart=chart, domain=domain, q=quantity, case=case,
+                              n=n_interior, m=n_boundary:
+                              lf.principle_audit(u, chart, domain, q, case, n, m).to_json()))
+    return calls
+
+
+def _calls_text(calls, show=repr) -> str:
     lines = []
     for label, call in calls:
         try:
-            got = repr(call())
+            got = show(call())
         except Exception as exc:  # the class and message are the output
             got = f"raises {type(exc).__name__}: {exc}"
         lines.append(f"{label} -> {got}\n")
@@ -260,6 +310,7 @@ def main(argv) -> int:
     (out / "profiles").mkdir()
     _write_profiles(out / "profiles")
     (out / "symmetry.txt").write_text(_calls_text(_symmetry_calls()))
+    (out / "audits.txt").write_text(_calls_text(_audit_calls(), show=str))
     return 0
 
 
