@@ -338,6 +338,20 @@ def _bilinear(a, H, b):
             + a[:, 1] * H[:, 1, 0] * b[:, 0] + a[:, 1] * H[:, 1, 1] * b[:, 1])
 
 
+def _circle_points(chart, radii, n_samples):
+    """(m, n_samples, 2) points and (m, n_samples) coordinate arclength
+    weights of the m circles at ``radii`` (|z| = r, or t = r on warped
+    charts), sampled uniformly in angle from theta = 0; the weights are a
+    broadcast view."""
+    theta = np.arange(n_samples) * (2.0 * np.pi / n_samples)
+    r = radii[:, None]
+    if chart.kind == "warped":
+        pts = np.stack(np.broadcast_arrays(r, theta), axis=-1)
+        return pts, np.broadcast_to(2.0 * np.pi / n_samples, pts.shape[:2])
+    pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
+    return pts, np.broadcast_to(2.0 * np.pi * r / n_samples, pts.shape[:2])
+
+
 def _radial_on(u, chart) -> bool:
     """``u.radial == chart.radial``; False for a field without symmetry on a
     conformal chart, :class:`DomainError` for any other field not radial on it."""

@@ -169,7 +169,6 @@ def _grid_from_config(cfg, chart, u) -> np.ndarray:
 
 
 def _write_report(report: dict, out_dir: Path, name: str) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / name
     with open(path, "w", newline="\n") as fh:
         json.dump(report, fh, indent=2)
@@ -314,10 +313,9 @@ def cmd_audit(cfg, out_dir, tol, fmt):
         raise ConfigError("analysis.domain = [lo, hi] required for audits")
     rep = cf.principle_audit(u, chart, (float(domain[0]), float(domain[1])),
                              quantity, case)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "audit_report.json").write_text(rep.to_json() + "\n")
     report = json.loads(rep.to_json())
     report["tolerances"] = tol
+    _write_report(report, out_dir, "audit_report.json")
     return (0 if rep.verdict == "pass" else 1), report
 
 
@@ -472,7 +470,6 @@ def cmd_examples(name, out_dir, tol):
     if name not in _SCENARIOS:
         raise ConfigError(f"unknown example scenario {name!r}; "
                           f"choose from {sorted(_SCENARIOS)}")
-    out_dir.mkdir(parents=True, exist_ok=True)
     report = _SCENARIOS[name](tol, out_dir)
     report["tolerances"] = tol
     _write_report(report, out_dir, f"examples_{name}_report.json")
@@ -497,7 +494,7 @@ def run(subcommand: str, config_path: str | None, *, out: str = ".",
         if subcommand == "examples":
             if not example_name:
                 raise ConfigError("examples needs a scenario name")
-            tol = {k: v * tol_scale for k, v in DEFAULT_TOLERANCES.items()}
+            tol = _tolerances({}, tol_scale)
             code, report = cmd_examples(example_name, out_dir, tol)
         else:
             if config_path is None:

@@ -41,11 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import local_geometry
+from .charts import _circle_points, local_geometry
 from .errors import DomainError, LevelFlowError, PreconditionError
 from .fields import as_points
-from .levelsets import (LengthProfile, _circle_points, _integrate_levels, _level_points,
-                        _screen_levels)
+from .levelsets import LengthProfile, _integrate_levels, _level_points, _screen_levels
 
 AUDIT_QUANTITIES = ("k", "h", "phi_k", "phi_h", "ln_abs_k", "ln_abs_h")
 

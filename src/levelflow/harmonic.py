@@ -1,15 +1,16 @@
-"""Harmonic fields: closed-form catalog, annulus Dirichlet solutions,
-critical-point detection and a validation-only polar grid solver.
+"""Harmonic fields: closed-form catalog, annulus Dirichlet solutions, critical
+points and a validation-only polar grid solver.  :func:`_bracketed_newton` is
+the package's one root solver, batched over its brackets: it locates level
+radii, tracer seeds and the critical points of fields of t.
 
-Harmonicity in the surface metric coincides with Euclidean harmonicity in
-the chart coordinates on conformal charts (conformal invariance in two
-dimensions), so every conformal-chart entry in the catalog is an exact
-planar harmonic function.  Warped-chart entries are functions of t
-(``radial="t"``) and satisfy u'' + (w'/w) u' = 0 for their chart's warp.
-
-Every constructor returns a :class:`~levelflow.fields.ScalarField`; fields
-a + b ln|z| are radial in |z| (``radial="abs_z"``) and set its
-``log_radial_coeffs``, and the numeric solver's sets its ``grid_data``.
+Harmonicity in the surface metric coincides with Euclidean harmonicity in the
+chart coordinates on conformal charts (conformal invariance in two dimensions),
+so every conformal-chart entry in the catalog is an exact planar harmonic
+function.  Warped-chart entries are functions of t (``radial="t"``) and satisfy
+u'' + (w'/w) u' = 0 for their chart's warp.  Every constructor returns a
+:class:`~levelflow.fields.ScalarField`; fields a + b ln|z| are radial in |z|
+(``radial="abs_z"``) and set its ``log_radial_coeffs``, and the numeric
+solver's sets its ``grid_data``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 from scipy.interpolate import RectBivariateSpline
-from scipy.optimize import brentq
 from scipy.sparse.linalg import spsolve
 
 from . import jets
-from .charts import CRITICAL_GRAD, _radial_on
+from .charts import CRITICAL_GRAD, _circle_points, _radial_on
 from .errors import DomainError, SolverError
 from .fields import ScalarField, constant_field
 
@@ -123,10 +123,10 @@ def critical_points(u: ScalarField, chart) -> list[tuple[float, float]]:
     """All zeros of grad u in the chart interior, located to ~1e-8.
 
     Grid scan of |grad u|^2 local minima followed by damped Newton on the
-    gradient.  An empty list certifies that the grid minimum of |grad u|
-    stayed above the polish threshold.  A field with |grad u| below
-    ``CRITICAL_GRAD`` at every grid point (a constant) raises DomainError:
-    its critical points are not isolated.
+    gradient, all seeds at once.  An empty list certifies that the grid
+    minimum of |grad u| stayed above the polish threshold.  A field with
+    |grad u| below ``CRITICAL_GRAD`` at every grid point (a constant) raises
+    DomainError: its critical points are not isolated.
     """
     if _radial_on(u, chart) and chart.kind == "warped":
         return _critical_points_warped(u, chart)
@@ -135,9 +135,7 @@ def critical_points(u: ScalarField, chart) -> list[tuple[float, float]]:
     if r_hi is None:
         raise DomainError("critical point scan needs a bounded chart")
     rr = np.linspace(r_lo * 1.001, r_hi * 0.999, SCAN_POINTS)
-    th = np.linspace(0.0, 2.0 * np.pi, SCAN_POINTS, endpoint=False)
-    R, T = np.meshgrid(rr, th, indexing="ij")
-    pts = np.stack([(R * np.cos(T)).ravel(), (R * np.sin(T)).ravel()], axis=-1)
+    pts = _circle_points(chart, rr, SCAN_POINTS)[0].reshape(-1, 2)
     g = u.jet(pts, 1).grad
     q = (g[:, 0] ** 2 + g[:, 1] ** 2).reshape(SCAN_POINTS, SCAN_POINTS)
     _require_gradient(q)
@@ -147,39 +145,34 @@ def critical_points(u: ScalarField, chart) -> list[tuple[float, float]]:
     padded = np.pad(q, ((1, 1), (0, 0)), constant_values=np.inf)
     is_min = ((q <= padded[:-2]) & (q <= padded[2:])
               & (q <= np.roll(q, 1, axis=1)) & (q <= np.roll(q, -1, axis=1)))
-    seeds = pts[np.flatnonzero(is_min)]
 
     roots: list[np.ndarray] = []
-    for seed in seeds:
-        root = _newton_polish(u, seed)
-        if root is None:
-            continue
-        r = np.hypot(root[0], root[1])
-        if not (r_lo < r < r_hi):
-            continue
-        if all(np.hypot(*(root - q0)) > 1e-6 for q0 in roots):
+    for root in _newton_polish(u, pts[np.flatnonzero(is_min)]):
+        if r_lo < np.hypot(*root) < r_hi and all(np.hypot(*(root - q0)) > 1e-6 for q0 in roots):
             roots.append(root)
     roots.sort(key=lambda p: (p[0], p[1]))
     return [tuple(p) for p in roots]
 
 
-def _newton_polish(u, seed, damping: float = 0.5, max_iter: int = 50,
-                   tol: float = 1e-11):
-    p = np.asarray(seed, dtype=float).copy()
+def _newton_polish(u, seeds, damping=0.5, max_iter=50, tol=1e-11):
+    """Zeros of grad u reached by damped Newton from the (k, 2) ``seeds``, in
+    seed order, one order-2 jet call per step for the live seeds; a seed at a
+    singular Hessian or above ``tol`` after ``max_iter`` steps is dropped."""
+    p, live = seeds.copy(), np.arange(len(seeds))
+    converged = np.zeros(len(seeds), dtype=bool)
     for _ in range(max_iter):
-        j = u.jet(p, 2)
-        g = j.grad[0]
-        if np.hypot(g[0], g[1]) < tol:
-            return p
-        h = j.hess[0]
-        det = h[0, 0] * h[1, 1] - h[0, 1] * h[1, 0]
-        if abs(det) < 1e-14:
-            logger.debug("critical-point Newton: singular Hessian at %s", p)
-            return None
-        step = np.linalg.solve(h, -g)
-        p = p + damping * step
-    logger.debug("critical-point Newton: no convergence from seed %s", seed)
-    return None
+        if live.size == 0:
+            break
+        j = u.jet(p[live], 2)
+        g, h = j.grad, j.hess
+        done = np.hypot(g[:, 0], g[:, 1]) < tol
+        step = ~done & (np.abs(h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]) >= 1e-14)
+        converged[live[done]] = True
+        live = live[step]
+        p[live] += damping * np.linalg.solve(h[step], -g[step][:, :, None])[:, :, 0]
+    logger.debug("critical-point Newton: seeds dropped at a singular Hessian or "
+                 "unconverged after %d steps: %s", max_iter, seeds[~converged])
+    return p[converged]
 
 
 def _require_gradient(grad_sq):
@@ -191,18 +184,65 @@ def _require_gradient(grad_sq):
 
 
 def _critical_points_warped(u, chart):
+    """Zeros of u'(t) on the scan's sign-change brackets, solved together."""
+    def slope(t):  # (u', u'') at (t, 0)
+        j = u.jet(np.stack([t, np.zeros_like(t)], axis=-1), 2)
+        return j.grad[:, 0], j.hess[:, 0, 0]
+
     ts = np.linspace(chart.t_min, chart.t_max, SCAN_POINTS)
-    pts = np.stack([ts, np.zeros_like(ts)], axis=-1)
-    du = u.jet(pts, 1).grad[:, 0]
+    du = slope(ts)[0]
     _require_gradient(du**2)
+    i = np.flatnonzero((du[:-1] == 0.0) | (du[:-1] * du[1:] < 0))
     roots = []
-    for i in range(SCAN_POINTS - 1):
-        if du[i] == 0.0 or du[i] * du[i + 1] < 0:
-            t0 = brentq(lambda t: float(u.jet([[t, 0.0]], 1).grad[0, 0]),
-                        ts[i], ts[i + 1], xtol=1e-12)
-            if all(abs(t0 - r[0]) > 1e-6 for r in roots):
-                roots.append((t0, 0.0))
+    for t0 in _bracketed_newton(slope, np.zeros(i.size), ts[i], ts[i + 1], du[i]):
+        if all(abs(t0 - r[0]) > 1e-6 for r in roots):
+            roots.append((float(t0), 0.0))
     return roots
+
+
+def _bracketed_newton(fn, ts, a, b, fa, max_iter=60):
+    """Roots x of f(x) = t in [a, b], one per entry of the arrays ``ts``, ``a``,
+    ``b`` and ``fa`` = f(a) - t, which is 0 (a is the root) or of the sign
+    opposite to f(b) - t; ``fn(x)`` returns (f, f') at an array x.  Newton
+    steps from the bracket midpoint, bisection fallback.
+
+    Every entry runs its own scalar iteration; the live entries only share
+    one ``fn`` call per iteration, so a root does not depend on its batch.
+    A Newton step of at most 1e-15 relative ends the iteration, even one
+    that leaves the bracket; an entry whose step is still above that after
+    ``max_iter`` iterations raises :class:`SolverError`.
+    """
+    a, b, fa = a.copy(), b.copy(), fa.copy()
+    x = 0.5 * (a + b)
+    root = a.copy()
+    live = np.flatnonzero(fa != 0.0)
+    for _ in range(max_iter):
+        if live.size == 0:
+            break
+        xl, al, bl, fal = x[live], a[live], b[live], fa[live]
+        v, d = fn(xl)
+        f = v - ts[live]
+        hit = f == 0.0
+        left = f * fal < 0
+        al, fal = np.where(left, al, xl), np.where(left, fal, f)
+        bl = np.where(left, xl, bl)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(d != 0, f / d, np.inf)
+        x_new = xl - step
+        tol = 1e-15 * np.maximum(1.0, np.abs(xl))
+        # x is now a bracket end, so a converged sub-ulp step can land just
+        # outside the bracket: keep it rather than restart by bisection
+        keep = (np.abs(x_new - xl) <= tol) | ((al < x_new) & (x_new < bl))
+        x_new = np.where(keep, x_new, 0.5 * (al + bl))
+        done = np.abs(x_new - xl) <= tol
+        root[live] = np.where(hit, xl, x_new)
+        a[live], b[live], fa[live], x[live] = al, bl, fal, x_new
+        live = live[~(hit | done)]
+    if live.size:
+        raise SolverError(
+            f"bracketed Newton: step above 1e-15 relative after {max_iter} "
+            f"iterations at levels t = {[float(t) for t in ts[live]]}")
+    return root
 
 
 # -- validation-only numeric solver ---------------------------------------------

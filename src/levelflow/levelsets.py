@@ -41,14 +41,13 @@ from typing import Sequence
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
-from .charts import CRITICAL_GRAD, ConformalChart, _geometry, _radial_on
+from .charts import CRITICAL_GRAD, ConformalChart, _circle_points, _geometry, _radial_on
 from .errors import (CriticalPointError, DomainError, LevelFlowError,
                      NormalizationError, PreconditionError, SingularPointError,
                      SolverError, TopologyError)
 from .fields import ScalarField
-from .harmonic import catalog_field
+from .harmonic import _bracketed_newton, catalog_field
 from .quadrature import circle_length
 
 CSV_COLUMNS = ("t", "L", "Lp", "Lpp", "lnL_pp", "L_fd_p", "L_fd_pp", "aux_invgrad2")
@@ -137,52 +136,13 @@ def _level_radii(u, chart, ts, max_iter=60):
     if not found.all():
         raise DomainError(f"no level {ts[~found][0]} on the radial section")
     i = np.argmax(sign_change, axis=1)
-    fa = vals[np.arange(ts.size), i]
-    return _bracketed_newton(u, ts, rr[i], rr[i + 1], fa, max_iter)
 
+    def value(r):  # (u, du/dr) at (r, 0)
+        j = u.jet(np.stack([r, np.zeros_like(r)], axis=-1), 1)
+        return j.value, j.grad[:, 0]
 
-def _bracketed_newton(u, ts, a, b, fa, max_iter=60):
-    """Roots of u((r, 0)) = t on [a, b], one per level: Newton steps from
-    the bracket midpoint, bisection fallback.
-
-    Every level runs its own scalar iteration; the live levels only share
-    one jet call per iteration, so a root does not depend on its batch.  A
-    Newton step of at most 1e-15 relative ends the iteration, even one that
-    leaves the bracket; a level whose step is still above that after
-    ``max_iter`` iterations raises :class:`SolverError`.
-    """
-    a, b, fa = a.copy(), b.copy(), fa.copy()
-    x = 0.5 * (a + b)
-    root = np.empty_like(x)
-    live = np.arange(x.size)
-    for _ in range(max_iter):
-        if live.size == 0:
-            break
-        xl, al, bl, fal = x[live], a[live], b[live], fa[live]
-        j = u.jet(np.stack([xl, np.zeros_like(xl)], axis=-1), 1)
-        f = j.value - ts[live]
-        hit = f == 0.0
-        left = f * fal < 0
-        al, fal = np.where(left, al, xl), np.where(left, fal, f)
-        bl = np.where(left, xl, bl)
-        d = j.grad[:, 0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(d != 0, f / d, np.inf)
-        x_new = xl - step
-        tol = 1e-15 * np.maximum(1.0, np.abs(xl))
-        # x is now a bracket end, so a converged sub-ulp step can land just
-        # outside the bracket: keep it rather than restart by bisection
-        keep = (np.abs(x_new - xl) <= tol) | ((al < x_new) & (x_new < bl))
-        x_new = np.where(keep, x_new, 0.5 * (al + bl))
-        done = np.abs(x_new - xl) <= tol
-        root[live] = np.where(hit, xl, x_new)
-        a[live], b[live], fa[live], x[live] = al, bl, fal, x_new
-        live = live[~(hit | done)]
-    if live.size:
-        raise SolverError(
-            f"bracketed Newton: step above 1e-15 relative after {max_iter} "
-            f"iterations at levels t = {[float(t) for t in ts[live]]}")
-    return root
+    return _bracketed_newton(value, ts, rr[i], rr[i + 1], vals[np.arange(ts.size), i],
+                             max_iter)
 
 
 def extract_level_curve(u: ScalarField, chart, t: float,
@@ -224,51 +184,45 @@ def _level_points(u, chart, ts, radii, n_samples):
     return _circle_points(chart, radii, n_samples)
 
 
-def _circle_points(chart, radii, n_samples):
-    """:func:`_level_points` of the radial levels at ``radii``, sampled
-    uniformly in angle from theta = 0; the weights are a broadcast view."""
-    theta = np.arange(n_samples) * (2.0 * np.pi / n_samples)
-    r = radii[:, None]
-    if chart.kind == "warped":
-        pts = np.stack(np.broadcast_arrays(r, theta), axis=-1)
-        return pts, np.broadcast_to(2.0 * np.pi / n_samples, pts.shape[:2])
-    pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-    return pts, np.broadcast_to(2.0 * np.pi * r / n_samples, pts.shape[:2])
-
-
 def _seed_on_level(u, chart, t):
+    """A point of the level {u = t}: the first sign change of u - t on the
+    first of 16 rays from the origin that has one, solved on that ray."""
     r_lo = chart.inner_radius if chart.inner_radius > 0 else 1e-6
     r_hi = chart.outer_radius
     if r_hi is None:
         raise DomainError("tracing needs a bounded chart")
     rr = np.linspace(r_lo * 1.0001, r_hi * 0.9999, 64)
     for ang in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
-        c, s = np.cos(ang), np.sin(ang)
-        vals = u.value(np.stack([rr * c, rr * s], axis=-1)) - t
-        j = np.nonzero(vals[:-1] * vals[1:] <= 0)[0]
+        e = np.array([np.cos(ang), np.sin(ang)])
+        vals = u.value(rr[:, None] * e) - t
+        j = np.nonzero(vals[:-1] * vals[1:] <= 0)[0][:1]
         if j.size:
-            r0 = brentq(lambda r: float(u.value((r * c, r * s))) - t,
-                        rr[j[0]], rr[j[0] + 1], xtol=1e-13)
-            return np.array([r0 * c, r0 * s])
+            def on_ray(r):  # (u, du/dr) at r e
+                jet = u.jet(r[:, None] * e, 1)
+                return jet.value, jet.grad @ e
+
+            return _bracketed_newton(on_ray, np.array([t]), rr[j], rr[j + 1], vals[j])[0] * e
     raise DomainError(f"level {t} not found in the chart annulus")
 
 
-def _project_to_level(u, t, pts, span, max_iter=8):
+def _project_to_level(u, t, pts, max_iter=8):
+    """``pts`` moved onto {u = t} by Newton steps along grad u until |u - t|
+    <= 1e-11 max(1, |t|); SolverError if that takes more than ``max_iter``."""
     pts = pts.copy()
+    tol = 0.01 * _LEVEL_TOL_FRAC * max(1.0, abs(t))
     for _ in range(max_iter):
         j = u.jet(pts, 1)
         res = j.value - t
-        if np.all(np.abs(res) <= 0.01 * _LEVEL_TOL_FRAC * span):
-            break
+        if np.all(np.abs(res) <= tol):
+            return pts
         q = j.grad[:, 0] ** 2 + j.grad[:, 1] ** 2
         if np.any(q < CRITICAL_GRAD**2):
             raise CriticalPointError("level projection hit a critical point")
         pts -= (res / q)[:, None] * j.grad
-    return pts
+    raise SolverError(f"level projection: |u - {t}| > {tol:g} after {max_iter} iterations")
 
 
 def _trace_level_curve(u, chart, t, n_samples):
-    span = max(1.0, abs(t))
     p0 = _seed_on_level(u, chart, t)
     ds = 2.0 * np.pi * np.hypot(*p0) / max(1024, 2 * n_samples)
     max_steps = 300000
@@ -294,7 +248,7 @@ def _trace_level_curve(u, chart, t, n_samples):
         p = p + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not in_domain(p):
             raise TopologyError("level curve left the chart annulus (open level)")
-        p = _project_to_level(u, t, p[None, :], span)[0]
+        p = _project_to_level(u, t, p[None, :])[0]
         if step > 10 and np.hypot(*(p - p0)) < 1.5 * ds:
             break
         pts.append(p)
@@ -310,12 +264,8 @@ def _trace_level_curve(u, chart, t, n_samples):
     sy = CubicSpline(sigma, closed[:, 1], bc_type="periodic")
     s_new = np.arange(n_samples) * (total / n_samples)
     resampled = np.stack([sx(s_new), sy(s_new)], axis=-1)
-    resampled = _project_to_level(u, t, resampled, span)
-    res = np.abs(u.jet(resampled, 0).value - t)
-    if np.any(res > _LEVEL_TOL_FRAC * span):
-        raise TopologyError("level projection failed to reach the requested tolerance")
-    rolled = np.vstack([resampled[1:], resampled[:1]])
-    chords_fwd = np.hypot(*(rolled - resampled).T)
+    resampled = _project_to_level(u, t, resampled)
+    chords_fwd = np.hypot(*(np.roll(resampled, -1, axis=0) - resampled).T)
     w = 0.5 * (chords_fwd + np.roll(chords_fwd, 1))
     return LevelCurve(t, resampled, w)
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from levelflow import DirichletSpec, bic, inset_grid
-from levelflow.cli import main, run
+from levelflow.cli import DEFAULT_TOLERANCES, main, run
 
 FLAT_CONFIG = {
     "seed": 0,
@@ -123,6 +123,8 @@ def test_audit_subcommand_and_key_order(tmp_path):
     assert list(doc)[:6] == ["quantity", "case", "hypothesis_flags",
                              "interior_extremum", "boundary_extremum", "verdict"]
     assert doc["verdict"] == "pass"
+    # the tolerance set used, as every other report embeds it
+    assert doc["tolerances"] == DEFAULT_TOLERANCES
 
 
 def test_bic_subcommand(tmp_path):

@@ -1,11 +1,14 @@
 """Dirichlet solutions, the field catalog, critical points, numeric solver."""
 
+import logging
+
 import numpy as np
 import pytest
 
 from levelflow import (ConformalChart, DirichletSpec, DomainError, ScalarField,
                        WarpedChart, catalog_field, constant_field, critical_points,
                        flat_factor, solve_annulus_dirichlet, solve_annulus_numeric)
+from levelflow.jets import sin
 
 
 def test_dirichlet_closed_form_values():
@@ -104,6 +107,35 @@ def test_critical_points_on_a_warped_chart_need_a_field_of_t():
     chart = WarpedChart.cosh_cylinder(0.3, 0.1, 2.0)
     with pytest.raises(DomainError):
         critical_points(catalog_field("im_poly", n=2), chart)
+
+
+def test_critical_points_on_a_warped_chart_solve_u_prime():
+    chart = WarpedChart.cosh_cylinder(0.3, 0.1, 2.0)
+
+    def of_t(expr):
+        return ScalarField.from_expression(lambda t, _th: expr(t), radial="t")
+
+    assert critical_points(of_t(lambda t: (t - 0.3) ** 2), chart) == [(0.3, 0.0)]
+    roots = critical_points(of_t(lambda t: sin(t * 3.0)), chart)
+    assert np.allclose(roots, [(np.pi / 6, 0.0), (np.pi / 2, 0.0)], rtol=0, atol=1e-12)
+    # u' is exactly 0 at a scan point: that bracket end is the root
+    c = np.linspace(0.1, 2.0, 64)[20]
+    assert critical_points(of_t(lambda t: (t - c) ** 2), chart) == [(c, 0.0)]
+
+
+@pytest.mark.parametrize("name, params, max_calls", [
+    ("re_poly", {"n": 2}, 48), ("log", {}, 24)])
+def test_critical_points_evaluation_budget(field_evaluations, caplog, name, params,
+                                          max_calls):
+    # one scan, then one jet call per Newton iteration over all live seeds
+    chart = ConformalChart(flat_factor(), 1.0, 4.0)
+    with caplog.at_level(logging.DEBUG, logger="levelflow.harmonic"):
+        assert critical_points(catalog_field(name, **params), chart) == []
+    assert len(field_evaluations) <= max_calls
+    assert min(field_evaluations) > 1
+    # every seed is dropped, all in one log line
+    assert [r.message.startswith("critical-point Newton: seeds dropped")
+            for r in caplog.records] == [True]
 
 
 def test_numeric_solver_accuracy_and_order():

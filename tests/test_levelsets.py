@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levelflow import (ConformalChart, DirichletSpec, DomainError,
-                       NormalizationError, PreconditionError, ScalarField,
-                       SingularPointError, SolverError, TopologyError, WarpedChart,
-                       asymptotic_defect, catalog_field, d2length_integral,
-                       dlength_integral, extract_level_curve, flat_factor,
-                       inset_grid, length, length_profile, level_radius,
+from levelflow import (ConformalChart, DirichletSpec, DomainError, NormalizationError,
+                       PreconditionError, SingularPointError, SolverError,
+                       TopologyError, WarpedChart, asymptotic_defect, catalog_field,
+                       d2length_integral, dlength_integral, extract_level_curve,
+                       flat_factor, inset_grid, length, length_profile, level_radius,
                        log_convexity_check, log_modulus_field, logL_slope_bound,
                        pinched_bound_check, radial_log_field,
                        second_divided_differences, sharp_bound_gap,
@@ -71,6 +70,26 @@ def test_extract_open_level_raises_topology_error():
 def test_extract_level_out_of_range():
     with pytest.raises(DomainError):
         extract_level_curve(CANONICAL, FLAT_BIG, 0.5, 64)
+
+
+def test_trace_seed_searches_the_other_angles():
+    # the level circle |z - 2.5i| = 0.5 misses the ray theta = 0, so the
+    # tracer's seed comes from a later angle of its search
+    u = log_modulus_field(1.0, center=(0.0, 2.5))
+    chart = ConformalChart(flat_factor(), 1.0, 4.0)
+    curve = extract_level_curve(u, chart, np.log(0.5), 256)
+    assert length(curve, chart) == pytest.approx(np.pi, rel=1e-4)
+    with pytest.raises(DomainError, match="level 5.0 not found in the chart annulus"):
+        extract_level_curve(u, chart, 5.0, 64)
+
+
+def test_level_projection_reports_unconverged_points():
+    u = catalog_field("perturbed_log", eps=0.1)
+    pts = np.array([[1.2, 0.0], [0.0, -1.3]])  # off the level u = 0 (r near 1.1)
+    projected = levelsets._project_to_level(u, 0.0, pts)
+    assert np.max(np.abs(u.value(projected))) <= 1e-11
+    with pytest.raises(SolverError, match="after 1 iterations"):
+        levelsets._project_to_level(u, 0.0, pts, max_iter=1)
 
 
 def test_level_outside_the_chart_raises_on_both_radius_paths():
@@ -434,18 +453,6 @@ def test_quadrature_path_through_a_singular_point_raises():
                  lambda: dlength_integral(u, chart, -np.log(1.5))):
         with pytest.raises(SingularPointError, match="of singular point"):
             call()
-
-
-@pytest.fixture
-def field_evaluations(monkeypatch):
-    """Point counts of every ScalarField evaluation, one entry per call."""
-    counts = []
-    for name in ("jet", "value", "gradient", "hessian", "laplacian"):
-        def counted(self, p, *args, _method=getattr(ScalarField, name), **kwargs):
-            counts.append(np.atleast_2d(np.asarray(p, dtype=float)).shape[0])
-            return _method(self, p, *args, **kwargs)
-        monkeypatch.setattr(ScalarField, name, counted)
-    return counts
 
 
 @pytest.mark.parametrize("call, max_calls, max_points", [
