@@ -1,15 +1,16 @@
 """Command-line runner: scenario configs in, CSV/JSON reports out.
 
-Subcommands: ``profile``, ``convexity``, ``residuals``, ``audit``, ``bic``,
-``counterexample`` (all config-driven) and ``examples NAME`` (reports on
-the flat / hyperbolic / sphere_cap / conical entries of
-:mod:`levelflow.scenarios`).  Exit codes: 0 when
+Subcommands: the config-driven handlers of ``_SUBCOMMANDS`` and ``examples
+NAME`` (the ``_EXAMPLES`` reports on :mod:`levelflow.scenarios`).
+A handler returns ``(passed, report, profile or None)`` and writes nothing;
+:func:`run` alone writes the profile and the report, whose last key is the
+tolerance set used (so failures reproduce), and sets the exit code: 0 when
 every check passes, 1 when a mathematical check fails (a report is still
 written), 2 on input or configuration errors.
 
-Configs are strict UTF-8 JSON: unknown keys are rejected with a
-line-numbered diagnostic where the offending key can be located.  Every
-report embeds the tolerance set actually used, so failures reproduce.
+Configs are strict UTF-8 JSON: unknown keys and tolerance names are rejected
+with a line-numbered diagnostic where the key can be located; a missing or
+mistyped number raises ``ConfigError`` naming its key.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ _ANALYSIS_KEYS = {"levels", "n_samples", "t_range", "points", "quantity",
                   "case", "domain", "kappa", "eps_sequence", "mollify_level", "radii",
                   "factor_c", "tolerances"}
 _FACTOR_KEYS = {"name", "a", "b", "c"}
+_REQUIRED = object()
 
 
 def _find_line(text: str, key: str) -> int | None:
@@ -71,6 +73,27 @@ def _reject_unknown(section: dict, allowed: set, where: str, text: str):
             raise ConfigError(f"{loc}unknown key {key!r} in {where}")
 
 
+def _number(section: dict, key: str, where: str, default=_REQUIRED, kind=float,
+            length=None):
+    """``section[key]`` as a ``kind`` or, given ``length``, as a list of that
+    many floats (one or more when it is 0); ``default`` when the key is absent.
+
+    A missing, mistyped or misshapen value raises ConfigError naming the key.
+    """
+    if key not in section:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {where}.{key}")
+        return default
+    value = section[key]
+    items = value if isinstance(value, list) else [value]
+    if (isinstance(value, list) != (length is not None) or not items
+            or length not in (None, 0, len(items))
+            or any(type(v) not in (int, float) for v in items)):
+        want = "a number" if length is None else f"a list of {length or 'one or more'} numbers"
+        raise ConfigError(f"{where}.{key} must be {want}, got {value!r}")
+    return kind(value) if length is None else [float(v) for v in value]
+
+
 def load_config(path) -> dict:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -86,6 +109,8 @@ def load_config(path) -> dict:
     _reject_unknown(cfg.get("chart", {}), _CHART_KEYS, "chart", text)
     _reject_unknown(cfg.get("field", {}), _FIELD_KEYS, "field", text)
     _reject_unknown(cfg.get("analysis", {}), _ANALYSIS_KEYS, "analysis", text)
+    _reject_unknown(cfg.get("analysis", {}).get("tolerances", {}),
+                    DEFAULT_TOLERANCES.keys(), "analysis.tolerances", text)
     factor = cfg.get("chart", {}).get("factor")
     if isinstance(factor, dict):
         _reject_unknown(factor, _FACTOR_KEYS, "chart.factor", text)
@@ -100,13 +125,12 @@ def _build_factor(fcfg: dict):
     if name == "flat":
         return flat_factor()
     if name == "sphere_cap":
-        return sphere_cap_factor(float(fcfg.get("c", 0.1)))
+        return sphere_cap_factor(_number(fcfg, "c", "chart.factor", 0.1))
     if name == "half_plane":
         return half_plane_factor()
     if name == "radial_log":
-        return radial_log_field(float(fcfg.get("a", 0.0)),
-                                float(fcfg.get("b", 1.0)),
-                                float(fcfg.get("c", 0.0)))
+        return radial_log_field(*(_number(fcfg, k, "chart.factor", d)
+                                  for k, d in (("a", 0.0), ("b", 1.0), ("c", 0.0))))
     raise ConfigError(f"unknown factor name {name!r}")
 
 
@@ -117,17 +141,27 @@ def build_chart(cfg: dict):
     kind = ccfg.get("kind")
     if kind == "conformal":
         factor = _build_factor(ccfg.get("factor", {"name": "flat"}))
-        return ConformalChart(factor, float(ccfg.get("inner_radius", 1.0)),
-                              ccfg.get("outer_radius"))
+        return ConformalChart(factor, _number(ccfg, "inner_radius", "chart", 1.0),
+                              _number(ccfg, "outer_radius", "chart", None))
     if kind == "warped":
         if ccfg.get("profile", "cosh") != "cosh":
             raise ConfigError("only the cosh warp profile is built in")
-        return WarpedChart.cosh_cylinder(float(ccfg["scale"]),
-                                         float(ccfg["t_min"]), float(ccfg["t_max"]))
+        return WarpedChart.cosh_cylinder(*(_number(ccfg, k, "chart")
+                                           for k in ("scale", "t_min", "t_max")))
     if kind == "conical":
-        atoms = [((a["z"][0], a["z"][1]), a["alpha"]) for a in ccfg.get("atoms", [])]
-        return bic_mod.conical_factor(float(ccfg.get("beta0", 0.0)), atoms)
+        atoms = [(tuple(_number(a, "z", f"chart.atoms[{i}]", length=2)),
+                  _number(a, "alpha", f"chart.atoms[{i}]"))
+                 for i, a in enumerate(ccfg.get("atoms", []))]
+        return bic_mod.conical_factor(_number(ccfg, "beta0", "chart", 0.0), atoms)
     raise ConfigError(f"unknown chart kind {kind!r}")
+
+
+def _smooth_chart(cfg: dict):
+    """The config's chart; a conical one, which has no smooth metric, is refused."""
+    chart = build_chart(cfg)
+    if isinstance(chart, bic_mod.ConicalFactor):
+        raise ConfigError("a conical chart takes only the convexity and bic subcommands")
+    return chart
 
 
 def build_field(cfg: dict):
@@ -143,125 +177,100 @@ def build_field(cfg: dict):
 
 
 def _tolerances(cfg: dict, tol_scale: float) -> dict:
-    tol = dict(DEFAULT_TOLERANCES)
-    tol.update(cfg.get("analysis", {}).get("tolerances", {}))
+    given = cfg.get("analysis", {}).get("tolerances", {})
+    tol = {**DEFAULT_TOLERANCES,
+           **{k: _number(given, k, "analysis.tolerances") for k in given}}
     return {k: v * tol_scale for k, v in tol.items()}
 
 
 def _field_spec(cfg) -> DirichletSpec | None:
     fcfg = cfg.get("field", {})
     if "dirichlet" in fcfg:
-        d = fcfg["dirichlet"]
-        return DirichletSpec(float(d["R"]), float(d["t1"]), float(d["t2"]))
+        return DirichletSpec(*(_number(fcfg["dirichlet"], k, "field.dirichlet")
+                               for k in ("R", "t1", "t2")))
     return None
 
 
-def _grid_from_config(cfg, chart, u) -> np.ndarray:
-    acfg = cfg.get("analysis", {})
-    n = int(acfg.get("levels", 50))
-    t_range = acfg.get("t_range")
-    if t_range is None:
-        bv = ls.boundary_values(u, chart)
-        if bv is None:
-            raise ConfigError("analysis.t_range required for this field/chart")
-        t_range = bv
-    return ls.inset_grid(float(t_range[0]), float(t_range[1]), n)
-
-
-def _write_report(report: dict, out_dir: Path, name: str) -> Path:
-    path = out_dir / name
-    with open(path, "w", newline="\n") as fh:
+def _write_report(report: dict, out_dir: Path, name: str) -> None:
+    with open(out_dir / name, "w", newline="\n") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    return path
-
-
-def _write_profile(prof, out_dir: Path, fmt: str) -> None:
-    """The profile table is always CSV; --format json adds a JSON copy."""
-    prof.to_csv(out_dir / "profile.csv")
-    if fmt == "json":
-        doc = {c: [float(v) for v in
-                   getattr(prof, "t_grid" if c == "t" else c)]
-               for c in ls.CSV_COLUMNS}
-        _write_report(doc, out_dir, "profile.json")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (passed, report, profile or None)
 # ---------------------------------------------------------------------------
 
-def cmd_profile(cfg, out_dir, tol, fmt):
-    chart = build_chart(cfg)
+def _length_profile(cfg, chart):
+    """(length profile of the config's field on its level grid, n_samples)."""
     u = build_field(cfg)
-    grid = _grid_from_config(cfg, chart, u)
-    n_samples = int(cfg["analysis"].get("n_samples", 512))
-    prof = ls.length_profile(u, chart, grid, n_samples=n_samples)
+    acfg = cfg["analysis"]
+    t_range = _number(acfg, "t_range", "analysis", None, length=2)
+    if t_range is None:
+        t_range = ls.boundary_values(u, chart)
+        if t_range is None:
+            raise ConfigError("analysis.t_range required for this field/chart")
+    grid = ls.inset_grid(float(t_range[0]), float(t_range[1]),
+                         _number(acfg, "levels", "analysis", 50, int))
+    n_samples = _number(acfg, "n_samples", "analysis", 512, int)
+    return ls.length_profile(u, chart, grid, n_samples=n_samples), n_samples
+
+
+def _conical_profile(cfg, factor, tol):
+    """(Dirichlet spec, inset-grid profile, its convexity check) on a conical chart."""
+    spec = _field_spec(cfg)
+    if spec is None:
+        raise ConfigError("conical charts need a dirichlet field")
+    grid = ls.inset_grid(spec.t1, spec.t2,
+                         _number(cfg["analysis"], "levels", "analysis", 200, int))
+    prof = bic_mod.bic_length_profile(factor, spec, grid)
+    return spec, prof, ls.log_convexity_check(prof, tol["convexity_conical"])
+
+
+def cmd_profile(cfg, tol):
+    prof, n_samples = _length_profile(cfg, _smooth_chart(cfg))
     rel = np.max(np.abs(prof.Lp - prof.L_fd_p) / np.maximum(np.abs(prof.Lp), 1e-30))
     rel2 = np.max(np.abs(prof.Lpp - prof.L_fd_pp) / np.maximum(np.abs(prof.Lpp), 1e-30))
     ok = bool(rel <= tol["cross_check_rel"] and rel2 <= tol["cross_check_rel"])
-    report = {
+    return ok, {
         "subcommand": "profile",
-        "levels": int(grid.size),
+        "levels": int(prof.t_grid.size),
         "n_samples": n_samples,
         "cross_check_rel_Lp": float(rel),
         "cross_check_rel_Lpp": float(rel2),
         "passed": ok,
-        "tolerances": tol,
-    }
-    _write_profile(prof, out_dir, fmt)
-    report["profile_csv"] = "profile.csv"
-    _write_report(report, out_dir, "profile_report.json")
-    return (0 if ok else 1), report
+        "profile_csv": "profile.csv",
+    }, prof
 
 
-def cmd_convexity(cfg, out_dir, tol, fmt):
+def cmd_convexity(cfg, tol):
     chart = build_chart(cfg)
     if isinstance(chart, bic_mod.ConicalFactor):
-        return _conical_convexity(cfg, chart, out_dir, tol, fmt)
-    u = build_field(cfg)
-    grid = _grid_from_config(cfg, chart, u)
-    n_samples = int(cfg["analysis"].get("n_samples", 512))
-    prof = ls.length_profile(u, chart, grid, n_samples=n_samples)
+        _, prof, rep = _conical_profile(cfg, chart, tol)
+        return rep.passed, {
+            "subcommand": "convexity",
+            "chart": "conical",
+            "nonpositive_curvature": chart.nonpositive_curvature,
+            "min_discrete_second_difference": rep.min_discrete,
+            "capped_levels": prof.meta["capped_levels"],
+            "passed": rep.passed,
+        }, prof
+    prof, _ = _length_profile(cfg, chart)
     rep = ls.log_convexity_check(prof, tol["convexity"])
-    report = {
+    return rep.passed, {
         "subcommand": "convexity",
         "min_lnL_pp": rep.min_lnL_pp,
         "argmin_t": rep.argmin_t,
         "min_discrete_second_difference": rep.min_discrete,
         "passed": rep.passed,
-        "tolerances": tol,
-    }
-    _write_profile(prof, out_dir, fmt)
-    _write_report(report, out_dir, "convexity_report.json")
-    return (0 if rep.passed else 1), report
+    }, prof
 
 
-def _conical_convexity(cfg, factor, out_dir, tol, fmt="csv"):
-    spec = _field_spec(cfg)
-    if spec is None:
-        raise ConfigError("conical charts need a dirichlet field")
-    grid = ls.inset_grid(spec.t1, spec.t2, int(cfg["analysis"].get("levels", 200)))
-    prof = bic_mod.bic_length_profile(factor, spec, grid)
-    rep = ls.log_convexity_check(prof, tol["convexity_conical"])
-    report = {
-        "subcommand": "convexity",
-        "chart": "conical",
-        "nonpositive_curvature": factor.nonpositive_curvature,
-        "min_discrete_second_difference": rep.min_discrete,
-        "capped_levels": prof.meta["capped_levels"],
-        "passed": rep.passed,
-        "tolerances": tol,
-    }
-    _write_profile(prof, out_dir, fmt)
-    _write_report(report, out_dir, "convexity_report.json")
-    return (0 if rep.passed else 1), report
-
-
-def cmd_residuals(cfg, out_dir, tol, fmt):
-    chart = build_chart(cfg)
+def cmd_residuals(cfg, tol):
+    chart = _smooth_chart(cfg)
     u = build_field(cfg)
-    n = int(cfg["analysis"].get("points", 100))
-    seed = int(cfg.get("seed", 0))
+    n = _number(cfg["analysis"], "points", "analysis", 100, int)
+    seed = _number(cfg, "seed", "config", 0, int)
     pts = quasi_random_points(chart, n, seed, min_gradient_field=u)
     closed = u.derivative_source == "closed_form"
     rtol = tol["residual_closed_form"] if closed else tol["residual_fd"]
@@ -282,61 +291,45 @@ def cmd_residuals(cfg, out_dir, tol, fmt):
         gaps, theo = cf.pde2_gap(u, chart, gap_pts)
         res["pde2_gap_min"] = float(np.min(gaps))
         res["pde2_gap_vs_theoretical"] = float(np.max(np.abs(gaps - theo)))
-    ok = (res["kato"] <= rtol and res["bochner"] <= rtol
-          and res["log_gradient"] <= rtol
-          and res["pde1_max"] <= tol["pde_fd"]
-          and res["pde1_star_max"] <= tol["pde_fd"]
-          and (res["pde2_gap_min"] is None or res["pde2_gap_min"] >= -tol["gap_floor"])
-          and (res["pde2_gap_vs_theoretical"] is None
-               or res["pde2_gap_vs_theoretical"] <= tol["pde_fd"] * 10))
-    report = {
+    ok = bool(res["kato"] <= rtol and res["bochner"] <= rtol
+              and res["log_gradient"] <= rtol
+              and res["pde1_max"] <= tol["pde_fd"]
+              and res["pde1_star_max"] <= tol["pde_fd"]
+              and (res["pde2_gap_min"] is None or res["pde2_gap_min"] >= -tol["gap_floor"])
+              and (res["pde2_gap_vs_theoretical"] is None
+                   or res["pde2_gap_vs_theoretical"] <= tol["pde_fd"] * 10))
+    return ok, {
         "subcommand": "residuals",
         "points": n,
         "seed": seed,
         "derivative_source": u.derivative_source,
         "residuals": res,
-        "passed": bool(ok),
-        "tolerances": tol,
-    }
-    _write_report(report, out_dir, "residuals_report.json")
-    return (0 if ok else 1), report
+        "passed": ok,
+    }, None
 
 
-def cmd_audit(cfg, out_dir, tol, fmt):
-    chart = build_chart(cfg)
+def cmd_audit(cfg, tol):
+    chart = _smooth_chart(cfg)
     u = build_field(cfg)
     acfg = cfg["analysis"]
-    quantity = acfg.get("quantity", "phi_k")
-    case = acfg.get("case", "min_on_boundary_nonpos_K")
-    domain = acfg.get("domain")
-    if domain is None:
-        raise ConfigError("analysis.domain = [lo, hi] required for audits")
-    rep = cf.principle_audit(u, chart, (float(domain[0]), float(domain[1])),
-                             quantity, case)
-    report = json.loads(rep.to_json())
-    report["tolerances"] = tol
-    _write_report(report, out_dir, "audit_report.json")
-    return (0 if rep.verdict == "pass" else 1), report
+    rep = cf.principle_audit(u, chart, tuple(_number(acfg, "domain", "analysis", length=2)),
+                             acfg.get("quantity", "phi_k"),
+                             acfg.get("case", "min_on_boundary_nonpos_K"))
+    return rep.verdict == "pass", json.loads(rep.to_json()), None
 
 
-def cmd_bic(cfg, out_dir, tol, fmt):
+def cmd_bic(cfg, tol):
     factor = build_chart(cfg)
     if not isinstance(factor, bic_mod.ConicalFactor):
         raise ConfigError("the bic subcommand needs a conical chart")
-    spec = _field_spec(cfg)
-    if spec is None:
-        raise ConfigError("the bic subcommand needs a dirichlet field")
+    spec, prof, conv = _conical_profile(cfg, factor, tol)
     acfg = cfg["analysis"]
-    grid = ls.inset_grid(spec.t1, spec.t2, int(acfg.get("levels", 200)))
-    prof = bic_mod.bic_length_profile(factor, spec, grid)
-    conv = ls.log_convexity_check(prof, tol["convexity_conical"])
-    eps_seq = acfg.get("eps_sequence", scenarios.EPS_SEQUENCE)
-    t_probe = float(acfg.get("mollify_level", 0.5 * (spec.t1 + spec.t2)))
+    eps_seq = _number(acfg, "eps_sequence", "analysis", scenarios.EPS_SEQUENCE, length=0)
+    t_probe = _number(acfg, "mollify_level", "analysis", 0.5 * (spec.t1 + spec.t2))
     lengths, limit = scenarios.mollified(factor, spec, t_probe, eps_seq)
     monotone, converged = _mollified_flags(lengths, limit, tol)
-    expected_convex = factor.nonpositive_curvature
-    ok = monotone and converged and (conv.passed == expected_convex)
-    report = {
+    ok = bool(monotone and converged and (conv.passed == factor.nonpositive_curvature))
+    return ok, {
         "subcommand": "bic",
         "nonpositive_curvature": factor.nonpositive_curvature,
         "convexity_passed": conv.passed,
@@ -346,12 +339,8 @@ def cmd_bic(cfg, out_dir, tol, fmt):
         "mollified_monotone": monotone,
         "mollified_converged": converged,
         "capped_levels": prof.meta["capped_levels"],
-        "passed": bool(ok),
-        "tolerances": tol,
-    }
-    _write_profile(prof, out_dir, fmt)
-    _write_report(report, out_dir, "bic_report.json")
-    return (0 if ok else 1), report
+        "passed": ok,
+    }, prof
 
 
 def _mollified_flags(lengths, limit, tol):
@@ -362,118 +351,112 @@ def _mollified_flags(lengths, limit, tol):
     return monotone, converged
 
 
-def cmd_counterexample(cfg, out_dir, tol, fmt):
+def cmd_counterexample(cfg, tol):
     acfg = cfg["analysis"]
-    c = float(acfg.get("factor_c", -0.1))
-    radii = acfg.get("radii", [0.05, 0.04, 0.03, 0.02, 0.01])
+    c = _number(acfg, "factor_c", "analysis", -0.1)
+    radii = _number(acfg, "radii", "analysis", [0.05, 0.04, 0.03, 0.02, 0.01], length=0)
     expected = 16.0 * np.pi**2 * c  # -4 pi^2 K(0) with K(0) = -4c
     found = scenarios.counterexample(c, radii).defects
-    defects = {f"{r:g}": d for r, d in zip(radii, found)}
     ok = all(abs(d - expected) <= tol["defect_rel"] * abs(expected) for d in found)
-    report = {
+    return ok, {
         "subcommand": "counterexample",
         "factor_c": c,
         "curvature_at_origin": -4.0 * c,
         "expected_limit": float(expected),
-        "defects_by_radius": defects,
-        "passed": bool(ok),
-        "tolerances": tol,
-    }
-    _write_report(report, out_dir, "counterexample_report.json")
-    return (0 if ok else 1), report
+        "defects_by_radius": {f"{r:g}": d for r, d in zip(radii, found)},
+        "passed": ok,
+    }, None
+
+
+_SUBCOMMANDS = {
+    "profile": cmd_profile,
+    "convexity": cmd_convexity,
+    "residuals": cmd_residuals,
+    "audit": cmd_audit,
+    "bic": cmd_bic,
+    "counterexample": cmd_counterexample,
+}
 
 
 # ---------------------------------------------------------------------------
 # built-in example scenarios: reports on levelflow.scenarios
 # ---------------------------------------------------------------------------
 
-def _example_flat(tol, out_dir):
+def _example_flat(tol):
     sc = scenarios.flat()
     conv = ls.log_convexity_check(sc.profile, tol["convexity"])
     slope = cf.logL_slope_bound(sc.u, sc.chart, sc.profile, tol["identity"])
-    sc.profile.to_csv(out_dir / "flat_profile.csv")
-    return {
+    ok = bool(conv.passed and slope.passed)
+    return ok, {
         "scenario": "flat",
         "max_abs_lnL_pp": float(np.max(np.abs(sc.profile.lnL_pp))),
         "convexity_passed": conv.passed,
         "slope_bound_passed": slope.passed,
         "identity_max_err": slope.identity_max_err,
-        "passed": bool(conv.passed and slope.passed),
-    }
+        "passed": ok,
+    }, sc.profile
 
 
-def _example_hyperbolic(tol, out_dir):
+def _example_hyperbolic(tol):
     sc = scenarios.hyperbolic()
     s, prof, ln_lam = sc.grid, sc.profile, sc.ln_lambda
     lsin = prof.L * np.sin(s)
     curv = prof.lnL_pp * np.sin(s) ** 2
     gap = ls.sharp_bound_gap(sc.u, sc.chart, np.pi / 2, -1.0)
     conv = ls.log_convexity_check(prof, tol["convexity"])
-    prof.to_csv(out_dir / "hyperbolic_profile.csv")
-    ok = (np.max(np.abs(lsin - ln_lam)) <= 1e-8 * ln_lam
-          and np.max(np.abs(curv - 1.0)) <= 1e-6
-          and abs(gap) <= tol["gap_floor"] and conv.passed)
-    return {
+    ok = bool(np.max(np.abs(lsin - ln_lam)) <= 1e-8 * ln_lam
+              and np.max(np.abs(curv - 1.0)) <= 1e-6
+              and abs(gap) <= tol["gap_floor"] and conv.passed)
+    return ok, {
         "scenario": "hyperbolic",
         "max_rel_err_L_sin": float(np.max(np.abs(lsin - ln_lam)) / ln_lam),
         "min_lnL_pp_sin2": float(np.min(curv)),
         "max_lnL_pp_sin2": float(np.max(curv)),
         "sharp_bound_gap": float(gap),
         "convexity_passed": conv.passed,
-        "passed": bool(ok),
-    }
+        "passed": ok,
+    }, prof
 
 
-def _example_sphere_cap(tol, out_dir):
+def _example_sphere_cap(tol):
     sc = scenarios.sphere_cap(c=1.0)
     conv = ls.log_convexity_check(sc.profile, tol["convexity"])
     pts = quasi_random_points(sc.chart, 100, 0, min_gradient_field=sc.u)
     res = max(np.max(np.abs(idn.kato_residual(sc.u, sc.chart, pts))),
               np.max(np.abs(idn.bochner_residual(sc.u, sc.chart, pts))),
               np.max(np.abs(idn.log_gradient_residual(sc.u, sc.chart, pts))))
-    sc.profile.to_csv(out_dir / "sphere_cap_profile.csv")
-    ok = (not conv.passed) and res <= tol["residual_closed_form"]
-    return {
+    ok = bool((not conv.passed) and res <= tol["residual_closed_form"])
+    return ok, {
         "scenario": "sphere_cap",
         "convexity_violated_as_expected": not conv.passed,
         "min_lnL_pp": conv.min_lnL_pp,
         "max_identity_residual": float(res),
-        "passed": bool(ok),
-    }
+        "passed": ok,
+    }, sc.profile
 
 
-def _example_conical(tol, out_dir):
+def _example_conical(tol):
     sc = scenarios.conical()
     conv = ls.log_convexity_check(sc.profile, tol["convexity_conical"])
     monotone, converged = _mollified_flags(sc.lengths, sc.limit, tol)
     neg_conv = ls.log_convexity_check(sc.negative, tol["convexity_conical"])
-    sc.profile.to_csv(out_dir / "conical_profile.csv")
-    return {
+    ok = bool(conv.passed and monotone and converged and not neg_conv.passed)
+    return ok, {
         "scenario": "conical",
         "convexity_passed": conv.passed,
         "min_discrete_second_difference": conv.min_discrete,
         "mollified_monotone": monotone,
         "negative_atom_violation_detected": not neg_conv.passed,
-        "passed": bool(conv.passed and monotone and converged and not neg_conv.passed),
-    }
+        "passed": ok,
+    }, sc.profile
 
 
-_SCENARIOS = {
+_EXAMPLES = {
     "flat": _example_flat,
     "hyperbolic": _example_hyperbolic,
     "sphere_cap": _example_sphere_cap,
     "conical": _example_conical,
 }
-
-
-def cmd_examples(name, out_dir, tol):
-    if name not in _SCENARIOS:
-        raise ConfigError(f"unknown example scenario {name!r}; "
-                          f"choose from {sorted(_SCENARIOS)}")
-    report = _SCENARIOS[name](tol, out_dir)
-    report["tolerances"] = tol
-    _write_report(report, out_dir, f"examples_{name}_report.json")
-    return (0 if report["passed"] else 1), report
 
 
 # ---------------------------------------------------------------------------
@@ -492,36 +475,34 @@ def run(subcommand: str, config_path: str | None, *, out: str = ".",
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         if subcommand == "examples":
-            if not example_name:
-                raise ConfigError("examples needs a scenario name")
+            if example_name not in _EXAMPLES:
+                raise ConfigError(f"unknown example scenario {example_name!r}; "
+                                  f"choose from {sorted(_EXAMPLES)}")
             tol = _tolerances({}, tol_scale)
-            code, report = cmd_examples(example_name, out_dir, tol)
+            passed, report, prof = _EXAMPLES[example_name](tol)
+            stem, csv_name = f"examples_{example_name}", f"{example_name}_profile.csv"
         else:
+            if subcommand not in _SUBCOMMANDS:
+                raise ConfigError(f"unknown subcommand {subcommand!r}")
             if config_path is None:
                 raise ConfigError(f"{subcommand} needs --config")
             cfg = load_config(config_path)
             tol = _tolerances(cfg, tol_scale)
-            handler = {
-                "profile": cmd_profile,
-                "convexity": cmd_convexity,
-                "residuals": cmd_residuals,
-                "audit": cmd_audit,
-                "bic": cmd_bic,
-                "counterexample": cmd_counterexample,
-            }.get(subcommand)
-            if handler is None:
-                raise ConfigError(f"unknown subcommand {subcommand!r}")
-            code, report = handler(cfg, out_dir, tol, fmt)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+            passed, report, prof = _SUBCOMMANDS[subcommand](cfg, tol)
+            stem, csv_name = subcommand, "profile.csv"
     except LevelFlowError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        kind = "config error" if isinstance(exc, ConfigError) else "error"
+        print(f"{kind}: {exc}", file=sys.stderr)
         return 2
+    if prof is not None:
+        prof.to_csv(out_dir / csv_name)
+        if fmt == "json" and subcommand != "examples":
+            _write_report({c: [float(v) for v in getattr(prof, "t_grid" if c == "t" else c)]
+                           for c in ls.CSV_COLUMNS}, out_dir, "profile.json")
+    _write_report({**report, "tolerances": tol}, out_dir, f"{stem}_report.json")
     for key, val in report.items():
-        if key != "tolerances":
-            print(f"{key}: {val}")
-    return code
+        print(f"{key}: {val}")
+    return 0 if passed else 1
 
 
 def main(argv=None) -> int:
@@ -529,9 +510,7 @@ def main(argv=None) -> int:
         prog="levelflow",
         description="Level-curve length, convexity, curvature-PDE and "
                     "conical-singularity checks for harmonic fields on surfaces.")
-    parser.add_argument("subcommand",
-                        choices=["profile", "convexity", "residuals", "audit",
-                                 "bic", "counterexample", "examples"])
+    parser.add_argument("subcommand", choices=[*_SUBCOMMANDS, "examples"])
     parser.add_argument("name", nargs="?", default=None,
                         help="scenario name for the examples subcommand")
     parser.add_argument("--config", default=None, help="path to a JSON scenario config")

@@ -79,6 +79,8 @@ def catalog_field(name: str, **params) -> ScalarField:
         return ScalarField.from_holomorphic_sum(
             [(jets.log_z_coeffs, "im", 1.0)], singular_points=[(0.0, 0.0)])
     if name in ("re_poly", "im_poly"):
+        if "n" not in params:
+            raise DomainError(f"{name} needs its degree n")
         n = int(params.pop("n"))
         _no_extra(params)
         if n < 1:

@@ -8,22 +8,19 @@ from scipy.stats import qmc
 from .errors import DomainError
 
 
-def quasi_random_points(chart, n: int, seed: int = 0, radial_range=None,
+def quasi_random_points(chart, n: int, seed: int = 0,
                         min_gradient_field=None) -> np.ndarray:
     """n Halton points in the chart interior, area-uniform on annuli.
 
-    ``radial_range`` overrides the chart's own radial bounds.  When
-    ``min_gradient_field`` is given, points where its Euclidean gradient is
+    When ``min_gradient_field`` is given, points where its Euclidean gradient is
     at most 1e-6 are discarded (and replaced from the sequence).
     """
-    if radial_range is not None:
-        lo, hi = radial_range
-    elif chart.kind == "warped":
+    if chart.kind == "warped":
         lo, hi = chart.t_min, chart.t_max
     elif chart.outer_radius is not None:
         lo, hi = chart.inner_radius, chart.outer_radius
     else:
-        raise DomainError("unbounded chart needs an explicit radial_range")
+        raise DomainError("cannot sample an unbounded chart")
     span = hi - lo
     lo, hi = lo + 1e-3 * span, hi - 1e-3 * span
     sampler = qmc.Halton(d=2, scramble=True, seed=seed)

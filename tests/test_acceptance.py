@@ -119,7 +119,7 @@ def test_criterion_5_curvature_pde_suite():
         orders.append(np.log2(abs(r1 / r2)))
     assert all(1.8 <= o <= 2.2 for o in orders)
 
-    gap_pts = quasi_random_points(cap, 50, seed=2, radial_range=(1.05, 1.55),
+    gap_pts = quasi_random_points(ConformalChart(cap.factor, 1.05, 1.55), 50, seed=2,
                                   min_gradient_field=ulog)
     min_gap, worst_eq = np.inf, 0.0
     for p in gap_pts:

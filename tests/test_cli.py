@@ -32,6 +32,14 @@ CONICAL_CONFIG = {
                  "mollify_level": float(np.log(1.25))},
 }
 
+AUDIT_CONFIG = {
+    "chart": {"kind": "warped", "profile": "cosh",
+              "scale": 2.0 / (2 * np.pi), "t_min": 0.1, "t_max": 1.6},
+    "field": {"catalog": "warped_arctan"},
+    "analysis": {"quantity": "phi_k", "case": "min_on_boundary_nonpos_K",
+                 "domain": [0.2, 1.5]},
+}
+
 
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
@@ -109,14 +117,7 @@ def test_residuals_batches_the_pde_stencils(tmp_path, monkeypatch, chart, field)
 
 
 def test_audit_subcommand_and_key_order(tmp_path):
-    cfg = {
-        "chart": {"kind": "warped", "profile": "cosh",
-                  "scale": 2.0 / (2 * np.pi), "t_min": 0.1, "t_max": 1.6},
-        "field": {"catalog": "warped_arctan"},
-        "analysis": {"quantity": "phi_k", "case": "min_on_boundary_nonpos_K",
-                     "domain": [0.2, 1.5]},
-    }
-    code = main(["audit", "--config", write_config(tmp_path, cfg),
+    code = main(["audit", "--config", write_config(tmp_path, AUDIT_CONFIG),
                  "--out", str(tmp_path / "out")])
     assert code == 0
     doc = json.loads((tmp_path / "out" / "audit_report.json").read_text())
@@ -182,14 +183,79 @@ def test_examples_scenarios(tmp_path, name):
 
 
 def test_unknown_key_rejected_with_line_number(tmp_path, capsys):
-    cfg = dict(FLAT_CONFIG)
-    cfg["extra_stuff"] = 1
-    code = main(["profile", "--config", write_config(tmp_path, cfg),
-                 "--out", str(tmp_path)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "unknown key 'extra_stuff'" in err
-    assert "line" in err
+    for where in ("config", "analysis.tolerances"):
+        cfg = {**FLAT_CONFIG, "analysis": {**FLAT_CONFIG["analysis"], "tolerances": {}}}
+        (cfg if where == "config" else cfg["analysis"]["tolerances"])["extra_stuff"] = 1
+        code = main(["profile", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"unknown key 'extra_stuff' in {where}" in err
+        assert "line" in err
+
+
+def test_tolerance_override_is_reported(tmp_path):
+    cfg = {**FLAT_CONFIG, "analysis": {**FLAT_CONFIG["analysis"],
+                                       "tolerances": {"convexity": 1e-3}}}
+    assert main(["convexity", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path)]) == 0
+    rep = json.loads((tmp_path / "convexity_report.json").read_text())
+    assert rep["tolerances"] == {**DEFAULT_TOLERANCES, "convexity": 1e-3}
+
+
+def _edit(cfg, section, drop=(), **set_keys):
+    """A copy of cfg whose section (a key path) lacks ``drop`` and has ``set_keys``."""
+    out = json.loads(json.dumps(cfg))
+    *path, last = section.split(".")
+    node = out
+    for key in path:
+        node = node[key]
+    node[last] = {k: v for k, v in {**node.get(last, {}), **set_keys}.items()
+                  if k not in drop}
+    return out
+
+
+MALFORMED = {
+    "warped_without_scale": ("profile", _edit(AUDIT_CONFIG, "chart", drop=["scale"])),
+    "dirichlet_without_R": ("profile", _edit(FLAT_CONFIG, "field.dirichlet", drop=["R"])),
+    "outer_radius_string": ("profile", _edit(FLAT_CONFIG, "chart", outer_radius="abc")),
+    "levels_string": ("profile", _edit(FLAT_CONFIG, "analysis", levels="ten")),
+    "atom_without_z": ("bic", _edit(CONICAL_CONFIG, "chart", atoms=[{"alpha": 0.5}])),
+    "empty_eps_sequence": ("bic", _edit(CONICAL_CONFIG, "analysis", eps_sequence=[])),
+    "domain_of_one": ("audit", _edit(AUDIT_CONFIG, "analysis", domain=[1.5])),
+    "re_poly_without_n": ("profile", {**FLAT_CONFIG, "field": {"catalog": "re_poly"}}),
+    "conical_profile": ("profile", CONICAL_CONFIG),
+    "conical_residuals": ("residuals", CONICAL_CONFIG),
+    "conical_audit": ("audit", _edit(CONICAL_CONFIG, "analysis", domain=[1.1, 2.0])),
+    "unknown_tolerance": ("convexity",
+                          _edit(FLAT_CONFIG, "analysis", tolerances={"bogus": 1})),
+    "tolerance_string": ("convexity",
+                         _edit(FLAT_CONFIG, "analysis", tolerances={"convexity": "x"})),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, case):
+    sub, cfg = MALFORMED[case]
+    assert main([sub, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(("config error:", "error:"))
+    assert not list(tmp_path.glob("*_report.json"))
+
+
+@pytest.mark.parametrize("args,cfg", [
+    (["profile"], FLAT_CONFIG), (["convexity"], FLAT_CONFIG),
+    (["convexity"], CONICAL_CONFIG), (["residuals"], CAP_CONFIG),
+    (["audit"], AUDIT_CONFIG), (["bic"], CONICAL_CONFIG),
+    (["counterexample"], {"analysis": {"radii": [0.05]}}), (["examples", "flat"], None),
+], ids=["profile", "convexity", "convexity_conical", "residuals", "audit", "bic",
+        "counterexample", "examples"])
+def test_every_report_ends_in_tolerances(tmp_path, args, cfg):
+    if cfg is not None:
+        args = [*args, "--config", write_config(tmp_path, cfg)]
+    main([*args, "--out", str(tmp_path / "out")])
+    (report,) = (tmp_path / "out").glob("*_report.json")
+    assert list(json.loads(report.read_text()))[-1] == "tolerances"
 
 
 def test_malformed_json_reports_line(tmp_path, capsys):

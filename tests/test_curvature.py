@@ -161,7 +161,7 @@ def test_pde2_gap_warped_closed_form():
 def test_pde2_gap_sphere_cap_equality_and_sign():
     # sample away from the ring where k = 0 (the log-inequality's own side
     # condition); there the strict 1e-4 equality tolerance holds
-    pts = quasi_random_points(CAP, 50, seed=5, radial_range=(1.05, 1.55),
+    pts = quasi_random_points(ConformalChart(CAP.factor, 1.05, 1.55), 50, seed=5,
                               min_gradient_field=LOG)
     for p in pts:
         assert abs(level_curvature_k(LOG, CAP, p)) > 1e-3

@@ -68,6 +68,8 @@ def test_catalog_unknown_name_and_params():
         catalog_field("nope")
     with pytest.raises(DomainError):
         catalog_field("log", c=-1.0, bogus=2)
+    with pytest.raises(DomainError, match="needs its degree n"):
+        catalog_field("re_poly")
 
 
 def test_critical_points_examples():

@@ -33,7 +33,16 @@ OUT (created; it must not exist yet) receives
   the hyperbolic cylinder, the sphere cap with u = c ln|z| for c = -1 and
   c = 1, the flat Dirichlet field, the non-radial ``perturbed_log`` on a
   sphere cap, and fields of t whose phi_k has an interior extremum on a
-  polar-coordinate plane and on a round sphere (the inputs that fail).
+  polar-coordinate plane and on a round sphere (the inputs that fail);
+* ``cli/<case>.json`` and ``cli/<case>_<csv|json>/``: ``levelflow.cli.run``
+  called in this process with ``--format csv`` and ``json`` on one config
+  per subcommand and chart kind (``profile`` and ``convexity`` on flat,
+  sphere-cap and warped charts, ``residuals`` on conformal and warped
+  charts, one ``audit``, ``bic`` with a nonnegative and with a negative
+  atom, a conical ``convexity``, ``counterexample``) and on malformed
+  configs that must exit 2; each directory holds the reports and CSVs the
+  run wrote and ``run.txt``, its exit code (or the class and message of
+  what escaped), stdout and stderr.
 
 The package is imported from the Python path, so two source trees compare
 byte for byte with
@@ -45,6 +54,9 @@ byte for byte with
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 import os
 import subprocess
 import sys
@@ -292,6 +304,87 @@ def _write_profiles(out: Path) -> None:
             out / f"{name}_quadrature.csv")
 
 
+def _cli_cases():
+    """(case, subcommand, config) of the in-process CLI runs."""
+    e2 = float(np.e**2)
+    flat = {"seed": 0,
+            "chart": {"kind": "conformal", "factor": {"name": "flat"},
+                      "inner_radius": 1.0, "outer_radius": e2},
+            "field": {"dirichlet": {"R": e2, "t1": 0.0, "t2": -2.0}},
+            "analysis": {"levels": 24, "n_samples": 256}}
+    cap = {"chart": {"kind": "conformal", "factor": {"name": "sphere_cap", "c": 0.1},
+                     "inner_radius": 1.0, "outer_radius": float(np.e)},
+           "field": {"dirichlet": {"R": float(np.e), "t1": 0.0, "t2": 1.0}},
+           "analysis": {"levels": 16, "points": 40}}
+    warped = {"chart": {"kind": "warped", "profile": "cosh",
+                        "scale": 2.0 / (2 * np.pi), "t_min": -3.0, "t_max": 3.0},
+              "field": {"catalog": "warped_arctan"},
+              "analysis": {"levels": 12, "t_range": [0.4, float(np.pi - 0.4)],
+                           "points": 40}}
+    audit = {"chart": {**warped["chart"], "t_min": 0.1, "t_max": 1.6},
+             "field": warped["field"],
+             "analysis": {"quantity": "phi_k", "case": "min_on_boundary_nonpos_K",
+                          "domain": [0.2, 1.5]}}
+    conical = {"chart": {"kind": "conical", "beta0": 0.0,
+                         "atoms": [{"z": [1.2, 0.0], "alpha": 0.5},
+                                   {"z": [0.0, -1.6], "alpha": 0.3}]},
+               "field": {"dirichlet": {"R": e2, "t1": 0.0, "t2": 2.0}},
+               "analysis": {"levels": 60, "eps_sequence": [0.2, 0.1, 0.05],
+                            "mollify_level": float(np.log(1.25))}}
+    negative = {**conical, "chart": {"kind": "conical", "beta0": 0.0,
+                                     "atoms": [{"z": [1.5, 0.0], "alpha": -0.5}]}}
+
+    def edit(cfg, section, **keys):
+        return {**cfg, section: {**cfg[section], **keys}}
+
+    no_scale = dict(audit["chart"])
+    del no_scale["scale"]
+    cases = [(f"{sub}_{name}", sub, cfg) for sub in ("profile", "convexity")
+             for name, cfg in (("flat", flat), ("sphere_cap", cap), ("warped", warped))]
+    cases += [("residuals_conformal", "residuals", cap),
+              ("residuals_warped", "residuals", warped), ("audit", "audit", audit),
+              ("bic", "bic", conical), ("bic_negative_atom", "bic", negative),
+              ("convexity_conical", "convexity", conical),
+              ("counterexample", "counterexample",
+               {"analysis": {"factor_c": -0.1, "radii": [0.05, 0.01]}})]
+    return cases + [(f"malformed_{name}", sub, cfg) for name, sub, cfg in (
+        ("warped_without_scale", "profile", {**audit, "chart": no_scale}),
+        ("dirichlet_without_R", "profile",
+         edit(flat, "field", dirichlet={"t1": 0.0, "t2": -2.0})),
+        ("outer_radius_string", "profile", edit(flat, "chart", outer_radius="abc")),
+        ("levels_string", "profile", edit(flat, "analysis", levels="ten")),
+        ("atom_without_z", "bic", edit(conical, "chart", atoms=[{"alpha": 0.5}])),
+        ("domain_of_one", "audit", edit(audit, "analysis", domain=[1.5])),
+        ("re_poly_without_n", "profile", {**flat, "field": {"catalog": "re_poly"}}),
+        ("conical_profile", "profile", conical),
+        ("conical_residuals", "residuals", conical),
+        ("conical_audit", "audit", edit(conical, "analysis", domain=[1.1, 2.0])),
+        ("unknown_tolerance", "convexity",
+         edit(flat, "analysis", tolerances={"bogus": 1})),
+        ("tolerance_string", "convexity",
+         edit(flat, "analysis", tolerances={"convexity": "x"})))]
+
+
+def _write_cli(out: Path) -> None:
+    """Files and run.txt of every CLI case under out, in both formats."""
+    from levelflow import cli
+
+    for case, sub, cfg in _cli_cases():
+        config = out / f"{case}.json"
+        config.write_text(json.dumps(cfg, indent=1))
+        for fmt in ("csv", "json"):
+            where = out / f"{case}_{fmt}"
+            where.mkdir()
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                try:
+                    got = f"exit code: {cli.run(sub, str(config), out=str(where), fmt=fmt)}"
+                except Exception as exc:  # the class and message are the output
+                    got = f"raises {type(exc).__name__}: {exc}"
+            (where / "run.txt").write_text(f"{got}\n--- stdout\n{stdout.getvalue()}"
+                                           f"--- stderr\n{stderr.getvalue()}")
+
+
 def main(argv) -> int:
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
@@ -311,6 +404,8 @@ def main(argv) -> int:
     _write_profiles(out / "profiles")
     (out / "symmetry.txt").write_text(_calls_text(_symmetry_calls()))
     (out / "audits.txt").write_text(_calls_text(_audit_calls(), show=str))
+    (out / "cli").mkdir()
+    _write_cli(out / "cli")
     return 0
 
 
