@@ -65,12 +65,17 @@ def _find_line(text: str, key: str) -> int | None:
     return None
 
 
-def _reject_unknown(section: dict, allowed: set, where: str, text: str):
+def _object(section, where: str, text: str, allowed=None) -> dict:
+    """``section``; ConfigError unless it is a JSON object whose keys are all
+    in ``allowed`` (any keys when None)."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {section!r}")
     for key in section:
-        if key not in allowed:
+        if allowed is not None and key not in allowed:
             line = _find_line(text, key)
             loc = f"line {line}: " if line else ""
             raise ConfigError(f"{loc}unknown key {key!r} in {where}")
+    return section
 
 
 def _number(section: dict, key: str, where: str, default=_REQUIRED, kind=float,
@@ -103,17 +108,27 @@ def load_config(path) -> dict:
         cfg = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    _reject_unknown(cfg, _TOP_KEYS, "config", text)
-    _reject_unknown(cfg.get("chart", {}), _CHART_KEYS, "chart", text)
-    _reject_unknown(cfg.get("field", {}), _FIELD_KEYS, "field", text)
-    _reject_unknown(cfg.get("analysis", {}), _ANALYSIS_KEYS, "analysis", text)
-    _reject_unknown(cfg.get("analysis", {}).get("tolerances", {}),
-                    DEFAULT_TOLERANCES.keys(), "analysis.tolerances", text)
-    factor = cfg.get("chart", {}).get("factor")
-    if isinstance(factor, dict):
-        _reject_unknown(factor, _FACTOR_KEYS, "chart.factor", text)
+    _object(cfg, "config", text, _TOP_KEYS)
+    chart = _object(cfg.get("chart", {}), "chart", text, _CHART_KEYS)
+    field = _object(cfg.get("field", {}), "field", text, _FIELD_KEYS)
+    analysis = _object(cfg.get("analysis", {}), "analysis", text, _ANALYSIS_KEYS)
+    _object(analysis.get("tolerances", {}), "analysis.tolerances", text,
+            DEFAULT_TOLERANCES.keys())
+    factor = _object(chart.get("factor", {}), "chart.factor", text, _FACTOR_KEYS)
+    _object(field.get("dirichlet", {}), "field.dirichlet", text)
+    _object(field.get("params", {}), "field.params", text)
+    _object(cfg.get("output", {}), "output", text)
+    atoms = chart.get("atoms", [])
+    if not isinstance(atoms, list):
+        raise ConfigError(f"chart.atoms must be a list, got {atoms!r}")
+    for i, atom in enumerate(atoms):
+        _object(atom, f"chart.atoms[{i}]", text)
+    for where, section, key in (("chart.factor", factor, "name"),
+                                ("field", field, "catalog"),
+                                ("analysis", analysis, "quantity"),
+                                ("analysis", analysis, "case")):
+        if not isinstance(section.get(key, ""), str):
+            raise ConfigError(f"{where}.{key} must be a string, got {section[key]!r}")
     cfg.setdefault("seed", 0)
     cfg.setdefault("analysis", {})
     cfg.setdefault("output", {})
@@ -172,7 +187,9 @@ def build_field(cfg: dict):
     if spec is not None:
         return solve_annulus_dirichlet(spec)
     if "catalog" in fcfg:
-        return catalog_field(fcfg["catalog"], **fcfg.get("params", {}))
+        params = fcfg.get("params", {})
+        return catalog_field(fcfg["catalog"],
+                             **{k: _number(params, k, "field.params") for k in params})
     raise ConfigError("field must specify 'dirichlet' or 'catalog'")
 
 
@@ -271,6 +288,10 @@ def cmd_residuals(cfg, tol):
     u = build_field(cfg)
     n = _number(cfg["analysis"], "points", "analysis", 100, int)
     seed = _number(cfg, "seed", "config", 0, int)
+    if n < 1:
+        raise ConfigError(f"analysis.points must be at least 1, got {n}")
+    if seed < 0:
+        raise ConfigError(f"config.seed must be non-negative, got {seed}")
     pts = quasi_random_points(chart, n, seed, min_gradient_field=u)
     closed = u.derivative_source == "closed_form"
     rtol = tol["residual_closed_form"] if closed else tol["residual_fd"]
@@ -355,6 +376,8 @@ def cmd_counterexample(cfg, tol):
     acfg = cfg["analysis"]
     c = _number(acfg, "factor_c", "analysis", -0.1)
     radii = _number(acfg, "radii", "analysis", [0.05, 0.04, 0.03, 0.02, 0.01], length=0)
+    if min(radii) <= 0:
+        raise ConfigError(f"analysis.radii must be positive, got {radii}")
     expected = 16.0 * np.pi**2 * c  # -4 pi^2 K(0) with K(0) = -4c
     found = scenarios.counterexample(c, radii).defects
     ok = all(abs(d - expected) <= tol["defect_rel"] * abs(expected) for d in found)

@@ -19,9 +19,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.interpolate import RectBivariateSpline
-from scipy.sparse.linalg import spsolve
 
 from . import jets
 from .charts import CRITICAL_GRAD, _circle_points, _radial_on
@@ -257,6 +254,10 @@ def solve_annulus_numeric(spec: DirichletSpec, grid: tuple[int, int] = (64, 128)
     :func:`solve_annulus_dirichlet`.  The returned field interpolates the grid
     with a bicubic spline and exposes ``grid_data = (r, theta, values)``.
     """
+    from scipy import sparse  # the validation solver alone loads scipy here
+    from scipy.interpolate import RectBivariateSpline
+    from scipy.sparse.linalg import spsolve
+
     n_r, n_t = grid
     if n_r < 8 or n_t < 16:
         raise DomainError("need n_r >= 8 and n_theta >= 16")

@@ -40,7 +40,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .charts import CRITICAL_GRAD, ConformalChart, _circle_points, _geometry, _radial_on
 from .errors import (CriticalPointError, DomainError, LevelFlowError,
@@ -186,22 +185,30 @@ def _level_points(u, chart, ts, radii, n_samples):
 
 def _seed_on_level(u, chart, t):
     """A point of the level {u = t}: the first sign change of u - t on the
-    first of 16 rays from the origin that has one, solved on that ray."""
+    first of 16 rays from the origin that has one, solved on that ray.  When
+    no ray of the 16 has one (a small closed level between two rays), the
+    first of a fan of 256 rays that has one."""
     r_lo = chart.inner_radius if chart.inner_radius > 0 else 1e-6
     r_hi = chart.outer_radius
     if r_hi is None:
         raise DomainError("tracing needs a bounded chart")
     rr = np.linspace(r_lo * 1.0001, r_hi * 0.9999, 64)
-    for ang in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
-        e = np.array([np.cos(ang), np.sin(ang)])
-        vals = u.value(rr[:, None] * e) - t
-        j = np.nonzero(vals[:-1] * vals[1:] <= 0)[0][:1]
-        if j.size:
+    for n_rays in (16, 256):
+        ang = np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False)
+        rays = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+        vals = u.value((rays[:, None] * rr[:, None]).reshape(-1, 2)).reshape(n_rays, -1) - t
+        change = vals[:, :-1] * vals[:, 1:] <= 0
+        hit = np.nonzero(change.any(axis=1))[0]
+        if hit.size:
+            k = hit[0]
+            e = rays[k]
+            j = np.nonzero(change[k])[0][:1]
+
             def on_ray(r):  # (u, du/dr) at r e
                 jet = u.jet(r[:, None] * e, 1)
                 return jet.value, jet.grad @ e
 
-            return _bracketed_newton(on_ray, np.array([t]), rr[j], rr[j + 1], vals[j])[0] * e
+            return _bracketed_newton(on_ray, np.array([t]), rr[j], rr[j + 1], vals[k, j])[0] * e
     raise DomainError(f"level {t} not found in the chart annulus")
 
 
@@ -223,6 +230,8 @@ def _project_to_level(u, t, pts, max_iter=8):
 
 
 def _trace_level_curve(u, chart, t, n_samples):
+    from scipy.interpolate import CubicSpline  # loaded only when a level is traced
+
     p0 = _seed_on_level(u, chart, t)
     ds = 2.0 * np.pi * np.hypot(*p0) / max(1024, 2 * n_samples)
     max_steps = 300000

@@ -1,11 +1,61 @@
-"""Deterministic quasi-random interior point sets for residual batteries."""
+"""Deterministic quasi-random interior point sets for residual batteries.
+
+The points come from Owen's randomized Halton sequence in bases 2 and 3
+(A. B. Owen, "A randomized Halton algorithm in R", arXiv:1706.02808),
+written in numpy and equal bit for bit to
+``scipy.stats.qmc.Halton(d=2, scramble=True, seed=seed)``.
+"""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import qmc
 
 from .errors import DomainError
+
+HALTON_BASES = (2, 3)
+
+
+def _digit_scales(base: int) -> np.ndarray:
+    """base^-1, base^-2, ..., one per digit a double resolves
+    (``base**-k > 2**-54``), formed by repeated division: the sequence's
+    last bits depend on these roundings."""
+    scales = np.empty(math.ceil(54 / math.log2(base)) - 1)
+    s = 1.0 / base
+    for j in range(scales.size):
+        scales[j] = s
+        s /= base
+    return scales
+
+
+_SCALES = {b: _digit_scales(b) for b in HALTON_BASES}
+
+
+def _halton_permutations(seed: int) -> list[np.ndarray]:
+    """Per base, one shuffled ``arange(base)`` per digit, drawn row by row
+    (``permuted`` consumes the generator as one ``shuffle`` per row would)."""
+    rng = np.random.default_rng(seed)
+    return [rng.permuted(np.repeat(np.arange(b)[None], _SCALES[b].size, axis=0), axis=1)
+            for b in HALTON_BASES]
+
+
+def _halton(perms, start: int, n: int) -> np.ndarray:
+    """(n, 2) points ``start .. start + n - 1`` of the scrambled sequence."""
+    i = np.arange(start, start + n, dtype=np.int64)
+    cols = []
+    for b, p in zip(HALTON_BASES, perms):
+        s = _SCALES[b]
+        k = 1  # every i < b**k: digits k and up are 0, their terms constants
+        while b**k < start + n:
+            k += 1
+        terms = np.empty((s.size, n))
+        terms[k:] = (p[k:, 0] * s[k:])[:, None]
+        j = np.arange(k)[:, None]
+        terms[:k] = p[j, (i // b**j) % b] * s[:k, None]
+        # summed in digit order: np.sum's pairwise order changes the last bits
+        cols.append(np.add.accumulate(terms)[-1])
+    return np.stack(cols, axis=-1)
 
 
 def quasi_random_points(chart, n: int, seed: int = 0,
@@ -23,10 +73,11 @@ def quasi_random_points(chart, n: int, seed: int = 0,
         raise DomainError("cannot sample an unbounded chart")
     span = hi - lo
     lo, hi = lo + 1e-3 * span, hi - 1e-3 * span
-    sampler = qmc.Halton(d=2, scramble=True, seed=seed)
+    perms = _halton_permutations(seed)
+    draw = 2 * max(n, 8)
     out = []
-    for _ in range(64):
-        raw = sampler.random(2 * max(n, 8))
+    for k in range(64):
+        raw = _halton(perms, k * draw, draw)
         if chart.kind == "warped":
             pts = np.stack([lo + raw[:, 0] * (hi - lo), raw[:, 1] * 2 * np.pi], axis=-1)
         else:

@@ -231,6 +231,16 @@ MALFORMED = {
                           _edit(FLAT_CONFIG, "analysis", tolerances={"bogus": 1})),
     "tolerance_string": ("convexity",
                          _edit(FLAT_CONFIG, "analysis", tolerances={"convexity": "x"})),
+    "catalog_param_string": ("residuals", {**FLAT_CONFIG, "field": {
+        "catalog": "re_poly", "params": {"n": "two"}}}),
+    "catalog_params_list": ("residuals", {**FLAT_CONFIG, "field": {
+        "catalog": "re_poly", "params": [1]}}),
+    "analysis_list": ("profile", {**FLAT_CONFIG, "analysis": []}),
+    "audit_case_list": ("audit", _edit(AUDIT_CONFIG, "analysis", case=[1])),
+    "conical_atom_number": ("bic", _edit(CONICAL_CONFIG, "chart", atoms=[5])),
+    "negative_seed": ("residuals", {**CAP_CONFIG, "seed": -1}),
+    "no_points": ("residuals", _edit(CAP_CONFIG, "analysis", points=0)),
+    "zero_radius": ("counterexample", {"analysis": {"radii": [0.05, 0.0]}}),
 }
 
 

@@ -83,6 +83,18 @@ def test_trace_seed_searches_the_other_angles():
         extract_level_curve(u, chart, 5.0, 64)
 
 
+def test_trace_seed_finds_a_small_level_between_the_16_rays(field_evaluations):
+    # the circle |z - c| = 0.1, |c| = 2.5, lies midway between the rays at 0
+    # and 22.5 degrees: no ray of the first fan meets it, one of the second does
+    a = np.deg2rad(11.25)
+    u = log_modulus_field(1.0, center=(2.5 * np.cos(a), 2.5 * np.sin(a)))
+    chart = ConformalChart(flat_factor(), 1.0, 4.0)
+    curve = extract_level_curve(u, chart, np.log(0.1), 256)
+    assert length(curve, chart) == pytest.approx(0.2 * np.pi, rel=1e-3)
+    # each fan of rays is one batched evaluation of 64 points per ray
+    assert [n for n in field_evaluations if n >= 1024] == [16 * 64, 256 * 64]
+
+
 def test_level_projection_reports_unconverged_points():
     u = catalog_field("perturbed_log", eps=0.1)
     pts = np.array([[1.2, 0.0], [0.0, -1.3]])  # off the level u = 0 (r near 1.1)
