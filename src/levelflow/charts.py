@@ -11,7 +11,12 @@ Two chart kinds cover everything in the package:
   Laplacian is exactly ``f'' + (w'/w) f'``.
 
 A field u is radial on a chart when ``u.radial == chart.radial``
-(:func:`_radial_on`, the one test of every radial path).
+(:func:`_radial_on`, the one test of every radial path).  When u is also
+radial on a warped chart, or on a conformal chart whose factor is radial in
+|z| and has no singular points, every scalar that :func:`local_geometry`
+builds is constant on each coordinate circle (:func:`_constant_on_circles`):
+level integrals and principle audits then evaluate one point per circle,
+at theta = 0.
 
 :func:`point_jets` is the one place that takes the jets of a field u and
 of the metric at a point batch, each to the order its caller reads, and
@@ -350,6 +355,14 @@ def _circle_points(chart, radii, n_samples):
         return pts, np.broadcast_to(2.0 * np.pi / n_samples, pts.shape[:2])
     pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
     return pts, np.broadcast_to(2.0 * np.pi * r / n_samples, pts.shape[:2])
+
+
+def _constant_on_circles(u, chart) -> bool:
+    """Whether the geometry of u is constant on each coordinate circle of the
+    chart: u radial on a warped chart, or on a conformal chart whose factor
+    is radial in |z| and smooth.  Unlike :func:`_radial_on` it never raises."""
+    return u.radial == chart.radial and (chart.kind == "warped" or (
+        chart.factor.radial == "abs_z" and not chart.singular_points))
 
 
 def _radial_on(u, chart) -> bool:

@@ -24,7 +24,9 @@ carries the same pairing sign as the k-equation.
 Every pointwise quantity (k, h, |grad u|, K, grad K, both pairings) comes
 from one :func:`~levelflow.charts.local_geometry` per point batch: a single
 jet of u and of the chart's factor or warp.  A principle audit takes one
-over its interior and boundary grids together.
+over its interior and boundary grids together, with one point per grid
+circle where the geometry is constant on circles (a field radial on a
+warped chart, or on a smooth conformal chart radial in |z|).
 
 Outer Laplacians and gradients of derived fields (k/|grad u|, ln|k|, ...)
 use central differences with step 1e-3 and one Richardson level.  The PDE
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import _circle_points, local_geometry
+from .charts import _circle_points, _constant_on_circles, local_geometry
 from .errors import DomainError, LevelFlowError, PreconditionError
 from .fields import as_points
 from .levelsets import LengthProfile, _integrate_levels, _level_points, _screen_levels
@@ -343,18 +345,25 @@ def _audit_values(geo, quantity):
     return c
 
 
-def _audit_grids(chart, domain_spec, n_interior, n_boundary):
-    """(interior points, boundary points, grid spacing): nr circles of nt
-    points, n_interior = (nr, nt), strictly inside the radial range
-    ``domain_spec``, radius-major, and n_boundary points on each of its ends."""
+def _audit_geometry(u, chart, domain_spec, n_interior, n_boundary):
+    """(geometry, number of interior rows, grid spacing) of the audit grids:
+    nr circles of nt points, n_interior = (nr, nt), strictly inside the
+    radial range ``domain_spec``, radius-major, then n_boundary points on
+    each of its two ends.  Where the geometry is constant on circles
+    (:func:`~levelflow.charts._constant_on_circles`) each circle is one
+    row, its point at theta = 0; otherwise every grid point is a row."""
     lo, hi = float(domain_spec[0]), float(domain_spec[1])
     if not hi > lo:
         raise DomainError("domain_spec must be (lo, hi) with lo < hi")
     nr, nt = n_interior
-    interior = _circle_points(chart, np.linspace(lo, hi, nr + 2)[1:-1], nt)[0]
-    boundary = _circle_points(chart, np.array([lo, hi]), n_boundary)[0]
+    if nr < 2 or nt < 2 or n_boundary < 1:
+        raise DomainError("audit grids need n_interior >= (2, 2) and n_boundary >= 1")
     spacing = max((hi - lo) / (nr + 1), (2.0 * np.pi / nt) * (hi if chart.kind == "conformal" else 1.0))
-    return interior.reshape(-1, 2), boundary.reshape(-1, 2), spacing
+    per_interior, per_boundary = (1, 1) if _constant_on_circles(u, chart) else (nt, n_boundary)
+    pts = np.concatenate([
+        _circle_points(chart, np.linspace(lo, hi, nr + 2)[1:-1], per_interior)[0].reshape(-1, 2),
+        _circle_points(chart, np.array([lo, hi]), per_boundary)[0].reshape(-1, 2)])
+    return local_geometry(u, chart, pts), nr * per_interior, spacing
 
 
 def _sign_flags(vals, slack):
@@ -370,13 +379,21 @@ def principle_audit(u, chart, domain_spec, quantity: str, corollary_case: str,
 
     ``domain_spec = (lo, hi)`` bounds the radial coordinate of the audited
     sub-annulus (|z| on conformal charts, t on warped ones); the closure must
-    be free of critical points.  The verdict is ``hypotheses_unmet`` when
-    the sampled signs of K and the pairing miss the case's; else ``pass``
-    with a note when the claim is vacuous (its side condition fails, or the
-    minimum is attained on the boundary); else, for the interior bound,
-    ``hypotheses_unmet`` when K <= 0 at the argmin; else ``fail`` when the
-    interior extremum beats the boundary one (or |grad K|/K) beyond the grid
-    tolerance, and ``pass`` otherwise.
+    be free of critical points.  The grids are n_interior = (nr, nt): nr
+    circles of nt points inside, and n_boundary points on each end circle.
+    Where the geometry is constant on circles (a field radial on a warped
+    chart, or on a conformal chart whose factor is radial in |z| and has no
+    singular points) each circle is evaluated once, at its point theta = 0,
+    which is where an extremum on that circle is reported, and the
+    difference quotients along the circles are zero.
+
+    The verdict is ``hypotheses_unmet`` when the sampled signs of K and the
+    pairing miss the case's; else ``pass`` with a note when the claim is
+    vacuous (its side condition fails, or the minimum is attained on the
+    boundary); else, for the interior bound, ``hypotheses_unmet`` when
+    K <= 0 at the argmin; else ``fail`` when the interior extremum beats the
+    boundary one (or |grad K|/K) beyond the grid tolerance, and ``pass``
+    otherwise.
     """
     if quantity not in AUDIT_QUANTITIES:
         raise DomainError(f"quantity must be one of {AUDIT_QUANTITIES}")
@@ -384,9 +401,8 @@ def principle_audit(u, chart, domain_spec, quantity: str, corollary_case: str,
         raise DomainError(f"unknown corollary case {corollary_case!r}")
     rule = AUDIT_CASES[corollary_case]
     nr, nt = n_interior
-    interior, boundary, spacing = _audit_grids(chart, domain_spec, n_interior, n_boundary)
-    geo = local_geometry(u, chart, np.concatenate([interior, boundary], axis=0))
-    vi, vb = np.split(_audit_values(geo, quantity), [interior.shape[0]])
+    geo, n_in, spacing = _audit_geometry(u, chart, domain_spec, n_interior, n_boundary)
+    vi, vb = np.split(_audit_values(geo, quantity), [n_in])
     if not (np.all(np.isfinite(vi)) and np.all(np.isfinite(vb))):
         raise DomainError(
             f"audit quantity {quantity!r} is not finite on the sampled domain "
@@ -399,9 +415,9 @@ def principle_audit(u, chart, domain_spec, quantity: str, corollary_case: str,
         "pairing_star_u": _sign_flags(geo.pairing_star, slack),
     }
 
-    grid_vals = vi.reshape(nr, nt)
+    grid_vals = vi.reshape(nr, -1)  # one column per circle if constant on circles
     lip = max(np.max(np.abs(np.diff(grid_vals, axis=0))) / ((domain_spec[1] - domain_spec[0]) / (nr + 1)),
-              np.max(np.abs(np.diff(grid_vals, axis=1))) / (2.0 * np.pi / nt), 1e-30)
+              np.max(np.abs(np.diff(grid_vals, axis=1)), initial=0.0) / (2.0 * np.pi / nt), 1e-30)
     tol = 10.0 * spacing * lip
 
     want = rule.get("pairing")
@@ -438,7 +454,7 @@ def principle_audit(u, chart, domain_spec, quantity: str, corollary_case: str,
     elif not ((v_bd >= v_in - tol) if kind == "max" else (v_bd <= v_in + tol)):
         verdict, notes = "fail", "interior extremum exceeds the boundary extremum beyond tolerance"
     return PrincipleAuditReport(quantity, corollary_case, flags,
-                                (tuple(interior[ii]), v_in), (tuple(boundary[bi]), v_bd),
+                                (tuple(geo.pts[ii]), v_in), (tuple(geo.pts[n_in + bi]), v_bd),
                                 verdict, notes, tol)
 
 
@@ -469,7 +485,10 @@ def logL_slope_bound(u, chart, profile: LengthProfile,
     audited over the full chart annulus.  Also verifies, per level, the
     identity L'(t) = -integral of (k/|grad u|) over the level curve, on 512
     points per level (integrated as the profile's quadrature path does), to
-    ``identity_tolerance``.  The boundary carries 1024 points per circle.
+    ``identity_tolerance``.  The signs are read on 64 circles of 128
+    points inside and 1024 points on each boundary circle, or at one point
+    per circle where the geometry is constant on circles, as in
+    :func:`principle_audit`.
     """
     tolerance = 1e-9
     if chart.kind == "conformal":
@@ -481,8 +500,7 @@ def logL_slope_bound(u, chart, profile: LengthProfile,
     else:
         span = chart.t_max - chart.t_min
         lo, hi = chart.t_min + 1e-7 * span, chart.t_max - 1e-7 * span
-    interior, boundary, _ = _audit_grids(chart, (lo, hi), (64, 128), 1024)
-    geo = local_geometry(u, chart, np.concatenate([interior, boundary], axis=0))
+    geo, n_in, _ = _audit_geometry(u, chart, (lo, hi), (64, 128), 1024)
     slack = 1e-10 * max(1.0, float(np.max(np.abs(geo.K))))
     flags = {"K": _sign_flags(geo.K, slack), "pairing_grad_u": _sign_flags(geo.pairing, slack),
              "k": _sign_flags(geo.k, slack)}
@@ -494,7 +512,7 @@ def logL_slope_bound(u, chart, profile: LengthProfile,
     ident = _integrate_levels(u, chart, pts, weights, lambda g: (g.k / g.G,))[1]
     ident_err = np.max(np.abs(profile.Lp + ident))
 
-    inf_bnd = float(np.min((geo.k / geo.G)[interior.shape[0]:]))
+    inf_bnd = float(np.min((geo.k / geo.G)[n_in:]))
     if flags["K"]["nonpos"] and flags["pairing_grad_u"]["nonpos"]:
         variant = "nonpos_K"
         bound = max(-inf_bnd, 0.0)

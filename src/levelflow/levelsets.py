@@ -27,9 +27,9 @@ stacks the points and weights of all their curves (circles at the located
 radii, spectrally accurate; traced curves, second order, traced one at a
 time) and :func:`_integrate_levels` integrates them over blocks of whole
 levels of at most ``MAX_POINTS`` points.  The exact radial fast path
-(u.radial == chart.radial, on warped charts or |z|-radial factors) is its
-one-point case; its points skip the chart's domain check (the levels t +- h
-of a profile may lie just off the chart), those of a sampled curve are checked.
+(:func:`~levelflow.charts._constant_on_circles`) is its one-point case;
+its points skip the chart's domain check (the levels t +- h of a profile
+may lie just off the chart), those of a sampled curve are checked.
 Profiles, bound checks, the integral formulas and the slope identity of
 :func:`~levelflow.curvature_flow.logL_slope_bound` read them.
 """
@@ -41,7 +41,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .charts import CRITICAL_GRAD, ConformalChart, _circle_points, _geometry, _radial_on
+from .charts import (CRITICAL_GRAD, ConformalChart, _circle_points, _constant_on_circles,
+                     _geometry, _radial_on)
 from .errors import (CriticalPointError, DomainError, LevelFlowError,
                      NormalizationError, PreconditionError, SingularPointError,
                      SolverError, TopologyError)
@@ -349,8 +350,7 @@ def _level_values(u, chart, ts, radii, n_samples=512, method="auto"):
     def integrands(g):  # of L', L'' and 1/|grad u|^2
         return -g.pairing_G / g.G**3, g.grad_G_sq / g.G**4 - g.K / g.G**2, 1.0 / g.G**2
 
-    if u.radial == chart.radial and (chart.kind == "warped" or (
-            method == "auto" and chart.factor.radial == "abs_z" and not chart.singular_points)):
+    if _constant_on_circles(u, chart) and (chart.kind == "warped" or method == "auto"):
         return _integrate_levels(u, chart, *_circle_points(chart, radii, 1), integrands,
                                  checked=False)
     return _integrate_levels(u, chart, *_level_points(u, chart, ts, radii, n_samples),
@@ -436,6 +436,8 @@ def length_profile(u, chart, t_grid: Sequence[float], n_samples: int = 512,
                    method: str = "auto", fd_step: float | None = None) -> LengthProfile:
     """LengthProfile over ``t_grid`` with integral and finite-difference
     derivative columns (cross-check step defaults to 1e-3 of the grid span).
+    ``n_samples`` < 8 raises :class:`DomainError` on every path, also where
+    the radial fast path would not read it.
 
     The levels t and t +- step go through one :func:`_level_values` call;
     radial levels are located in one batched solve, on either path; a row
@@ -443,6 +445,8 @@ def length_profile(u, chart, t_grid: Sequence[float], n_samples: int = 512,
     a grid concatenate to the whole one.  A grid level off the chart raises
     :class:`DomainError`; the t +- step levels are not checked.
     """
+    if n_samples < 8:
+        raise DomainError("need at least 8 samples")
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 8:
         raise DomainError("profile grid needs at least 8 levels")

@@ -241,6 +241,12 @@ MALFORMED = {
     "negative_seed": ("residuals", {**CAP_CONFIG, "seed": -1}),
     "no_points": ("residuals", _edit(CAP_CONFIG, "analysis", points=0)),
     "zero_radius": ("counterexample", {"analysis": {"radii": [0.05, 0.0]}}),
+    # the radial fast path reads no samples, and must refuse too few as the
+    # sampled path does
+    "no_samples_radial": ("profile", _edit(FLAT_CONFIG, "analysis", n_samples=0)),
+    "no_samples_traced": ("profile", {**FLAT_CONFIG, "field": {"catalog": "perturbed_log"},
+                                      "analysis": {"levels": 24, "n_samples": 0,
+                                                   "t_range": [0.5, 1.5]}}),
 }
 
 

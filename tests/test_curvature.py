@@ -16,6 +16,7 @@ from levelflow import (ConformalChart, CriticalPointError, DirichletSpec,
                        pde2_gap, pde2_star_gap, principle_audit,
                        quasi_random_points, solve_annulus_dirichlet,
                        sphere_cap_factor, steepest_descent_curvature_h)
+from levelflow.curvature_flow import AUDIT_CASES, AUDIT_QUANTITIES, _audit_values
 
 FLAT = ConformalChart(flat_factor(), 0.4, 4.0)
 CAP = ConformalChart(sphere_cap_factor(0.1), 1.0, np.e)
@@ -397,6 +398,59 @@ def test_audit_min_abs_reports_raw_extrema_when_unmet():
     assert rep.interior_extremum[1] < 0
 
 
+def _audit_or_error(u, chart, domain, quantity, case):
+    try:
+        return principle_audit(u, chart, domain, quantity, case, n_interior=(24, 16),
+                               n_boundary=32)
+    except LevelFlowError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("chart", [ConformalChart(flat_factor(), 1.0, 2.0),
+                                   ConformalChart(sphere_cap_factor(0.1), 1.0, 2.0),
+                                   ConformalChart(sphere_cap_factor(-0.1), 1.0, 2.0)],
+                         ids=["flat", "cap_c=0.1", "cap_c=-0.1"])
+def test_audit_of_a_radial_pair_matches_its_full_grid(chart):
+    # -ln|z| with the radial tag takes one point per circle; built from an
+    # expression it has no tag and takes every grid point
+    untagged = ScalarField.from_expression(lambda x, y: -0.5 * jets.log(x * x + y * y))
+    domain = (1.1, 1.9)
+
+    def close(a, b):
+        return abs(a - b) <= 1e-12 * (1.0 + abs(a))
+
+    for quantity in AUDIT_QUANTITIES:
+        for case in AUDIT_CASES:
+            rep = _audit_or_error(LOG, chart, domain, quantity, case)
+            full = _audit_or_error(untagged, chart, domain, quantity, case)
+            if isinstance(full, tuple):
+                assert rep == full, (quantity, case)
+                continue
+            assert (rep.verdict, rep.notes) == (full.verdict, full.notes), (quantity, case)
+            assert close(rep.tolerance, full.tolerance), (quantity, case)
+            for name, flags in full.hypothesis_flags.items():
+                for key, value in flags.items():
+                    got = rep.hypothesis_flags[name][key]
+                    assert got == value if isinstance(value, bool) else close(got, value)
+            # a reported point may only move to a grid point whose value ties
+            fold = (np.abs if case == "min_abs_on_boundary" and quantity[:6] != "ln_abs"
+                    and rep.verdict != "hypotheses_unmet" else np.asarray)
+            for ours, theirs in [(rep.interior_extremum, full.interior_extremum),
+                                 (rep.boundary_extremum, full.boundary_extremum)]:
+                assert close(ours[1], theirs[1]), (quantity, case)
+                at_theirs = fold(_audit_values(local_geometry(LOG, chart, theirs[0]), quantity))
+                assert close(ours[1], float(at_theirs[0])), (quantity, case)
+
+
+def test_audit_grids_too_small_raise_on_either_path():
+    # one circle or one point per circle leaves no difference quotient
+    for n_interior, n_boundary in [((1, 8), 8), ((8, 1), 8), ((8, 8), 0)]:
+        for u in (LOG, PLOG):
+            with pytest.raises(LevelFlowError, match="audit grids need"):
+                principle_audit(u, CAP, (1.05, 1.5), "phi_k", "min_on_boundary_nonpos_K",
+                                n_interior, n_boundary)
+
+
 # ---------------------------------------------------------------------------
 # slope bound
 # ---------------------------------------------------------------------------
@@ -452,21 +506,48 @@ def _record_jets(monkeypatch):
     return calls
 
 
+def _points_per_field(calls):
+    points = Counter()
+    for field, n, order in calls:
+        points[id(field), order] += n
+    return dict(points)
+
+
 def test_audit_evaluates_each_grid_point_once(monkeypatch):
     hyp = WarpedChart.cosh_cylinder(2.0 / (2 * np.pi), 0.1, 1.6)
     # the default grid: 256 x 256 interior points and two 1024-point
-    # circles, 67,584 points with 258 distinct t; u to order 2, the factor
-    # or warp to order 3 (grad K)
+    # circles, 67,584 points on 258 circles; a radial pair evaluates one
+    # point per circle, a non-radial field every point; u to order 2, the
+    # factor or warp to order 3 (grad K)
     cases = [(ARCTAN, hyp, hyp.shape, (0.2, 1.5), "phi_k", "min_on_boundary_nonpos_K", 258),
-             (LOG, CAP, CAP.factor, (1.05, 1.5), "ln_abs_k", "min_abs_on_boundary", 67584)]
+             (LOG, CAP, CAP.factor, (1.05, 1.5), "ln_abs_k", "min_abs_on_boundary", 258),
+             (LOG, FLAT, FLAT.factor, (1.05, 1.95), "phi_k", "max_on_boundary_nonpos_K", 258),
+             (PLOG, CAP, CAP.factor, (1.05, 1.5), "phi_k", "min_on_boundary_nonpos_K", 67584)]
     calls = _record_jets(monkeypatch)
     for u, chart, metric_field, domain, quantity, case, n_points in cases:
         calls.clear()
         principle_audit(u, chart, domain, quantity, case)
-        points = Counter()
-        for field, n, order in calls:
-            points[id(field), order] += n
-        assert dict(points) == {(id(u), 2): n_points, (id(metric_field), 3): n_points}
+        assert _points_per_field(calls) == {(id(u), 2): n_points,
+                                            (id(metric_field), 3): n_points}
+
+
+def test_slope_bound_grid_evaluates_each_circle_once(monkeypatch):
+    # the sign grid is 64 circles of 128 points and two 1024-point circles,
+    # one point each for a radial pair; the identity check then evaluates
+    # its 512-point level circles, one point per level on a warped chart
+    hyp = WarpedChart.cosh_cylinder(2.0 / (2 * np.pi), 0.2, 1.5)
+    s_lo, s_hi = 2 * np.arctan(np.exp(0.2)), 2 * np.arctan(np.exp(1.5))
+    cases = [(LOG, CAP, CAP.factor, inset_grid(-1.0, 0.0, 10), 512),
+             (ARCTAN, hyp, hyp.shape, inset_grid(s_lo, s_hi, 12), 1)]
+    for u, chart, metric_field, grid, per_level in cases:
+        prof = length_profile(u, chart, grid)
+        calls = _record_jets(monkeypatch)
+        logL_slope_bound(u, chart, prof)
+        monkeypatch.undo()
+        geometry = [call for call in calls if call[2] >= 2]
+        assert _points_per_field(geometry[:2]) == {(id(u), 2): 66, (id(metric_field), 3): 66}
+        assert _points_per_field(geometry[2:]) == {(id(u), 2): per_level * grid.size,
+                                                   (id(metric_field), 3): per_level * grid.size}
 
 
 def test_pde_stencils_take_at_most_three_jet_calls(monkeypatch):

@@ -33,7 +33,10 @@ OUT (created; it must not exist yet) receives
   the hyperbolic cylinder, the sphere cap with u = c ln|z| for c = -1 and
   c = 1, the flat Dirichlet field, the non-radial ``perturbed_log`` on a
   sphere cap, and fields of t whose phi_k has an interior extremum on a
-  polar-coordinate plane and on a round sphere (the inputs that fail);
+  polar-coordinate plane and on a round sphere (the inputs that fail),
+  then one audit per chart kind on the default 256 x 256 grid (``log`` on
+  a sphere cap and ``warped_arctan`` on a cosh cylinder, the shapes of the
+  benchmark's audits);
 * ``cli/<case>.json`` and ``cli/<case>_<csv|json>/``: ``levelflow.cli.run``
   called in this process with ``--format csv`` and ``json`` on one config
   per subcommand and chart kind (``profile`` and ``convexity`` on flat,
@@ -273,6 +276,19 @@ def _audit_calls():
                               lambda u=u, chart=chart, domain=domain, q=quantity, case=case,
                               n=n_interior, m=n_boundary:
                               lf.principle_audit(u, chart, domain, q, case, n, m).to_json()))
+    # one audit per chart kind on the default 256 x 256 grid, shaped as the
+    # benchmark's pointwise_batteries audits
+    default_grid = [
+        ("sphere_cap(c=0.1) 256x256", lf.catalog_field("log"),
+         lf.ConformalChart(lf.sphere_cap_factor(0.1), 1.0, float(np.e)), (1.05, 1.45),
+         "ln_abs_k", "min_abs_on_boundary"),
+        ("cosh_cylinder 256x256", lf.catalog_field("warped_arctan"),
+         lf.WarpedChart.cosh_cylinder(2.0 / (2 * np.pi), 0.1, 1.6), (0.2, 1.5),
+         "phi_k", "min_on_boundary_nonpos_K")]
+    for name, u, chart, domain, quantity, case in default_grid:
+        calls.append((f"principle_audit({name}, {quantity}, {case})",
+                      lambda u=u, chart=chart, domain=domain, q=quantity, case=case:
+                      lf.principle_audit(u, chart, domain, q, case).to_json()))
     return calls
 
 
