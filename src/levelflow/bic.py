@@ -175,7 +175,9 @@ def _level_radius(spec: DirichletSpec, t: float) -> float:
 def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid
                        ) -> LengthProfile:
     """Level-length profile for the annulus Dirichlet solution on a conical
-    factor; derivative columns are centered differences on the grid.
+    factor; derivative columns are centered differences on the grid.  The
+    rows ``meta["edge_rows"]`` (two at each end), whose second differences
+    reach a one-sided ``L_fd_p``, have NaN ``Lpp``, ``L_fd_pp`` and ``lnL_pp``.
 
     All level circles are integrated in one batched call for ``L`` and one
     for ``aux_invgrad2``.  Levels whose integral used every refinement level
@@ -208,11 +210,13 @@ def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid
             int(L_capped.sum()), int(aux_capped.sum()), capped_levels)
     L_fd_p = np.gradient(L, t_grid, edge_order=2)
     L_fd_pp = np.gradient(L_fd_p, t_grid, edge_order=2)
+    edge_rows = [0, 1, t_grid.size - 2, t_grid.size - 1]
+    L_fd_pp[edge_rows] = np.nan
     lnL_pp = (L_fd_pp * L - L_fd_p**2) / L**2
     return LengthProfile(t_grid, L, L_fd_p.copy(), L_fd_pp.copy(), lnL_pp,
                          L_fd_p, L_fd_pp, aux, derivative_mode="grid_fd",
                          meta={"rel_tol": REL_TOL, "rule": "tanh_sinh",
-                               "capped_levels": capped_levels})
+                               "capped_levels": capped_levels, "edge_rows": edge_rows})
 
 
 # ---------------------------------------------------------------------------

@@ -26,17 +26,26 @@ from .charts import point_jets
 from .fields import as_points
 
 
-def _residual(u, chart, p, conformal, warped):
-    """The chart kind's residual formula at the domain-checked p."""
+def _residuals(u, chart, p, *formula_pairs):
+    """Each (conformal, warped) formula pair's residual at the domain-checked
+    p, all from one :func:`point_jets` evaluation."""
     pts = chart.check_points(p)
     _, single = as_points(p)
     ju, jm = point_jets(u, chart, pts, 3, 2)
     if chart.kind == "conformal":
-        out = conformal(ju, jm, ju.grad[:, 0] ** 2 + ju.grad[:, 1] ** 2)
+        q = ju.grad[:, 0] ** 2 + ju.grad[:, 1] ** 2
+        outs = [conformal(ju, jm, q) for conformal, _ in formula_pairs]
     else:
-        w, w1, w2 = jm
-        out = warped(ju.grad[:, 0], ju.hess[:, 0, 0], ju.third[:, 0], w, w1, w2)
-    return float(out[0]) if single else out
+        outs = [warped(ju.grad[:, 0], ju.hess[:, 0, 0], ju.third[:, 0], *jm)
+                for _, warped in formula_pairs]
+    return tuple(float(out[0]) if single else out for out in outs)
+
+
+def identity_residuals(u, chart, p):
+    """(Kato, Bochner, log-gradient residual) at p from one jet pair."""
+    return _residuals(u, chart, p, (_kato_conformal, _kato_warped),
+                      (_bochner_conformal, _bochner_warped),
+                      (_log_gradient_conformal, _log_gradient_warped))
 
 
 def _covariant_hessian_sq(ju, jp):
@@ -66,7 +75,7 @@ def _lap_q(ju):
 
 def kato_residual(u, chart, p):
     """|Hess u|^2 - 2 |grad |grad u||^2 in the surface metric."""
-    return _residual(u, chart, p, _kato_conformal, _kato_warped)
+    return _residuals(u, chart, p, (_kato_conformal, _kato_warped))[0]
 
 
 def _kato_conformal(ju, jp, q):
@@ -86,7 +95,7 @@ def _kato_warped(u1, u2, u3, w, w1, w2):
 
 def bochner_residual(u, chart, p):
     """lap(|grad u|^2 / 2) - |Hess u|^2 - K |grad u|^2 in the surface metric."""
-    return _residual(u, chart, p, _bochner_conformal, _bochner_warped)
+    return _residuals(u, chart, p, (_bochner_conformal, _bochner_warped))[0]
 
 
 def _bochner_conformal(ju, jp, q):
@@ -109,7 +118,7 @@ def _bochner_warped(u1, u2, u3, w, w1, w2):
 
 def log_gradient_residual(u, chart, p):
     """lap(log |grad u|) - K in the surface metric."""
-    return _residual(u, chart, p, _log_gradient_conformal, _log_gradient_warped)
+    return _residuals(u, chart, p, (_log_gradient_conformal, _log_gradient_warped))[0]
 
 
 def _log_gradient_conformal(ju, jp, q):

@@ -507,11 +507,14 @@ def log_convexity_check(profile: LengthProfile, tolerance: float = 1e-8
     gates the verdict: L'' genuinely blows up at a level through a cone
     point, so the column value there is not a convexity measure, while the
     discrete second difference of a convex ln L is nonnegative on any grid.
+    The column's minimum skips the NaN rows ``meta["edge_rows"]``, if any.
     """
     t = profile.t_grid
     if t.size < 8:
         raise DomainError("convexity check needs at least 8 levels")
-    i = int(np.argmin(profile.lnL_pp))
+    column = np.array(profile.lnL_pp, dtype=float)
+    column[profile.meta.get("edge_rows", [])] = np.inf
+    i = int(np.argmin(column))
     d2 = second_divided_differences(t, np.log(profile.L))
     j = int(np.argmin(d2))
     passed = bool(d2[j] >= -tolerance)

@@ -119,6 +119,22 @@ def test_two_atom_profile_discrete_convexity_incl_vertex_level():
     assert prof.derivative_mode == "grid_fd"
 
 
+def test_profile_edge_rows_are_nan_and_the_minimum_skips_them():
+    # two-sided second differences near the ends read a one-sided L_fd_p,
+    # which gave these convex rows negative lnL_pp
+    grid = inset_grid(0.0, 2.0, 40)
+    prof = bic_length_profile(TWO_ATOM, SPEC, grid)
+    edge = [0, 1, 38, 39]
+    assert prof.meta["edge_rows"] == edge
+    want = np.gradient(np.gradient(prof.L, grid, edge_order=2), grid, edge_order=2)
+    for col in (prof.Lpp, prof.L_fd_pp, prof.lnL_pp):
+        assert np.flatnonzero(np.isnan(col)).tolist() == edge
+    assert prof.L_fd_pp[2:-2].tobytes() == want[2:-2].tobytes()
+    rep = log_convexity_check(prof, 1e-5)
+    assert rep.min_lnL_pp == np.min(prof.lnL_pp[2:-2]) > 0.0
+    assert rep.passed
+
+
 def test_negative_alpha_violates_convexity():
     neg = conical_factor(0.0, [((1.3, 0.0), -0.5)])
     prof = bic_length_profile(neg, SPEC, inset_grid(0.0, 2.0, 120))

@@ -60,6 +60,36 @@ def test_profile_writes_csv_and_exits_zero(tmp_path):
     assert "tolerances" in report
 
 
+def test_profile_cross_check_scales_by_the_largest_column_value(tmp_path):
+    # L' of this sphere-cap profile passes near 0, where its per-level
+    # relative FD error reaches 3e-4 on a correct profile
+    code = main(["profile", "--config", write_config(tmp_path, CAP_CONFIG),
+                 "--out", str(tmp_path / "out")])
+    rep = json.loads((tmp_path / "out" / "profile_report.json").read_text())
+    assert code == 0 and rep["passed"] is True
+    assert rep["cross_check_rel_Lp"] > DEFAULT_TOLERANCES["cross_check_rel"]
+    assert rep["cross_check_scaled_Lp"] <= DEFAULT_TOLERANCES["cross_check_rel"]
+
+
+@pytest.mark.parametrize("column", ["Lp", "Lpp"])
+def test_profile_with_a_wrong_derivative_exits_1(tmp_path, monkeypatch, column):
+    import dataclasses
+
+    from levelflow import levelsets
+    profile = levelsets.length_profile
+
+    def wrong(*args, **kwargs):
+        prof = profile(*args, **kwargs)
+        return dataclasses.replace(prof, **{column: getattr(prof, column) * 1.001})
+
+    monkeypatch.setattr(levelsets, "length_profile", wrong)
+    code = main(["profile", "--config", write_config(tmp_path, FLAT_CONFIG),
+                 "--out", str(tmp_path / "out")])
+    rep = json.loads((tmp_path / "out" / "profile_report.json").read_text())
+    assert code == 1 and rep["passed"] is False
+    assert rep[f"cross_check_scaled_{column}"] > DEFAULT_TOLERANCES["cross_check_rel"]
+
+
 def test_convexity_pass_and_fail_exit_codes(tmp_path):
     assert main(["convexity", "--config", write_config(tmp_path, FLAT_CONFIG),
                  "--out", str(tmp_path / "a")]) == 0
@@ -87,29 +117,37 @@ def test_residuals_subcommand(tmp_path):
       "outer_radius": 3.0}, {"catalog": "arg"}),
 ], ids=["sphere_cap", "arg"])
 def test_residuals_batches_the_pde_stencils(tmp_path, monkeypatch, chart, field):
-    from levelflow import curvature_flow
+    from levelflow import curvature_flow, identities
     from levelflow.fields import ScalarField
-    jets, geometry_jets = [], []
-    jet, geometry = ScalarField.jet, curvature_flow.local_geometry
+    jets, geometry_jets, identity_jets = [], [], []
+    jet = ScalarField.jet
 
     def counted_jet(self, *args, **kwargs):
         jets.append(self)
         return jet(self, *args, **kwargs)
 
-    def counted_geometry(*args):
-        before = len(jets)
-        out = geometry(*args)
-        geometry_jets.append(len(jets) - before)
-        return out
+    def count_jets(module, name, into):
+        inner = getattr(module, name)
+
+        def counted(*args):
+            before = len(jets)
+            out = inner(*args)
+            into.append(len(jets) - before)
+            return out
+        monkeypatch.setattr(module, name, counted)
 
     monkeypatch.setattr(ScalarField, "jet", counted_jet)
-    monkeypatch.setattr(curvature_flow, "local_geometry", counted_geometry)
+    count_jets(curvature_flow, "local_geometry", geometry_jets)
+    count_jets(identities, "point_jets", identity_jets)
     cfg = {"chart": chart, "field": field, "analysis": {"points": 40}}
     code = main(["residuals", "--config", write_config(tmp_path, cfg),
                  "--out", str(tmp_path / "out")])
     assert code == 0
-    # 12 points: pde1, pde1_star, k at the centres and the gap, one geometry
-    # (two jets) each; a call per point and function made 72
+    # the three identities share one jet pair of the 40 points (a call per
+    # identity made 6 jets); 12 points: pde1, pde1_star, k at the centres and
+    # the gap, one geometry (two jets) each; a call per point and function
+    # made 72
+    assert identity_jets == [2]
     assert sum(geometry_jets) <= 8
     rep = json.loads((tmp_path / "out" / "residuals_report.json").read_text())
     # k = 0 for arg, so every point fails the gap's precondition
@@ -354,6 +392,22 @@ def test_format_json_emits_profile_json(tmp_path):
     assert list(doc) == ["t", "L", "Lp", "Lpp", "lnL_pp", "L_fd_p", "L_fd_pp",
                          "aux_invgrad2"]
     assert len(doc["t"]) == 24
+
+
+def test_conical_profile_json_is_strict_json(tmp_path):
+    # the NaN edge rows of a conical profile are written as null
+    code = main(["bic", "--config", write_config(tmp_path, CONICAL_CONFIG),
+                 "--out", str(tmp_path / "out"), "--format", "json"])
+    assert code == 0
+
+    def reject(token):
+        raise ValueError(f"not JSON: {token}")
+
+    text = (tmp_path / "out" / "profile.json").read_text()
+    doc = json.loads(text, parse_constant=reject)
+    for col in ("Lpp", "L_fd_pp", "lnL_pp"):
+        assert [i for i, v in enumerate(doc[col]) if v is None] == [0, 1, 58, 59]
+    assert None not in doc["L"]
 
 
 def test_run_programmatic_entry(tmp_path):

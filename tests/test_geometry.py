@@ -14,6 +14,7 @@ from levelflow import (ConformalChart, CriticalPointError, DirichletSpec,
                        radial_log_field, solve_annulus_dirichlet,
                        sphere_cap_factor, stereographic_sphere_factor)
 from levelflow.fields import ScalarField
+from levelflow.identities import identity_residuals
 
 FLAT = ConformalChart(flat_factor(), 1.0, 4.0)
 CAP = ConformalChart(sphere_cap_factor(0.1), 1.0, 2.5)
@@ -205,6 +206,28 @@ def test_identities_read_u_to_order_3_and_the_metric_to_order_2(u, chart, metric
         calls.clear()
         res(u, chart, pts)
         assert sorted(calls, key=lambda c: c[1]) == [(metric_field, 2), (u, 3)]
+
+
+@pytest.mark.parametrize("u,chart", [
+    (catalog_field("log"), CAP),
+    (catalog_field("warped_arctan"), HYP),
+    (catalog_field("re_poly", n=2), HALF),
+], ids=["sphere_cap", "cosh_cylinder", "half_plane"])
+def test_identity_residuals_equal_the_three_calls(u, chart, field_evaluations):
+    if chart is HALF:
+        rng = np.random.default_rng(5)
+        pts = np.stack([rng.uniform(-1, 1, 16), rng.uniform(0.5, 2.0, 16)], axis=-1)
+    else:
+        pts = quasi_random_points(chart, 16, seed=5, min_gradient_field=u)
+    three = (kato_residual, bochner_residual, log_gradient_residual)
+    field_evaluations.clear()
+    got = identity_residuals(u, chart, pts)
+    assert len(field_evaluations) == 2  # one jet of u, one of the metric
+    assert [a.tobytes() for a in got] == [fn(u, chart, pts).tobytes() for fn in three]
+    p = tuple(pts[0])
+    one = identity_residuals(u, chart, p)
+    assert all(type(a) is float for a in one)
+    assert np.array(one).tobytes() == np.array([fn(u, chart, p) for fn in three]).tobytes()
 
 
 def test_identity_residuals_hyperbolic_halfplane_exact():

@@ -344,6 +344,15 @@ def test_profile_hyperbolic_lnLpp():
     assert rep.min_lnL_pp >= 1.0 - 1e-9
 
 
+def test_convexity_check_fails_on_a_nan_outside_the_edge_rows():
+    # only a grid_fd profile's meta["edge_rows"] are skipped as missing
+    s = inset_grid(0.4, np.pi - 0.4, 50)
+    prof = length_profile(ARCTAN, HYP, s)
+    prof.lnL_pp[20] = np.nan
+    rep = log_convexity_check(prof)
+    assert not rep.passed and np.isnan(rep.min_lnL_pp)
+
+
 def test_profile_validation():
     with pytest.raises(DomainError):
         length_profile(CANONICAL, FLAT_BIG, np.linspace(-1.9, -0.1, 5))

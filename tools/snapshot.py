@@ -41,7 +41,8 @@ OUT (created; it must not exist yet) receives
   called in this process with ``--format csv`` and ``json`` on one config
   per subcommand and chart kind (``profile`` and ``convexity`` on flat,
   sphere-cap and warped charts, ``residuals`` on conformal and warped
-  charts, one ``audit``, ``bic`` with a nonnegative and with a negative
+  charts and for ``perturbed_log`` and ``arg`` on a flat annulus, one
+  ``audit``, ``bic`` with a nonnegative and with a negative
   atom, a conical ``convexity``, ``counterexample``) and on malformed
   configs that must exit 2; each directory holds the reports and CSVs the
   run wrote and ``run.txt``, its exit code (or the class and message of
@@ -347,6 +348,10 @@ def _cli_cases():
                "field": {"dirichlet": {"R": e2, "t1": 0.0, "t2": 2.0}},
                "analysis": {"levels": 60, "eps_sequence": [0.2, 0.1, 0.05],
                             "mollify_level": float(np.log(1.25))}}
+    flat_annulus = {"seed": 7,
+                    "chart": {"kind": "conformal", "factor": {"name": "flat"},
+                              "inner_radius": 1.0, "outer_radius": 2.5},
+                    "analysis": {"points": 48}}
     negative = {**conical, "chart": {"kind": "conical", "beta0": 0.0,
                                      "atoms": [{"z": [1.5, 0.0], "alpha": -0.5}]}}
 
@@ -358,7 +363,11 @@ def _cli_cases():
     cases = [(f"{sub}_{name}", sub, cfg) for sub in ("profile", "convexity")
              for name, cfg in (("flat", flat), ("sphere_cap", cap), ("warped", warped))]
     cases += [("residuals_conformal", "residuals", cap),
-              ("residuals_warped", "residuals", warped), ("audit", "audit", audit),
+              ("residuals_warped", "residuals", warped),
+              ("residuals_perturbed_log", "residuals",
+               {**flat_annulus, "field": {"catalog": "perturbed_log", "params": {"eps": 0.1}}}),
+              ("residuals_arg", "residuals", {**flat_annulus, "field": {"catalog": "arg"}}),
+              ("audit", "audit", audit),
               ("bic", "bic", conical), ("bic_negative_atom", "bic", negative),
               ("convexity_conical", "convexity", conical),
               ("counterexample", "counterexample",
