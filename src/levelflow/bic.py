@@ -15,19 +15,25 @@ rule in :mod:`levelflow.quadrature`.  Every length here (the profile's
 module's circle-length finish, with its fixed ``REL_TOL``: a diverged
 integral raises, a capped one-circle integral is logged there.  The vertex
 angles split every level circle at the same places, so a profile integrates
-all its circles as rows of one batched call for ``L`` and one for
-``aux_invgrad2``; each row keeps its own convergence test, so a profile row
-equals the one-row call for that circle.  Rows that use every refinement
-level without converging (the ``e^{3v}`` integrand at a vertex with
-alpha <= -1/3 is not integrable) are logged as one warning per profile and
-listed in its ``meta["capped_levels"]``; their ``aux_invgrad2`` is NaN.  Profile
-derivative columns use centered differences on the level grid only; the
-smooth integral formulas are never evaluated across vertices.
+all its circles in one batched call, with one row of e^v for ``L`` and one
+of e^{3v} for ``aux_invgrad2`` per circle and v evaluated once per circle
+per refinement level; each row keeps its own convergence test on each
+segment, so a profile row equals the one-row call for that circle.  Rows
+that use every refinement level without converging (the ``e^{3v}``
+integrand at a vertex with alpha <= -1/3 is not integrable) are logged as
+one warning per profile and listed in its ``meta["capped_levels"]``; their
+``aux_invgrad2`` is NaN.  Profile derivative columns use centered
+differences on the level grid only; the smooth integral formulas are never
+evaluated across vertices.
 
 Mollification convolves ``v`` with the radial C^2 bump
 ``(4/(pi eps^2)) (1 - (s/eps)^2)^3``; the convolution against each log term
 reduces to closed-form radial integrals.  For nonpositive-curvature factors
 the mollified factors decrease pointwise to ``v`` as ``eps`` decreases.
+:func:`mollified_convergence` integrates the circle under every eps as the
+rows of one batched call, split at the union of their mollifier joints,
+with the distances to the atoms taken once per refinement level for all
+rows; a capped row is logged like a capped one-circle integral.
 """
 
 from __future__ import annotations
@@ -42,7 +48,8 @@ from .errors import DomainError
 from .fields import ScalarField, as_points
 from .harmonic import DirichletSpec
 from .levelsets import LengthProfile
-from .quadrature import REL_TOL, circle_length, circle_lengths, segmented_circle_integral
+from .quadrature import (REL_TOL, _distinct, circle_length, circle_lengths, finite_lengths,
+                         segmented_circle_integral, warn_capped)
 
 logger = logging.getLogger(__name__)
 
@@ -110,37 +117,55 @@ def conical_factor(beta0: float, singularities) -> ConicalFactor:
 # circle integrals of e^v
 # ---------------------------------------------------------------------------
 
-def _conical_log_integrand(factor: ConicalFactor, radii, power: float):
-    """``power * v`` on the circles |z| = r, one row per radius, with exact
-    vertex offsets.
+def _conical_log_integrand(factor: ConicalFactor, radii, *powers):
+    """``power * v`` on the circles |z| = r, with exact vertex offsets: one
+    row per radius at the first power, then one per radius at the next, and
+    so on.  A call evaluates v once per circle for all the rows it asks for.
 
     The chord distance is evaluated as
     d^2 = (r - rho)^2 + 4 r rho sin^2(dtheta/2), which is cancellation-free;
-    the anchored ``delta`` keeps dtheta exact near a vertex angle.  The
+    an anchored ``delta`` keeps dtheta exact near a vertex angle.  The
     vertex angles do not depend on r, so all circles share the segments and
     the nodes of the rule.
     """
     angles = np.array([np.arctan2(p[1], p[0]) for p, _ in factor.atoms])
     rho = np.array([np.hypot(p[0], p[1]) for p, _ in factor.atoms])
     alphas = np.array([a for _, a in factor.atoms])
+    # same_angle[i, j]: an offset anchored at vertex i is vertex j's offset
+    same_angle = np.abs(angles[:, None] - angles[None, :]) < 1e-14
     radii = [float(r) for r in radii]
     # (r - rho)^2 through the float64 scalar power (libm pow): numpy's array
     # square differs from it in about one case in a thousand, and profile
     # values are kept byte-stable
     dr2 = np.array([[(r - rj) ** 2 for rj in rho] for r in radii])
     four_r_rho = 4.0 * np.array(radii)[:, None] * rho
+    row_circle = np.tile(np.arange(len(radii)), len(powers))
+    row_power = np.repeat(np.array(powers, dtype=float), len(radii))[:, None]
 
-    def log_f(theta, anchor, delta, rows):
-        dr2_rows, c_rows = dr2[rows], four_r_rho[rows]
-        out = np.full((dr2_rows.shape[0], np.size(theta)), factor.beta0)
+    def log_f(theta, anchors, rows):
+        row_circles = row_circle[rows]
+        circles = _distinct(row_circles, len(radii))
+        dr2_c, c_c = dr2[circles], four_r_rho[circles]
+        out = np.full((circles.size, np.size(theta)), factor.beta0)
         for j in range(alphas.size):
-            if anchor is not None and abs(angles[anchor] - angles[j]) < 1e-14:
-                dth = delta
-            else:
-                dth = theta - angles[j]
-            d2 = dr2_rows[:, j, None] + c_rows[:, j, None] * np.sin(0.5 * dth) ** 2
-            out = out + 0.5 * alphas[j] * np.log(d2)
-        return power * out
+            dth = theta - angles[j]
+            for span, anchor, delta in anchors:
+                if same_angle[anchor, j]:
+                    dth[span] = delta
+            # d2 = dr2 + c sin^2(dth / 2), then 0.5 alpha ln d2, in place so
+            # that a call holds few node-sized temporaries
+            dth *= 0.5
+            np.sin(dth, out=dth)
+            dth **= 2
+            d2 = c_c[:, j, None] * dth
+            d2 += dr2_c[:, j, None]
+            np.log(d2, out=d2)
+            d2 *= 0.5 * alphas[j]
+            out += d2
+        if not np.array_equal(circles, row_circles):
+            out = out[np.searchsorted(circles, row_circles)]
+        out *= row_power[rows]
+        return out
 
     return log_f, angles
 
@@ -152,9 +177,9 @@ def conical_circle_length(factor: ConicalFactor, r: float) -> float:
                          "conical circle length")
 
 
-def _conical_circle_invgrad2(factor: ConicalFactor, spec: DirichletSpec, radii):
+def _invgrad2(spec: DirichletSpec, radii, vals, capped) -> np.ndarray:
     """Integrals of |grad u|^-2 over the circles |z| = r (metric quantities)
-    and the capped flags of their integrals.
+    from the circle integrals ``vals`` of e^{3v}.
 
     For u = t1 + b ln|z| the integrand is e^{3v} r^2 / b^2 per unit
     coordinate angle; integrable iff 3 alpha_j > -1 at a vertex on the
@@ -162,10 +187,16 @@ def _conical_circle_invgrad2(factor: ConicalFactor, spec: DirichletSpec, radii):
     capped; capped rows and sums that overflow give NaN.
     """
     b = (spec.t2 - spec.t1) / np.log(spec.R)
-    vals, capped = segmented_circle_integral(*_conical_log_integrand(factor, radii, 3.0))
     # r**3 as a Python float power, for the same reason as (r - rho)^2 above
     cubes = np.array([float(r) ** 3 for r in radii])
-    return np.where(np.isfinite(vals) & ~capped, cubes / b**2 * vals, np.nan), capped
+    return np.where(np.isfinite(vals) & ~capped, cubes / b**2 * vals, np.nan)
+
+
+def _conical_circle_invgrad2(factor: ConicalFactor, spec: DirichletSpec, radii):
+    """:func:`_invgrad2` of the circles |z| = r integrated without their
+    ``L`` rows, and the capped flags of their integrals."""
+    vals, capped = segmented_circle_integral(*_conical_log_integrand(factor, radii, 3.0))
+    return _invgrad2(spec, radii, vals, capped), capped
 
 
 def _level_radius(spec: DirichletSpec, t: float) -> float:
@@ -179,12 +210,13 @@ def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid
     rows ``meta["edge_rows"]`` (two at each end), whose second differences
     reach a one-sided ``L_fd_p``, have NaN ``Lpp``, ``L_fd_pp`` and ``lnL_pp``.
 
-    All level circles are integrated in one batched call for ``L`` and one
-    for ``aux_invgrad2``.  Levels whose integral used every refinement level
-    without reaching ``quadrature.REL_TOL`` are logged as one warning and listed in
-    ``meta["capped_levels"]``; a capped ``L`` keeps its finest-level
-    estimate (the convexity verdicts read it), a capped ``aux_invgrad2`` is
-    NaN.
+    All level circles are integrated in one batched call whose rows are
+    e^v for ``L`` and e^{3v} for ``aux_invgrad2``, with v evaluated once per
+    circle per refinement level.  Levels whose integral used every
+    refinement level without reaching ``quadrature.REL_TOL`` are logged as
+    one warning and listed in ``meta["capped_levels"]``; a capped ``L``
+    keeps its finest-level estimate (the convexity verdicts read it), a
+    capped ``aux_invgrad2`` is NaN.
 
     The log-convexity guarantee applies to nonpositive-curvature factors;
     the profile itself is computed for any integrable factor so violations
@@ -199,8 +231,10 @@ def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid
     if t_grid.min() <= lo or t_grid.max() >= hi:
         raise DomainError("profile grid must lie strictly inside the boundary values")
     radii = [_level_radius(spec, t) for t in t_grid]
-    L, L_capped = circle_lengths(*_conical_log_integrand(factor, radii, 1.0), radii)
-    aux, aux_capped = _conical_circle_invgrad2(factor, spec, radii)
+    m = len(radii)
+    vals, capped = segmented_circle_integral(*_conical_log_integrand(factor, radii, 1.0, 3.0))
+    L, L_capped = finite_lengths(radii, vals[:m]), capped[:m]
+    aux, aux_capped = _invgrad2(spec, radii, vals[m:], capped[m:]), capped[m:]
     capped_levels = [float(t) for t in t_grid[L_capped | aux_capped]]
     if capped_levels:
         logger.warning(
@@ -226,16 +260,19 @@ def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid
 _P1 = 0.25 - 3.0 / 16.0 + 3.0 / 36.0 - 1.0 / 64.0  # int_0^1 (1-x^2)^3 x dx weights
 
 
-def _log_kernel_profile(d: np.ndarray, eps: float) -> np.ndarray:
-    """Convolution of ln|.| with the radial bump of radius eps, at distance d.
+def _log_kernel_profiles(d: np.ndarray, eps_values) -> np.ndarray:
+    """Convolutions of ln|.| with the radial bumps of radius eps, one row per
+    eps of ``eps_values``, at distances d.
 
-    Equals ln d for d >= eps (mean value property); inside, the circle
+    Each equals ln d for d >= eps (mean value property); inside, the circle
     average ln max(d, s) integrates against the kernel in closed form.
     """
     d = np.asarray(d, dtype=float)
-    out = np.where(d > 0, np.log(np.maximum(d, 1e-300)), 0.0)
-    inside = d < eps
-    if np.any(inside):
+    out = np.tile(np.where(d > 0, np.log(np.maximum(d, 1e-300)), 0.0), (len(eps_values), 1))
+    for row, eps in zip(out, eps_values):
+        inside = d < eps
+        if not np.any(inside):
+            continue
         x = d[inside] / eps
         x2 = x * x
         mass = 1.0 - (1.0 - x2) ** 4
@@ -250,7 +287,7 @@ def _log_kernel_profile(d: np.ndarray, eps: float) -> np.ndarray:
             Px += ck * x**m * (lx / m - 1.0 / m**2)
         B = -_P1 - Px
         main = np.where(x > 0, lx * mass, 0.0)
-        out[inside] = np.log(eps) + main + 8.0 * B
+        row[inside] = np.log(eps) + main + 8.0 * B
     return out
 
 
@@ -266,10 +303,7 @@ class MollifiedFactor:
 
     def value(self, p):
         pts, single = as_points(p)
-        out = np.full(pts.shape[0], self.source.beta0)
-        for (x, y), a in self.source.atoms:
-            d = np.hypot(pts[:, 0] - x, pts[:, 1] - y)
-            out += a * _log_kernel_profile(d, self.eps)
+        out = _mollified_values(self.source, [self.eps], pts[:, 0], pts[:, 1])[0]
         return float(out[0]) if single else out
 
     def circle_length(self, r: float) -> float:
@@ -280,22 +314,51 @@ class MollifiedFactor:
         A capped integral keeps its finest-level value and is logged as a
         warning.
         """
-        breaks = []
-        for (x, y), _ in self.source.atoms:
-            rho = np.hypot(x, y)
-            if abs(r - rho) < self.eps:
-                s2 = (self.eps**2 - (r - rho) ** 2) / (4.0 * r * rho) if rho > 0 else None
-                th = np.arctan2(y, x)
-                if s2 is not None and s2 < 1.0:
-                    dth = 2.0 * np.arcsin(np.sqrt(s2))
-                    breaks += [th - dth, th + dth]
+        return float(_mollified_circle_lengths(self.source, [self.eps], r)[0])
 
-        def log_f(theta, _anchor, _delta, _rows):
-            pts = np.stack([r * np.cos(theta), r * np.sin(theta)], axis=-1)
-            return self.value(pts)[None, :]
 
-        return circle_length(log_f, breaks, r,
-                             f"mollified circle length (eps = {self.eps!r})")
+def _mollified_values(source: ConicalFactor, eps_values, x, y) -> np.ndarray:
+    """The factors mollified at each eps of ``eps_values``, one row each, at
+    the points (x, y); the distances to the atoms are taken once for all rows."""
+    out = np.full((len(eps_values), np.size(x)), source.beta0)
+    for (px, py), a in source.atoms:
+        out += a * _log_kernel_profiles(np.hypot(x - px, y - py), eps_values)
+    return out
+
+
+def _mollifier_joints(source: ConicalFactor, eps: float, r: float) -> list:
+    """Angles where the circle |z| = r crosses a mollification disc boundary."""
+    joints = []
+    for (x, y), _ in source.atoms:
+        rho = np.hypot(x, y)
+        if abs(r - rho) < eps:
+            s2 = (eps**2 - (r - rho) ** 2) / (4.0 * r * rho) if rho > 0 else None
+            th = np.arctan2(y, x)
+            if s2 is not None and s2 < 1.0:
+                dth = 2.0 * np.arcsin(np.sqrt(s2))
+                joints += [th - dth, th + dth]
+    return joints
+
+
+def _mollified_circle_lengths(source: ConicalFactor, eps_values, r: float) -> np.ndarray:
+    """Lengths of |z| = r under the factors mollified at each eps of
+    ``eps_values``, one row each of one batched call.
+
+    The rows are split at the union of their mollifier joints, and each
+    level evaluates the distances to the atoms once for all rows.  Capped
+    rows keep their finest-level value and are logged as warnings.
+    """
+    eps_values = np.array(eps_values, dtype=float)
+    joints = [th for eps in eps_values for th in _mollifier_joints(source, eps, r)]
+
+    def log_f(theta, _anchors, rows):
+        return _mollified_values(source, eps_values[rows],
+                                 r * np.cos(theta), r * np.sin(theta))
+
+    lengths, capped = circle_lengths(log_f, joints, [r] * len(eps_values))
+    for eps in eps_values[capped]:
+        warn_capped(f"mollified circle length (eps = {float(eps)!r})", r)
+    return lengths
 
 
 def mollify(factor: ConicalFactor, eps: float) -> MollifiedFactor:
@@ -314,6 +377,6 @@ def mollified_convergence(factor: ConicalFactor, spec: DirichletSpec, t: float,
     eps_sequence = [float(e) for e in eps_sequence]
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise DomainError("eps sequence must be strictly decreasing")
-    r = _level_radius(spec, t)
-    return np.array([MollifiedFactor(factor, e).circle_length(r)
-                     for e in eps_sequence])
+    if any(e <= 0 for e in eps_sequence):
+        raise DomainError("mollification radius must be positive")
+    return _mollified_circle_lengths(factor, eps_sequence, _level_radius(spec, t))

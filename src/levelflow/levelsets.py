@@ -310,7 +310,7 @@ def _singular_circle_length(chart, curve) -> float:
     angles = [np.arctan2(q[1], q[0]) for q in chart.singular_points
               if abs(np.hypot(*q) - r) < 1e-3 * max(1.0, r)]
 
-    def log_f(th, _anchor, _delta, _rows):
+    def log_f(th, _anchors, _rows):
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
         return chart.factor.jet(pts, 0).value[None, :]
 

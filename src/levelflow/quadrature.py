@@ -28,9 +28,21 @@ level without meeting the target, or whose level sum stopped being
 finite; their value is the last estimate they reached, and the caller
 reports them.
 
+Tanh-sinh nodes are affine images of one table, so :func:`tanh_sinh` also
+integrates a batch over several segments in one refinement, its rows the
+(segment, row) pairs, with one integrand call per level on the
+concatenated nodes (whole segments go to separate calls only where rows
+times nodes would pass :data:`MAX_CALL_ELEMENTS`, which keeps the finest
+levels' memory at one segment's).
+:func:`segmented_circle_integral` integrates every segment between
+singular angles that way: a circle batch (for instance the ``L`` and
+``aux_invgrad2`` rows of a conical profile, or a circle under several
+mollifiers) is one refinement and one call per level.
+
 Integrands receive the distances to both segment endpoints, computed in a
 cancellation-free way, so a factor like ``|theta - theta_atom|^alpha`` can be
-evaluated accurately even at machine-scale distances.
+evaluated accurately even at machine-scale distances; on a circle they are
+passed as contiguous spans anchored at the nearer singular angle.
 
 A row has converged when its relative change is at most :data:`REL_TOL`;
 tanh-sinh nodes span ``|tau| <= TAU_MAX``.  Every circle length (through
@@ -58,6 +70,12 @@ TAU_MAX = 5.0
 #: nested levels a trapezoid row evaluates at most this many nodes, the
 #: finest level's, each once
 MAX_EVALS = 1 << 20
+#: a multi-segment tanh-sinh level makes one integrand call unless rows
+#: times nodes would pass this; then it groups whole segments into calls of
+#: at most this size (a larger segment gets a call of its own), so the
+#: finest levels (20,480 nodes a segment) run one segment per call, as a
+#: one-segment rule does, and peak memory stays that rule's
+MAX_CALL_ELEMENTS = 1 << 15
 
 
 def _refine(level_sum, n_levels: int):
@@ -87,6 +105,13 @@ def _refine(level_sum, n_levels: int):
             live = live[~(done | diverged)]
     capped[live] = True
     return values, capped
+
+
+def _distinct(idx: np.ndarray, n: int) -> np.ndarray:
+    """The sorted distinct values of ``idx``, integers in [0, n)."""
+    seen = np.zeros(n, dtype=bool)
+    seen[idx] = True
+    return np.flatnonzero(seen)
 
 
 def periodic_trapezoid(f, *, n0: int = 64, max_n: int = MAX_EVALS
@@ -140,7 +165,7 @@ def _tanh_sinh_nodes(level: int):
     return table
 
 
-def tanh_sinh(f, a: float, b: float, *, max_level: int = 11
+def tanh_sinh(f, a, b, *, max_level: int = 11
               ) -> tuple[np.ndarray, np.ndarray]:
     """Double-exponential quadrature over [a, b] of a batch of integrands.
 
@@ -150,18 +175,67 @@ def tanh_sinh(f, a: float, b: float, *, max_level: int = 11
     factors can use them directly.  Nodes whose endpoint distance underflows
     are dropped; their contribution is below any integrable singularity's
     tail at that depth.  Returns ``(values, capped)``.
+
+    ``a`` and ``b`` may also be arrays of m segment endpoints.  Every row is
+    then integrated over every segment in one refinement whose rows are the
+    (segment, row) pairs, each with its own convergence test.  A level makes
+    one call ``f(x, da, db, spans, rows)`` on the concatenated nodes of the
+    segments that still have a live pair (more than one only when rows
+    times nodes would pass :data:`MAX_CALL_ELEMENTS`; a segment is never
+    split): ``spans`` lists ``(segment, slice of x)`` for the call's
+    segments, and ``rows`` holds every row live on at least one of them.
+    ``values`` and ``capped`` have shape (m, number of rows).
     """
+    segmented = np.ndim(a) > 0
+    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
     half = 0.5 * (b - a)
+    n_rows = 0  # fixed by the level-0 call
 
-    def level_sum(level, rows, prev):
+    def segment_sums(level, segs, rows):
+        """Level sums of ``rows`` on each segment of ``segs``, one f call."""
         one_plus, one_minus, wt = _tanh_sinh_nodes(level)
-        da, db, w = half * one_plus, half * one_minus, half * wt
-        ok = (da > 0) & (db > 0) & (w > 0)
-        da, db, w = da[ok], db[ok], w[ok]
-        total = np.sum(f(a + da, da, db, rows) * w, axis=1) * (0.5 / (1 << level))
-        return total if prev is None else 0.5 * prev + total
+        h = half[segs, None]
+        da, db = h * one_plus, h * one_minus
+        ok = (da > 0) & (db > 0) & (h * wt > 0)
+        x, da, db = (a[segs, None] + da)[ok], da[ok], db[ok]
+        counts = ok.sum(axis=1)
+        spans, stop = [], 0
+        for s, n in zip(segs, counts):
+            spans.append((s, slice(stop, stop + n)))
+            stop += n
+        vals = f(x, da, db, spans, rows) if segmented else f(x, da, db, rows)
+        # the weights, built after the call to keep its peak memory down, and
+        # one weighted sum per segment, each over its own contiguous nodes
+        w = (h * wt)[ok]
+        return np.stack([np.sum(vals[:, sl] * w[sl], axis=1)
+                         for _, sl in spans]) * (0.5 / (1 << level))
 
-    return _refine(level_sum, max_level + 1)
+    def level_sum(level, live, prev):
+        nonlocal n_rows
+        if prev is None:
+            sums = segment_sums(0, np.arange(a.size), slice(None))
+            n_rows = sums.shape[1]
+            return sums.ravel()
+        # live pairs are segment-major: segment s's pairs are live[edges[s]:edges[s + 1]]
+        seg_of, row_of = np.divmod(live, n_rows)
+        edges = np.searchsorted(seg_of, np.arange(a.size + 1))
+        segs = np.flatnonzero(edges[1:] > edges[:-1])
+        rows = _distinct(row_of, n_rows)
+        per_call = max(1, MAX_CALL_ELEMENTS // (_tanh_sinh_nodes(level)[0].size * rows.size))
+        total = np.empty(live.size)
+        for g in range(0, segs.size, per_call):
+            group = segs[g:g + per_call]
+            lo, hi = edges[group[0]], edges[group[-1] + 1]
+            if group.size < segs.size:
+                rows = _distinct(row_of[lo:hi], n_rows)
+            sums = segment_sums(level, group, rows)
+            total[lo:hi] = sums[np.searchsorted(group, seg_of[lo:hi]),
+                                np.searchsorted(rows, row_of[lo:hi])]
+        return 0.5 * prev + total
+
+    values, capped = _refine(level_sum, max_level + 1)
+    shape = (a.size, n_rows) if segmented else (n_rows,)
+    return values.reshape(shape), capped.reshape(shape)
 
 
 def segmented_circle_integral(log_f, singular_angles
@@ -169,53 +243,71 @@ def segmented_circle_integral(log_f, singular_angles
     """Integrals over [0, 2 pi) of exp(log_f), one per row, split at
     singular angles shared by all rows.
 
-    ``log_f(theta, anchor_index, delta, rows)`` evaluates the rows ``rows``
-    of the log-integrands, shape (number of rows, theta.size); when
-    ``anchor_index`` is not None, ``delta = theta - singular_angles[anchor]``
-    is exact and should be used for the singular factor at that anchor.
-    Without singular angles the rule falls back to the periodic trapezoid.
+    ``log_f(theta, anchors, rows)`` evaluates the rows ``rows`` of the
+    log-integrands, shape (number of rows, theta.size).  ``anchors`` lists
+    ``(span, anchor_index, delta)`` for contiguous spans of theta:
+    ``delta = theta[span] - singular_angles[anchor_index]`` is exact and
+    should be used for the singular factor at that anchor.  Without
+    singular angles ``anchors`` is empty and the rule falls back to the
+    periodic trapezoid.
+
+    All segments between consecutive singular angles are integrated in one
+    :func:`tanh_sinh` refinement, one ``log_f`` call per level; each
+    (segment, row) pair converges on its own, so a row's value is the sum
+    of its per-segment integrals in angle order, as if each segment were
+    integrated alone.
 
     Returns ``(values, capped)``; a row whose value is not finite diverged
     (a non-integrable singularity), and the caller decides what that means.
     """
     angles = np.mod(np.asarray(singular_angles, dtype=float), 2.0 * np.pi)
     if angles.size == 0:
-        return periodic_trapezoid(lambda th, rows: np.exp(log_f(th, None, None, rows)))
+        return periodic_trapezoid(lambda th, rows: np.exp(log_f(th, (), rows)))
     order = np.argsort(angles)
-    total, capped = 0.0, False
-    for pos in range(order.size):
-        ia = int(order[pos])
-        ib = int(order[(pos + 1) % order.size])
-        a = angles[ia]
-        b = angles[ib] if pos + 1 < order.size else angles[ib] + 2.0 * np.pi
-        if b - a < 1e-15:
-            continue
+    ia, ib = order, np.roll(order, -1)
+    a, b = angles[ia], angles[ib]
+    b[-1] += 2.0 * np.pi
+    keep = b - a >= 1e-15
+    ia, ib, a, b = ia[keep], ib[keep], a[keep], b[keep]
+    mid = 0.5 * (a + b)
 
-        def seg(x, da, db, rows, ia=ia, ib=ib, a=a, b=b):
-            # attribute each node's exact offset to its nearer singular angle;
-            # offsets enter the integrand through 2 pi - periodic chords, so the
-            # possible 2 pi shift at the wrap segment is harmless.  The nodes
-            # ascend, so the nodes nearer a are a prefix
-            k = np.searchsorted(x, 0.5 * (a + b), side="right")
-            return np.exp(np.concatenate(
-                [log_f(xs, anchor, delta, rows)
-                 for xs, anchor, delta in ((x[:k], ia, da[:k]), (x[k:], ib, -db[k:]))
-                 if xs.size], axis=1))
+    def f(x, da, db, spans, rows):
+        # attribute each node's exact offset to its nearer singular angle;
+        # offsets enter the integrand through 2 pi - periodic chords, so the
+        # possible 2 pi shift at the wrap segment is harmless.  A segment's
+        # nodes ascend, so the nodes nearer its start are a prefix
+        anchors = []
+        for s, sl in spans:
+            k = sl.start + int(np.searchsorted(x[sl], mid[s], side="right"))
+            anchors += [(slice(sl.start, k), ia[s], da[sl.start:k]),
+                        (slice(k, sl.stop), ib[s], -db[k:sl.stop])]
+        return np.exp(log_f(x, anchors, rows))
 
-        seg_values, seg_capped = tanh_sinh(seg, a, b)
-        total = total + seg_values
-        capped = capped | seg_capped
-    return total, capped
+    seg_values, seg_capped = tanh_sinh(f, a, b)
+    return sum(seg_values), np.any(seg_capped, axis=0)
+
+
+def finite_lengths(radii, vals) -> np.ndarray:
+    """``radii * vals`` for the circle integrals ``vals`` of length elements
+    ``r exp(log_f) dtheta``; raises :class:`SolverError` if a row diverged."""
+    if not np.all(np.isfinite(vals)):
+        raise SolverError("circle integral diverged (non-integrable singularity?)")
+    return np.asarray(radii, dtype=float) * vals
 
 
 def circle_lengths(log_f, angles, radii) -> tuple[np.ndarray, np.ndarray]:
-    """``(radii * values, capped)`` for :func:`segmented_circle_integral`'s
-    rows, one per circle |z| = r of length element ``r exp(log_f) dtheta``;
+    """``(lengths, capped)`` for :func:`segmented_circle_integral`'s rows,
+    one per circle |z| = r of length element ``r exp(log_f) dtheta``;
     raises :class:`SolverError` if a row diverged."""
     vals, capped = segmented_circle_integral(log_f, angles)
-    if not np.all(np.isfinite(vals)):
-        raise SolverError("circle integral diverged (non-integrable singularity?)")
-    return np.asarray(radii, dtype=float) * vals, capped
+    return finite_lengths(radii, vals), capped
+
+
+def warn_capped(what: str, r: float) -> None:
+    """Log that the circle integral of ``what`` at radius ``r`` used every
+    refinement level and kept its finest-level value."""
+    logger.warning("%s at r = %r used every refinement level without reaching "
+                   "rel_tol %g; finest-level value kept", what, float(r), REL_TOL)
 
 
 def circle_length(log_f, angles, r: float, what: str) -> float:
@@ -224,6 +316,5 @@ def circle_length(log_f, angles, r: float, what: str) -> float:
     warning naming ``what``."""
     (length,), (capped,) = circle_lengths(log_f, angles, [r])
     if capped:
-        logger.warning("%s at r = %r used every refinement level without reaching "
-                       "rel_tol %g; finest-level value kept", what, float(r), REL_TOL)
+        warn_capped(what, r)
     return float(length)

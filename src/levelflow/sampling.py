@@ -9,6 +9,7 @@ written in numpy and equal bit for bit to
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,12 +33,17 @@ def _digit_scales(base: int) -> np.ndarray:
 _SCALES = {b: _digit_scales(b) for b in HALTON_BASES}
 
 
-def _halton_permutations(seed: int) -> list[np.ndarray]:
+@lru_cache(maxsize=64)
+def _halton_permutations(seed: int) -> tuple[np.ndarray, ...]:
     """Per base, one shuffled ``arange(base)`` per digit, drawn row by row
-    (``permuted`` consumes the generator as one ``shuffle`` per row would)."""
+    (``permuted`` consumes the generator as one ``shuffle`` per row would).
+    Cached per seed; the arrays are read-only."""
     rng = np.random.default_rng(seed)
-    return [rng.permuted(np.repeat(np.arange(b)[None], _SCALES[b].size, axis=0), axis=1)
-            for b in HALTON_BASES]
+    perms = tuple(rng.permuted(np.repeat(np.arange(b)[None], _SCALES[b].size, axis=0), axis=1)
+                  for b in HALTON_BASES)
+    for p in perms:
+        p.setflags(write=False)
+    return perms
 
 
 def _halton(perms, start: int, n: int) -> np.ndarray:

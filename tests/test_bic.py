@@ -165,6 +165,17 @@ def test_profile_rows_match_single_circles_byte_for_byte():
     assert prof.meta["capped_levels"] == [EDGE_GRID[5], EDGE_GRID[12]]
 
 
+def test_log_integrand_rows_do_not_depend_on_their_batch():
+    # a level may ask for the e^v rows of outer circles together with the
+    # e^{3v} rows of inner ones, so its rows list circles out of order
+    log_f, _ = bic._conical_log_integrand(EDGE_FACTOR, EDGE_RADII, 1.0, 3.0)
+    m = len(EDGE_RADII)
+    theta = np.linspace(0.1, 6.0, 7)
+    every_row = log_f(theta, (), slice(None))
+    for rows in ([5, m + 3], [m + 1, 2], [4, m + 4], [0, 7, m + 7], [m + 9]):
+        assert log_f(theta, (), np.array(rows)).tobytes() == every_row[rows].tobytes()
+
+
 def test_profile_splits_into_halves_byte_for_byte():
     whole = bic_length_profile(EDGE_FACTOR, SPEC, EDGE_GRID)
     halves = [bic_length_profile(EDGE_FACTOR, SPEC, part)
@@ -172,6 +183,27 @@ def test_profile_splits_into_halves_byte_for_byte():
     for name in ("t_grid", "L", "aux_invgrad2"):
         joined = np.concatenate([getattr(p, name) for p in halves])
         assert getattr(whole, name).tobytes() == joined.tobytes(), name
+
+
+def test_profile_makes_one_integrand_call_per_refinement_level(monkeypatch):
+    # L and aux_invgrad2 of all 40 circles and both segments are rows of one
+    # rule: level 0 evaluates 21 nodes per segment, level k adds 20 * 2^(k-1)
+    rule_calls, nodes = [], []
+    rule = quadrature.tanh_sinh
+
+    def counted(f, *args, **kwargs):
+        rule_calls.append(args)
+
+        def g(x, *rest):
+            nodes.append(x.size)
+            return f(x, *rest)
+        return rule(g, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "tanh_sinh", counted)
+    prof = bic_length_profile(TWO_ATOM, SPEC, inset_grid(0.0, 2.0, 40))
+    assert len(rule_calls) == 1
+    assert nodes == [2 * 21] + [2 * 20 << (k - 1) for k in range(1, 5)]
+    assert prof.meta["capped_levels"] == []
 
 
 def test_profile_reports_capped_levels(caplog):
@@ -199,7 +231,10 @@ def test_one_circle_lengths_log_a_capped_integral(caplog):
     cases = [(lambda: conical_circle_length(factor, 1.5),
               quadrature.circle_lengths(*bic._conical_log_integrand(factor, [1.5], 1.0),
                                         [1.5])[0][0]),
-             (lambda: mollify(factor, 1e-9).circle_length(1.5), None)]
+             (lambda: mollify(factor, 1e-9).circle_length(1.5), None),
+             # the eps = 1e-9 row of a batch is capped, the eps = 0.1 row is not
+             (lambda: mollified_convergence(factor, SPEC, float(np.log(1.5)), [0.1, 1e-9]),
+              None)]
     for length, want in cases:
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="levelflow.quadrature"):
@@ -207,6 +242,7 @@ def test_one_circle_lengths_log_a_capped_integral(caplog):
         (record,) = caplog.records
         assert record.levelname == "WARNING"
         assert "at r = 1.5 used every refinement level" in record.getMessage()
+        assert "eps = 0.1)" not in record.getMessage()
         if want is not None:
             assert got == want
 
@@ -281,6 +317,9 @@ def test_mollified_convergence_to_singular_length():
     t_near = float(np.log(1.25))
     lengths = mollified_convergence(TWO_ATOM, SPEC, t_near, [0.2, 0.1, 0.05, 0.01])
     limit = conical_circle_length(TWO_ATOM, 1.25)
+    # neither of the two smallest kernels reaches the circle: their rows have
+    # the same integrand, split at the same joints, so they are equal
+    assert lengths[2] == lengths[3]
     assert np.all(np.diff(lengths) <= 1e-12)
     assert lengths[0] > limit + 1e-3
     assert abs(lengths[-1] - limit) <= 1e-6
@@ -294,6 +333,16 @@ def test_mollified_convergence_to_singular_length():
     assert vals[0] == pytest.approx(vals[1], rel=1e-13)
     with pytest.raises(DomainError):
         mollified_convergence(TWO_ATOM, SPEC, 0.6, [0.1, 0.2])
+
+
+@pytest.mark.parametrize("r", [1.25, 1.2, 1.6, 2.0])
+def test_batched_mollified_rows_match_one_circle_lengths(r):
+    # the batch splits every row at the union of the rows' mollifier joints
+    eps = [0.2, 0.1, 0.05, 0.01]
+    t = float(np.log(r))
+    batch = mollified_convergence(TWO_ATOM, SPEC, t, eps)
+    one = [mollify(TWO_ATOM, e).circle_length(bic._level_radius(SPEC, t)) for e in eps]
+    np.testing.assert_allclose(batch, one, rtol=1e-13, atol=0)
 
 
 def test_each_mollified_profile_is_log_convex():

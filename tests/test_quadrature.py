@@ -11,7 +11,9 @@ from levelflow import (ConformalChart, DirichletSpec, SolverError, bic_length_pr
                        catalog_field, conical_circle_length, conical_factor,
                        extract_level_curve, inset_grid, length, log_modulus_field,
                        mollify)
-from levelflow.quadrature import MAX_EVALS, periodic_trapezoid, tanh_sinh
+from levelflow import bic
+from levelflow.quadrature import (MAX_EVALS, periodic_trapezoid, segmented_circle_integral,
+                                  tanh_sinh)
 
 
 @pytest.mark.parametrize("integrand, exact", [
@@ -138,6 +140,50 @@ def test_diverged_rows_retire_at_their_first_non_finite_level():
     assert sum(n for n, rows in seen if 0 in rows) == seen[0][0] == 21
     assert len(seen) > 1 and all(rows == [1] for _, rows in seen[1:])
     assert inf_vals[0] == np.inf and inf_capped[0]
+
+
+def test_segmented_integral_equals_per_segment_tanh_sinh_sums_byte_for_byte():
+    # three vertices split every circle into three segments; the circle
+    # through the alpha = -0.4 vertex has a non-integrable e^{3v} row
+    factor = conical_factor(0.3, [((1.2, 0.0), 0.5), ((0.0, -1.6), -0.4),
+                                  ((-0.9, 0.9), 0.2)])
+    log_f, angles = bic._conical_log_integrand(factor, [1.0, 1.2, 1.6, 2.1], 1.0, 3.0)
+    vals, capped = segmented_circle_integral(log_f, angles)
+
+    # each segment alone, its nodes anchored at the nearer end
+    theta = np.mod(angles, 2 * np.pi)
+    order = np.argsort(theta)
+    want, want_capped = 0.0, False
+    for ia, ib in zip(order, np.roll(order, -1)):
+        a, b = theta[ia], theta[ib] + (2 * np.pi if ib == order[0] else 0.0)
+
+        def seg(x, da, db, rows, a=a, b=b, ia=ia, ib=ib):
+            k = np.searchsorted(x, 0.5 * (a + b), side="right")
+            return np.exp(np.concatenate(
+                [log_f(x[:k], [(slice(None), ia, da[:k])], rows),
+                 log_f(x[k:], [(slice(None), ib, -db[k:])], rows)], axis=1))
+
+        seg_vals, seg_capped = tanh_sinh(seg, a, b)
+        want, want_capped = want + seg_vals, want_capped | seg_capped
+    assert vals.tobytes() == want.tobytes()
+    assert capped.tolist() == want_capped.tolist() == [False] * 6 + [True, False]
+
+
+def test_tanh_sinh_segments_equal_one_segment_calls_byte_for_byte():
+    # the first segment is so short that its outermost node distances
+    # underflow and are dropped, so its spans are shorter than the others
+    a, b = np.array([0.0, 0.5, 1.0]), np.array([1e-300, 1.0, 3.0])
+    P = np.array([0.0, -0.5, -0.99])
+
+    def f(x, da, db, *spans_rows):
+        return np.exp(P[spans_rows[-1]][:, None] * np.log(da)) * np.cos(x)
+
+    vals, capped = tanh_sinh(f, a, b)
+    assert vals.shape == capped.shape == (3, 3)
+    for s in range(3):
+        one, one_capped = tanh_sinh(f, a[s], b[s])
+        assert one.tobytes() == vals[s].tobytes()
+        assert one_capped.tolist() == capped[s].tolist() == [False, False, True]
 
 
 # e^800 overflows: every circle integral of these factors is infinite

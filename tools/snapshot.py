@@ -37,6 +37,10 @@ OUT (created; it must not exist yet) receives
   then one audit per chart kind on the default 256 x 256 grid (``log`` on
   a sphere cap and ``warped_arctan`` on a cosh cylinder, the shapes of the
   benchmark's audits);
+* ``bic_probe.txt``: the repr of the mollified lengths and the singular
+  length of ``scenarios.conical()`` and of the CLI ``bic`` negative-atom
+  case, one number list per line, so a diff names the probe numbers that
+  moved;
 * ``cli/<case>.json`` and ``cli/<case>_<csv|json>/``: ``levelflow.cli.run``
   called in this process with ``--format csv`` and ``json`` on one config
   per subcommand and chart kind (``profile`` and ``convexity`` on flat,
@@ -304,6 +308,24 @@ def _calls_text(calls, show=repr) -> str:
     return "".join(lines)
 
 
+def _bic_probe_calls():
+    """(label, call) of the mollified and singular lengths of the conical
+    scenario and of the CLI ``bic`` negative-atom case."""
+    import levelflow as lf
+    from levelflow import scenarios
+
+    cfg = {case: cfg for case, _, cfg in _cli_cases()}["bic_negative_atom"]
+    chart, dirichlet, acfg = cfg["chart"], cfg["field"]["dirichlet"], cfg["analysis"]
+    factor = lf.conical_factor(chart["beta0"], [(a["z"], a["alpha"]) for a in chart["atoms"]])
+    spec = lf.DirichletSpec(dirichlet["R"], dirichlet["t1"], dirichlet["t2"])
+    negative = scenarios.mollified(factor, spec, acfg["mollify_level"], acfg["eps_sequence"])
+    conical = scenarios.conical()
+    return [("conical mollified_lengths", lambda: conical.lengths.tolist()),
+            ("conical singular_length", lambda: conical.limit),
+            ("bic_negative_atom mollified_lengths", lambda: negative[0].tolist()),
+            ("bic_negative_atom singular_length", lambda: negative[1])]
+
+
 def _write_profiles(out: Path) -> None:
     """Quadrature-path profile CSVs under out."""
     import levelflow as lf
@@ -429,6 +451,7 @@ def main(argv) -> int:
     _write_profiles(out / "profiles")
     (out / "symmetry.txt").write_text(_calls_text(_symmetry_calls()))
     (out / "audits.txt").write_text(_calls_text(_audit_calls(), show=str))
+    (out / "bic_probe.txt").write_text(_calls_text(_bic_probe_calls()))
     (out / "cli").mkdir()
     _write_cli(out / "cli")
     return 0
