@@ -10,11 +10,12 @@ circles through a vertex still have finite length.
 Level lengths for the annulus Dirichlet solution are circle integrals of
 ``e^v``; the integrand has an ``|theta - theta_j|^alpha`` singularity when a
 circle meets a vertex, absorbed by the dyadically refined double-exponential
-rule in :mod:`levelflow.quadrature`.  Every length here (the profile's
-``L``, :func:`conical_circle_length`, the mollified circles) ends in that
-module's circle-length finish, with its fixed ``REL_TOL``: a diverged
-integral raises, a capped one-circle integral is logged there.  The vertex
-angles split every level circle at the same places, so a profile integrates
+rule in :mod:`levelflow.quadrature` to its fixed ``REL_TOL``.  Every
+length here raises on a diverged integral.  :func:`conical_circle_length`
+and the mollified circles end in that module's one circle-length finish,
+``circle_lengths``, which logs each capped circle as a warning under its
+own name; a profile reports its capped levels itself.  The vertex angles
+split every level circle at the same places, so a profile integrates
 all its circles in one batched call, with one row of e^v for ``L`` and one
 of e^{3v} for ``aux_invgrad2`` per circle and v evaluated once per circle
 per refinement level; each row keeps its own convergence test on each
@@ -33,7 +34,7 @@ the mollified factors decrease pointwise to ``v`` as ``eps`` decreases.
 :func:`mollified_convergence` integrates the circle under every eps as the
 rows of one batched call, split at the union of their mollifier joints,
 with the distances to the atoms taken once per refinement level for all
-rows; a capped row is logged like a capped one-circle integral.
+rows; each capped row is logged under its eps.
 """
 
 from __future__ import annotations
@@ -48,8 +49,8 @@ from .errors import DomainError
 from .fields import ScalarField, as_points
 from .harmonic import DirichletSpec
 from .levelsets import LengthProfile
-from .quadrature import (REL_TOL, _distinct, circle_length, circle_lengths, finite_lengths,
-                         segmented_circle_integral, warn_capped)
+from .quadrature import (REL_TOL, _distinct, circle_lengths, finite_lengths,
+                         segmented_circle_integral)
 
 logger = logging.getLogger(__name__)
 
@@ -173,30 +174,8 @@ def _conical_log_integrand(factor: ConicalFactor, radii, *powers):
 def conical_circle_length(factor: ConicalFactor, r: float) -> float:
     """Length of the circle |z| = r in the metric e^{2v} g_0; a capped
     integral keeps its finest-level value and is logged as a warning."""
-    return circle_length(*_conical_log_integrand(factor, [r], 1.0), r,
-                         "conical circle length")
-
-
-def _invgrad2(spec: DirichletSpec, radii, vals, capped) -> np.ndarray:
-    """Integrals of |grad u|^-2 over the circles |z| = r (metric quantities)
-    from the circle integrals ``vals`` of e^{3v}.
-
-    For u = t1 + b ln|z| the integrand is e^{3v} r^2 / b^2 per unit
-    coordinate angle; integrable iff 3 alpha_j > -1 at a vertex on the
-    circle.  Otherwise the rule uses every refinement level and the row is
-    capped; capped rows and sums that overflow give NaN.
-    """
-    b = (spec.t2 - spec.t1) / np.log(spec.R)
-    # r**3 as a Python float power, for the same reason as (r - rho)^2 above
-    cubes = np.array([float(r) ** 3 for r in radii])
-    return np.where(np.isfinite(vals) & ~capped, cubes / b**2 * vals, np.nan)
-
-
-def _conical_circle_invgrad2(factor: ConicalFactor, spec: DirichletSpec, radii):
-    """:func:`_invgrad2` of the circles |z| = r integrated without their
-    ``L`` rows, and the capped flags of their integrals."""
-    vals, capped = segmented_circle_integral(*_conical_log_integrand(factor, radii, 3.0))
-    return _invgrad2(spec, radii, vals, capped), capped
+    return float(circle_lengths(*_conical_log_integrand(factor, [r], 1.0), [r],
+                                ["conical circle length"])[0])
 
 
 def _level_radius(spec: DirichletSpec, t: float) -> float:
@@ -234,7 +213,14 @@ def bic_length_profile(factor: ConicalFactor, spec: DirichletSpec, t_grid
     m = len(radii)
     vals, capped = segmented_circle_integral(*_conical_log_integrand(factor, radii, 1.0, 3.0))
     L, L_capped = finite_lengths(radii, vals[:m]), capped[:m]
-    aux, aux_capped = _invgrad2(spec, radii, vals[m:], capped[m:]), capped[m:]
+    # aux_invgrad2 integrates |grad u|^-2 = e^{3v} r^2 / b^2 per unit angle
+    # (u = t1 + b ln|z|), integrable iff 3 alpha_j > -1 at a vertex on the
+    # circle; capped rows and overflowed sums give NaN.  r**3 is a Python
+    # float power, as (r - rho)^2 is in _conical_log_integrand
+    b = (spec.t2 - spec.t1) / np.log(spec.R)
+    cubes = np.array([r ** 3 for r in radii])
+    aux_vals, aux_capped = vals[m:], capped[m:]
+    aux = np.where(np.isfinite(aux_vals) & ~aux_capped, cubes / b**2 * aux_vals, np.nan)
     capped_levels = [float(t) for t in t_grid[L_capped | aux_capped]]
     if capped_levels:
         logger.warning(
@@ -355,10 +341,9 @@ def _mollified_circle_lengths(source: ConicalFactor, eps_values, r: float) -> np
         return _mollified_values(source, eps_values[rows],
                                  r * np.cos(theta), r * np.sin(theta))
 
-    lengths, capped = circle_lengths(log_f, joints, [r] * len(eps_values))
-    for eps in eps_values[capped]:
-        warn_capped(f"mollified circle length (eps = {float(eps)!r})", r)
-    return lengths
+    return circle_lengths(log_f, joints, [r] * len(eps_values),
+                          [f"mollified circle length (eps = {float(eps)!r})"
+                           for eps in eps_values])
 
 
 def mollify(factor: ConicalFactor, eps: float) -> MollifiedFactor:

@@ -83,7 +83,8 @@ def _number(section: dict, key: str, where: str, default=_REQUIRED, kind=float,
     """``section[key]`` as a ``kind`` or, given ``length``, as a list of that
     many floats (one or more when it is 0); ``default`` when the key is absent.
 
-    A missing, mistyped or misshapen value raises ConfigError naming the key.
+    A missing, mistyped or misshapen value, or a non-integral one for an int
+    ``kind``, raises ConfigError naming the key.
     """
     if key not in section:
         if default is _REQUIRED:
@@ -96,6 +97,8 @@ def _number(section: dict, key: str, where: str, default=_REQUIRED, kind=float,
             or any(type(v) not in (int, float) for v in items)):
         want = "a number" if length is None else f"a list of {length or 'one or more'} numbers"
         raise ConfigError(f"{where}.{key} must be {want}, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
     return kind(value) if length is None else [float(v) for v in value]
 
 

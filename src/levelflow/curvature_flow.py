@@ -46,7 +46,7 @@ import numpy as np
 from .charts import _circle_points, _constant_on_circles, local_geometry
 from .errors import DomainError, LevelFlowError, PreconditionError
 from .fields import as_points
-from .levelsets import LengthProfile, _integrate_levels, _level_points, _screen_levels
+from .levelsets import LengthProfile, _level_values, _screen_levels
 
 AUDIT_QUANTITIES = ("k", "h", "phi_k", "phi_h", "ln_abs_k", "ln_abs_h")
 
@@ -484,11 +484,10 @@ def logL_slope_bound(u, chart, profile: LengthProfile,
     <grad K, grad u> <= 0, k >= 0) bounds it by -inf_boundary k/|grad u|,
     audited over the full chart annulus.  Also verifies, per level, the
     identity L'(t) = -integral of (k/|grad u|) over the level curve, on 512
-    points per level (integrated as the profile's quadrature path does), to
-    ``identity_tolerance``.  The signs are read on 64 circles of 128
-    points inside and 1024 points on each boundary circle, or at one point
-    per circle where the geometry is constant on circles, as in
-    :func:`principle_audit`.
+    points per level, to ``identity_tolerance``.  It and the signs, read on
+    64 circles of 128 points inside and 1024 points on each boundary circle,
+    take one point per circle where the geometry is constant on circles, as
+    in :func:`principle_audit`.
     """
     tolerance = 1e-9
     if chart.kind == "conformal":
@@ -508,8 +507,8 @@ def logL_slope_bound(u, chart, profile: LengthProfile,
     # the representation L'(t) = -integral of k/|grad u| holds with no sign
     # hypotheses; verify it on every level of the profile
     ts = profile.t_grid
-    pts, weights = _level_points(u, chart, ts, _screen_levels(u, chart, ts), 512)
-    ident = _integrate_levels(u, chart, pts, weights, lambda g: (g.k / g.G,))[1]
+    ident = _level_values(u, chart, ts, _screen_levels(u, chart, ts),
+                          integrands=lambda g: (g.k / g.G,))[1]
     ident_err = np.max(np.abs(profile.Lp + ident))
 
     inf_bnd = float(np.min((geo.k / geo.G)[n_in:]))

@@ -116,6 +116,8 @@ def _no_extra(params):
 
 # grid points per axis of the critical-point scan
 SCAN_POINTS = 64
+# step factor, step budget and |grad u| target of the critical-point Newton
+NEWTON_DAMPING, NEWTON_MAX_ITER, NEWTON_TOL = 0.5, 50, 1e-11
 
 
 def critical_points(u: ScalarField, chart) -> list[tuple[float, float]]:
@@ -153,24 +155,24 @@ def critical_points(u: ScalarField, chart) -> list[tuple[float, float]]:
     return [tuple(p) for p in roots]
 
 
-def _newton_polish(u, seeds, damping=0.5, max_iter=50, tol=1e-11):
+def _newton_polish(u, seeds):
     """Zeros of grad u reached by damped Newton from the (k, 2) ``seeds``, in
     seed order, one order-2 jet call per step for the live seeds; a seed at a
-    singular Hessian or above ``tol`` after ``max_iter`` steps is dropped."""
+    singular Hessian or above NEWTON_TOL after NEWTON_MAX_ITER steps is dropped."""
     p, live = seeds.copy(), np.arange(len(seeds))
     converged = np.zeros(len(seeds), dtype=bool)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_MAX_ITER):
         if live.size == 0:
             break
         j = u.jet(p[live], 2)
         g, h = j.grad, j.hess
-        done = np.hypot(g[:, 0], g[:, 1]) < tol
+        done = np.hypot(g[:, 0], g[:, 1]) < NEWTON_TOL
         step = ~done & (np.abs(h[:, 0, 0] * h[:, 1, 1] - h[:, 0, 1] * h[:, 1, 0]) >= 1e-14)
         converged[live[done]] = True
         live = live[step]
-        p[live] += damping * np.linalg.solve(h[step], -g[step][:, :, None])[:, :, 0]
+        p[live] += NEWTON_DAMPING * np.linalg.solve(h[step], -g[step][:, :, None])[:, :, 0]
     logger.debug("critical-point Newton: seeds dropped at a singular Hessian or "
-                 "unconverged after %d steps: %s", max_iter, seeds[~converged])
+                 "unconverged after %d steps: %s", NEWTON_MAX_ITER, seeds[~converged])
     return p[converged]
 
 

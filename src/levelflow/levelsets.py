@@ -31,7 +31,8 @@ levels of at most ``MAX_POINTS`` points.  The exact radial fast path
 its points skip the chart's domain check (the levels t +- h of a profile
 may lie just off the chart), those of a sampled curve are checked.
 Profiles, bound checks, the integral formulas and the slope identity of
-:func:`~levelflow.curvature_flow.logL_slope_bound` read them.
+:func:`~levelflow.curvature_flow.logL_slope_bound` read them through
+:func:`_level_values`.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from .errors import (CriticalPointError, DomainError, LevelFlowError,
                      SolverError, TopologyError)
 from .fields import ScalarField
 from .harmonic import _bracketed_newton, catalog_field
-from .quadrature import circle_length
+from .quadrature import circle_lengths
 
 CSV_COLUMNS = ("t", "L", "Lp", "Lpp", "lnL_pp", "L_fd_p", "L_fd_pp", "aux_invgrad2")
 
@@ -300,7 +301,7 @@ def length(curve: LevelCurve, chart) -> float:
 def _singular_circle_length(chart, curve) -> float:
     """Adaptive escalation for circles through/near a singular factor point;
     a capped integral keeps its finest-level value and is logged as a
-    warning by :func:`~levelflow.quadrature.circle_length`."""
+    warning by :func:`~levelflow.quadrature.circle_lengths`."""
     r = np.hypot(*curve.points[0])
     if not np.allclose(np.hypot(curve.points[:, 0], curve.points[:, 1]), r,
                        rtol=1e-9, atol=1e-12):
@@ -314,7 +315,7 @@ def _singular_circle_length(chart, curve) -> float:
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
         return chart.factor.jet(pts, 0).value[None, :]
 
-    return circle_length(log_f, angles, r, "singular circle length")
+    return float(circle_lengths(log_f, angles, [r], ["singular circle length"])[0])
 
 
 def _integrate_levels(u, chart, pts, weights, integrands, checked=True):
@@ -338,18 +339,21 @@ def _integrate_levels(u, chart, pts, weights, integrands, checked=True):
     return tuple(np.concatenate(blocks, axis=1))
 
 
-def _level_values(u, chart, ts, radii, n_samples=512, method="auto"):
-    """(L, Lp, Lpp, aux, K_min, K_max) arrays, one entry per level of ``ts``
-    at ``radii`` (None for u not radial on the chart), from :func:`_integrate_levels`;
+def _derivative_integrands(g):  # of L', L'' and 1/|grad u|^2
+    return -g.pairing_G / g.G**3, g.grad_G_sq / g.G**4 - g.K / g.G**2, 1.0 / g.G**2
+
+
+def _level_values(u, chart, ts, radii, n_samples=512, method="auto",
+                  integrands=_derivative_integrands):
+    """(L, the integral of each of ``integrands(geo)``, by default Lp, Lpp
+    and aux, K_min, K_max) arrays, one entry per level of ``ts`` at ``radii``
+    (None for u not radial on the chart), from :func:`_integrate_levels`;
     it screens nothing, so callers check their levels first.
 
     On the radial fast path (integrands and K constant on each level circle)
     a level is the one unchecked point (r, 0) of weight 2 pi r (2 pi on
     warped charts) and ``n_samples`` is ignored; otherwise each curve has
     ``n_samples`` domain-checked points."""
-    def integrands(g):  # of L', L'' and 1/|grad u|^2
-        return -g.pairing_G / g.G**3, g.grad_G_sq / g.G**4 - g.K / g.G**2, 1.0 / g.G**2
-
     if _constant_on_circles(u, chart) and (chart.kind == "warped" or method == "auto"):
         return _integrate_levels(u, chart, *_circle_points(chart, radii, 1), integrands,
                                  checked=False)

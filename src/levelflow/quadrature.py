@@ -28,12 +28,12 @@ level without meeting the target, or whose level sum stopped being
 finite; their value is the last estimate they reached, and the caller
 reports them.
 
-Tanh-sinh nodes are affine images of one table, so :func:`tanh_sinh` also
-integrates a batch over several segments in one refinement, its rows the
-(segment, row) pairs, with one integrand call per level on the
+Tanh-sinh nodes are affine images of one table, so :func:`tanh_sinh`
+integrates a batch over an array of segments in one refinement, its rows
+the (segment, row) pairs, with one integrand call per level on the
 concatenated nodes (whole segments go to separate calls only where rows
 times nodes would pass :data:`MAX_CALL_ELEMENTS`, which keeps the finest
-levels' memory at one segment's).
+levels' memory at one segment's); one segment is a one-element array.
 :func:`segmented_circle_integral` integrates every segment between
 singular angles that way: a circle batch (for instance the ``L`` and
 ``aux_invgrad2`` rows of a conical profile, or a circle under several
@@ -47,8 +47,8 @@ passed as contiguous spans anchored at the nearer singular angle.
 A row has converged when its relative change is at most :data:`REL_TOL`;
 tanh-sinh nodes span ``|tau| <= TAU_MAX``.  Every circle length (through
 cone points, mollified, through a singular chart factor) ends in
-:func:`circle_lengths`, which raises :class:`SolverError` on a diverged row,
-or its one-row :func:`circle_length`, which also logs a cap.
+:func:`circle_lengths`, which raises :class:`SolverError` on a diverged row
+and logs each capped row as a warning under its own name.
 """
 
 from __future__ import annotations
@@ -167,27 +167,24 @@ def _tanh_sinh_nodes(level: int):
 
 def tanh_sinh(f, a, b, *, max_level: int = 11
               ) -> tuple[np.ndarray, np.ndarray]:
-    """Double-exponential quadrature over [a, b] of a batch of integrands.
+    """Double-exponential quadrature of a batch of integrands over each of
+    the m segments [a[s], b[s]], ``a`` and ``b`` arrays of m endpoints.
 
-    ``f(x, da, db, rows)`` returns the rows ``rows`` of the integrands at the
-    nodes ``x``, shape (number of rows, x.size); ``da = x - a`` and
-    ``db = b - x`` are supplied without cancellation so endpoint-singular
-    factors can use them directly.  Nodes whose endpoint distance underflows
-    are dropped; their contribution is below any integrable singularity's
-    tail at that depth.  Returns ``(values, capped)``.
-
-    ``a`` and ``b`` may also be arrays of m segment endpoints.  Every row is
-    then integrated over every segment in one refinement whose rows are the
-    (segment, row) pairs, each with its own convergence test.  A level makes
-    one call ``f(x, da, db, spans, rows)`` on the concatenated nodes of the
-    segments that still have a live pair (more than one only when rows
-    times nodes would pass :data:`MAX_CALL_ELEMENTS`; a segment is never
-    split): ``spans`` lists ``(segment, slice of x)`` for the call's
-    segments, and ``rows`` holds every row live on at least one of them.
-    ``values`` and ``capped`` have shape (m, number of rows).
+    Every row is integrated over every segment in one refinement whose rows
+    are the (segment, row) pairs, each with its own convergence test.  A
+    level makes one call ``f(x, da, db, spans, rows)`` on the concatenated
+    nodes of the segments that still have a live pair (more than one only
+    when rows times nodes would pass :data:`MAX_CALL_ELEMENTS`; a segment is
+    never split): ``spans`` lists ``(segment, slice of x)`` for the call's
+    segments, ``rows`` holds every row live on at least one of them, and the
+    call returns those rows of the integrands at the nodes ``x``, shape
+    (number of rows, x.size).  ``da = x - a`` and ``db = b - x`` are
+    supplied without cancellation so endpoint-singular factors can use them
+    directly.  Nodes whose endpoint distance underflows are dropped; their
+    contribution is below any integrable singularity's tail at that depth.
+    Returns ``(values, capped)``, each of shape (m, number of rows).
     """
-    segmented = np.ndim(a) > 0
-    a, b = np.atleast_1d(np.asarray(a, dtype=float)), np.atleast_1d(np.asarray(b, dtype=float))
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     half = 0.5 * (b - a)
     n_rows = 0  # fixed by the level-0 call
 
@@ -203,7 +200,7 @@ def tanh_sinh(f, a, b, *, max_level: int = 11
         for s, n in zip(segs, counts):
             spans.append((s, slice(stop, stop + n)))
             stop += n
-        vals = f(x, da, db, spans, rows) if segmented else f(x, da, db, rows)
+        vals = f(x, da, db, spans, rows)
         # the weights, built after the call to keep its peak memory down, and
         # one weighted sum per segment, each over its own contiguous nodes
         w = (h * wt)[ok]
@@ -234,8 +231,7 @@ def tanh_sinh(f, a, b, *, max_level: int = 11
         return 0.5 * prev + total
 
     values, capped = _refine(level_sum, max_level + 1)
-    shape = (a.size, n_rows) if segmented else (n_rows,)
-    return values.reshape(shape), capped.reshape(shape)
+    return values.reshape(a.size, n_rows), capped.reshape(a.size, n_rows)
 
 
 def segmented_circle_integral(log_f, singular_angles
@@ -295,26 +291,16 @@ def finite_lengths(radii, vals) -> np.ndarray:
     return np.asarray(radii, dtype=float) * vals
 
 
-def circle_lengths(log_f, angles, radii) -> tuple[np.ndarray, np.ndarray]:
-    """``(lengths, capped)`` for :func:`segmented_circle_integral`'s rows,
-    one per circle |z| = r of length element ``r exp(log_f) dtheta``;
-    raises :class:`SolverError` if a row diverged."""
+def circle_lengths(log_f, angles, radii, names) -> np.ndarray:
+    """Lengths of the circles |z| = r of ``radii``, the rows of
+    :func:`segmented_circle_integral` of ``log_f`` split at ``angles``, each
+    of length element ``r exp(log_f) dtheta``.  Raises :class:`SolverError`
+    if a row diverged; a capped row keeps its finest-level value and is
+    logged as a warning naming its entry of ``names``."""
     vals, capped = segmented_circle_integral(log_f, angles)
-    return finite_lengths(radii, vals), capped
-
-
-def warn_capped(what: str, r: float) -> None:
-    """Log that the circle integral of ``what`` at radius ``r`` used every
-    refinement level and kept its finest-level value."""
-    logger.warning("%s at r = %r used every refinement level without reaching "
-                   "rel_tol %g; finest-level value kept", what, float(r), REL_TOL)
-
-
-def circle_length(log_f, angles, r: float, what: str) -> float:
-    """The one-row :func:`circle_lengths` of the circle of radius ``r``; a
-    capped integral keeps its finest-level value and is logged as a
-    warning naming ``what``."""
-    (length,), (capped,) = circle_lengths(log_f, angles, [r])
-    if capped:
-        warn_capped(what, r)
-    return float(length)
+    lengths = finite_lengths(radii, vals)
+    for what, r, row_capped in zip(names, radii, capped):
+        if row_capped:
+            logger.warning("%s at r = %r used every refinement level without reaching "
+                           "rel_tol %g; finest-level value kept", what, float(r), REL_TOL)
+    return lengths

@@ -156,8 +156,15 @@ EDGE_FACTOR = conical_factor(30.0, [((EDGE_RADII[5], 0.0), -0.9),
 def test_profile_rows_match_single_circles_byte_for_byte():
     prof = bic_length_profile(EDGE_FACTOR, SPEC, EDGE_GRID)
     L = np.array([conical_circle_length(EDGE_FACTOR, r) for r in EDGE_RADII])
-    aux = np.array([bic._conical_circle_invgrad2(EDGE_FACTOR, SPEC, [r])[0][0]
-                    for r in EDGE_RADII])
+    # aux_invgrad2 is r^3 / b^2 times the one-row integral of e^{3v}, NaN
+    # where that integral is capped or not finite
+    b = (SPEC.t2 - SPEC.t1) / np.log(SPEC.R)
+    aux = []
+    for r in EDGE_RADII:
+        (val,), (capped,) = quadrature.segmented_circle_integral(
+            *bic._conical_log_integrand(EDGE_FACTOR, [r], 3.0))
+        aux.append(r ** 3 / b**2 * val if np.isfinite(val) and not capped else np.nan)
+    aux = np.array(aux)
     assert prof.L.tobytes() == L.tobytes()
     assert prof.aux_invgrad2.tobytes() == aux.tobytes()
     assert np.flatnonzero(np.isnan(aux)).tolist() == [5, 12]
@@ -230,7 +237,7 @@ def test_one_circle_lengths_log_a_capped_integral(caplog):
     assert caplog.records == []
     cases = [(lambda: conical_circle_length(factor, 1.5),
               quadrature.circle_lengths(*bic._conical_log_integrand(factor, [1.5], 1.0),
-                                        [1.5])[0][0]),
+                                        [1.5], ["conical circle length"])[0]),
              (lambda: mollify(factor, 1e-9).circle_length(1.5), None),
              # the eps = 1e-9 row of a batch is capped, the eps = 0.1 row is not
              (lambda: mollified_convergence(factor, SPEC, float(np.log(1.5)), [0.1, 1e-9]),

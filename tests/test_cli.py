@@ -278,6 +278,11 @@ MALFORMED = {
     "conical_atom_number": ("bic", _edit(CONICAL_CONFIG, "chart", atoms=[5])),
     "negative_seed": ("residuals", {**CAP_CONFIG, "seed": -1}),
     "no_points": ("residuals", _edit(CAP_CONFIG, "analysis", points=0)),
+    # integer keys refuse non-integral numbers instead of truncating them
+    "fractional_levels": ("profile", _edit(FLAT_CONFIG, "analysis", levels=16.7)),
+    "fractional_n_samples": ("profile", _edit(FLAT_CONFIG, "analysis", n_samples=64.9)),
+    "fractional_seed": ("residuals", {**CAP_CONFIG, "seed": 2.5}),
+    "fractional_points": ("residuals", _edit(CAP_CONFIG, "analysis", points=4.5)),
     "zero_radius": ("counterexample", {"analysis": {"radii": [0.05, 0.0]}}),
     # the radial fast path reads no samples, and must refuse too few as the
     # sampled path does

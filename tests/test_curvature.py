@@ -534,20 +534,20 @@ def test_audit_evaluates_each_grid_point_once(monkeypatch):
 def test_slope_bound_grid_evaluates_each_circle_once(monkeypatch):
     # the sign grid is 64 circles of 128 points and two 1024-point circles,
     # one point each for a radial pair; the identity check then evaluates
-    # its 512-point level circles, one point per level on a warped chart
+    # one point per level, on the sphere cap as on the warped chart
     hyp = WarpedChart.cosh_cylinder(2.0 / (2 * np.pi), 0.2, 1.5)
     s_lo, s_hi = 2 * np.arctan(np.exp(0.2)), 2 * np.arctan(np.exp(1.5))
-    cases = [(LOG, CAP, CAP.factor, inset_grid(-1.0, 0.0, 10), 512),
-             (ARCTAN, hyp, hyp.shape, inset_grid(s_lo, s_hi, 12), 1)]
-    for u, chart, metric_field, grid, per_level in cases:
+    cases = [(LOG, CAP, CAP.factor, inset_grid(-1.0, 0.0, 10)),
+             (ARCTAN, hyp, hyp.shape, inset_grid(s_lo, s_hi, 12))]
+    for u, chart, metric_field, grid in cases:
         prof = length_profile(u, chart, grid)
         calls = _record_jets(monkeypatch)
         logL_slope_bound(u, chart, prof)
         monkeypatch.undo()
         geometry = [call for call in calls if call[2] >= 2]
         assert _points_per_field(geometry[:2]) == {(id(u), 2): 66, (id(metric_field), 3): 66}
-        assert _points_per_field(geometry[2:]) == {(id(u), 2): per_level * grid.size,
-                                                   (id(metric_field), 3): per_level * grid.size}
+        assert _points_per_field(geometry[2:]) == {(id(u), 2): grid.size,
+                                                   (id(metric_field), 3): grid.size}
 
 
 def test_pde_stencils_take_at_most_three_jet_calls(monkeypatch):

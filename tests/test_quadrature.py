@@ -1,6 +1,7 @@
 """Exact answers and row independence of the batched quadrature rules, and
 the circle-length finish every circle integral shares."""
 
+import logging
 import warnings
 
 import numpy as np
@@ -12,8 +13,16 @@ from levelflow import (ConformalChart, DirichletSpec, SolverError, bic_length_pr
                        extract_level_curve, inset_grid, length, log_modulus_field,
                        mollify)
 from levelflow import bic
-from levelflow.quadrature import (MAX_EVALS, periodic_trapezoid, segmented_circle_integral,
-                                  tanh_sinh)
+from levelflow.quadrature import (MAX_EVALS, circle_lengths, periodic_trapezoid,
+                                  segmented_circle_integral, tanh_sinh)
+
+
+def _one_segment(f, a, b):
+    """``(values, capped)`` of :func:`tanh_sinh` over the one segment [a, b],
+    a one-element endpoint array, for an integrand ``f(x, da, db, rows)``."""
+    vals, capped = tanh_sinh(lambda x, da, db, _spans, rows: f(x, da, db, rows),
+                             np.array([a]), np.array([b]))
+    return vals[0], capped[0]
 
 
 @pytest.mark.parametrize("integrand, exact", [
@@ -23,7 +32,7 @@ from levelflow.quadrature import (MAX_EVALS, periodic_trapezoid, segmented_circl
 ], ids=["x^-1/2", "ln x", "x^-0.9"])
 def test_tanh_sinh_endpoint_singularities_exact(integrand, exact):
     # the singular factor reads the cancellation-free distance to x = 0
-    vals, capped = tanh_sinh(lambda x, da, db, rows: integrand(da)[None, :], 0.0, 1.0)
+    vals, capped = _one_segment(lambda x, da, db, rows: integrand(da)[None, :], 0.0, 1.0)
     assert vals.shape == capped.shape == (1,)
     assert not capped[0]
     assert vals[0] == pytest.approx(exact, rel=1e-10)
@@ -53,7 +62,7 @@ def test_tanh_sinh_rows_match_one_row_calls():
         def f(x, da, db, rows):
             p, k = rows_p[rows][:, None], rows_k[rows][:, None]
             return np.exp(p * np.log(da)) * np.cos(k * x)
-        return tanh_sinh(_logged(f, log), 0.0, 1.0)
+        return _one_segment(_logged(f, log), 0.0, 1.0)
 
     batch_log = []
     vals, capped = rule(P, K, batch_log)
@@ -99,8 +108,8 @@ def _recorded(f, nodes):
 def test_nested_levels_evaluate_each_finest_node_once():
     # x^-0.99 and |sin x|^(1/2) are capped: both rules run to their finest level
     nodes = []
-    _, capped = tanh_sinh(_recorded(lambda x, da, db, rows: da[None, :] ** -0.99, nodes),
-                          0.0, 1.0)
+    _, capped = _one_segment(_recorded(lambda x, da, db, rows: da[None, :] ** -0.99, nodes),
+                            0.0, 1.0)
     assert capped[0]
     # nodes near an endpoint share x but not the distances (da, db)
     pairs = np.concatenate(nodes)[:, 1:]
@@ -131,7 +140,7 @@ def test_diverged_rows_retire_at_their_first_non_finite_level():
 
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        vals, capped = tanh_sinh(f, 0.0, 1.0)
+        vals, capped = _one_segment(f, 0.0, 1.0)
         inf_vals, inf_capped = periodic_trapezoid(
             lambda x, rows: np.full((1, x.size), np.inf))
     assert vals[0] == np.inf and capped.tolist() == [True, False]
@@ -163,7 +172,7 @@ def test_segmented_integral_equals_per_segment_tanh_sinh_sums_byte_for_byte():
                 [log_f(x[:k], [(slice(None), ia, da[:k])], rows),
                  log_f(x[k:], [(slice(None), ib, -db[k:])], rows)], axis=1))
 
-        seg_vals, seg_capped = tanh_sinh(seg, a, b)
+        seg_vals, seg_capped = _one_segment(seg, a, b)
         want, want_capped = want + seg_vals, want_capped | seg_capped
     assert vals.tobytes() == want.tobytes()
     assert capped.tolist() == want_capped.tolist() == [False] * 6 + [True, False]
@@ -181,7 +190,7 @@ def test_tanh_sinh_segments_equal_one_segment_calls_byte_for_byte():
     vals, capped = tanh_sinh(f, a, b)
     assert vals.shape == capped.shape == (3, 3)
     for s in range(3):
-        one, one_capped = tanh_sinh(f, a[s], b[s])
+        one, one_capped = _one_segment(f, a[s], b[s])
         assert one.tobytes() == vals[s].tobytes()
         assert one_capped.tolist() == capped[s].tolist() == [False, False, True]
 
@@ -202,3 +211,19 @@ HUGE_CHART = ConformalChart(log_modulus_field(800.0, (1.5, 0.0)), 1.0, 2.0)
 def test_divergent_circle_integrals_raise(length_call):
     with pytest.raises(SolverError, match="circle integral diverged"):
         length_call()
+
+
+def test_capped_rows_log_one_warning_each_under_their_own_name(caplog):
+    # alpha = -0.99 atoms on the circles |z| = 1.5 and |z| = 1.2: integrable,
+    # but too close to -1 for the rule to converge; |z| = 1.3 converges
+    factor = conical_factor(0.0, [((1.5, 0.0), -0.99), ((0.0, 1.2), -0.99)])
+    radii = [1.5, 1.3, 1.2]
+    log_f, angles = bic._conical_log_integrand(factor, radii, 1.0)
+    with caplog.at_level(logging.WARNING, logger="levelflow.quadrature"):
+        lengths = circle_lengths(log_f, angles, radii, ["outer", "middle", "inner"])
+    assert [r.getMessage() for r in caplog.records] == [
+        f"{name} at r = {r!r} used every refinement level without reaching "
+        "rel_tol 1e-10; finest-level value kept" for name, r in (("outer", 1.5), ("inner", 1.2))]
+    assert all(r.levelname == "WARNING" for r in caplog.records)
+    vals, _ = segmented_circle_integral(log_f, angles)
+    assert lengths.tobytes() == (np.array(radii) * vals).tobytes()

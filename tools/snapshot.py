@@ -6,9 +6,9 @@ OUT (created; it must not exist yet) receives
 
 * ``examples/<name>/``: the reports and CSVs of ``levelflow examples
   <name>`` for flat, hyperbolic, sphere_cap and conical, with its stdout,
-  stderr and exit code;
-* ``demos/<name>.txt``: the stdout, stderr and exit code of every script
-  under ``demos/``;
+  stderr, exit code and log records;
+* ``demos/<name>.txt``: the stdout, stderr, exit code and log records of
+  every script under ``demos/``;
 * ``levels.txt``: the repr of ``sharp_bound_gap``, ``pinched_bound_check``,
   ``asymptotic_defect``, ``dlength_integral`` and ``d2length_integral`` at
   fixed inputs (fast path, quadrature path and raising inputs; level
@@ -40,7 +40,9 @@ OUT (created; it must not exist yet) receives
 * ``bic_probe.txt``: the repr of the mollified lengths and the singular
   length of ``scenarios.conical()`` and of the CLI ``bic`` negative-atom
   case, one number list per line, so a diff names the probe numbers that
-  moved;
+  moved, then circle lengths whose integrals are capped (cone points of
+  alpha = -0.99 on the circle, a singular chart factor of that power), so
+  that the warnings of the circle-length finish show;
 * ``cli/<case>.json`` and ``cli/<case>_<csv|json>/``: ``levelflow.cli.run``
   called in this process with ``--format csv`` and ``json`` on one config
   per subcommand and chart kind (``profile`` and ``convexity`` on flat,
@@ -50,7 +52,13 @@ OUT (created; it must not exist yet) receives
   atom, a conical ``convexity``, ``counterexample``) and on malformed
   configs that must exit 2; each directory holds the reports and CSVs the
   run wrote and ``run.txt``, its exit code (or the class and message of
-  what escaped), stdout and stderr.
+  what escaped), stdout, stderr and log records;
+* ``profiles/log_records.txt``: the log records of the profiles above.
+
+The log records are the WARNING records of the ``levelflow.*`` loggers,
+one ``LEVEL logger: message`` line each (in the ``.txt`` files of calls,
+indented under the call that logged them); they also reach stderr as they
+would without the snapshot.
 
 The package is imported from the Python path, so two source trees compare
 byte for byte with
@@ -65,9 +73,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import logging
 import os
+import runpy
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -76,15 +87,57 @@ ROOT = Path(__file__).resolve().parents[1]
 EXAMPLES = ("flat", "hyperbolic", "sphere_cap", "conical")
 
 
+class _Records(logging.Handler):
+    """Passes each WARNING record to ``write`` as a ``LEVEL logger: message``
+    line, then to Python's last-resort handler, which prints it to stderr
+    as it would if no handler were installed."""
+
+    def __init__(self, write):
+        super().__init__(logging.WARNING)
+        self.write = write
+
+    def emit(self, record):
+        self.write(f"{record.levelname} {record.name}: {record.getMessage()}\n")
+        logging.lastResort.handle(record)
+
+
+@contextlib.contextmanager
+def _log_records(write):
+    """The WARNING records of the ``levelflow.*`` loggers inside the block,
+    each passed to ``write`` as a line."""
+    handler, logger = _Records(write), logging.getLogger("levelflow")
+    logger.addHandler(handler)
+    try:
+        yield
+    finally:
+        logger.removeHandler(handler)
+
+
 def _run(args, cwd: Path) -> str:
-    """stdout, stderr and exit code of ``python args`` run in cwd, with the
-    entries of PYTHONPATH made absolute."""
+    """stdout, stderr, exit code and log records of ``python args`` run in
+    cwd, with the entries of PYTHONPATH made absolute."""
     path = os.pathsep.join(str(Path(p).resolve()) for p in
                            os.environ.get("PYTHONPATH", "").split(os.pathsep) if p)
-    proc = subprocess.run([sys.executable, *args], cwd=cwd, capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=path))
+    with tempfile.TemporaryDirectory() as tmp:
+        records = Path(tmp) / "records.txt"
+        proc = subprocess.run([sys.executable, __file__, "--child", str(records), *args],
+                              cwd=cwd, capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        logged = records.read_text(encoding="utf-8") if records.exists() else ""
     return (f"exit code: {proc.returncode}\n--- stdout\n{proc.stdout}"
-            f"--- stderr\n{proc.stderr}")
+            f"--- stderr\n{proc.stderr}--- log records\n{logged}")
+
+
+def _child(records: str, args) -> None:
+    """Runs ``python args`` (``-m module ...`` or ``script ...``) in this
+    process, writing its log records to the file ``records``."""
+    module = args[0] == "-m"
+    sys.argv = list(args[1:] if module else args)
+    with open(records, "w", encoding="utf-8") as out, _log_records(out.write):
+        if module:
+            runpy.run_module(args[1], run_name="__main__", alter_sys=True)
+        else:
+            runpy.run_path(args[0], run_name="__main__")
 
 
 def _level_calls():
@@ -300,17 +353,20 @@ def _audit_calls():
 def _calls_text(calls, show=repr) -> str:
     lines = []
     for label, call in calls:
-        try:
-            got = show(call())
-        except Exception as exc:  # the class and message are the output
-            got = f"raises {type(exc).__name__}: {exc}"
-        lines.append(f"{label} -> {got}\n")
+        records = []
+        with _log_records(records.append):
+            try:
+                got = show(call())
+            except Exception as exc:  # the class and message are the output
+                got = f"raises {type(exc).__name__}: {exc}"
+        lines += [f"{label} -> {got}\n", *(f"  {r}" for r in records)]
     return "".join(lines)
 
 
 def _bic_probe_calls():
     """(label, call) of the mollified and singular lengths of the conical
-    scenario and of the CLI ``bic`` negative-atom case."""
+    scenario and of the CLI ``bic`` negative-atom case, then of circle
+    lengths whose integrals are capped."""
     import levelflow as lf
     from levelflow import scenarios
 
@@ -319,15 +375,32 @@ def _bic_probe_calls():
     factor = lf.conical_factor(chart["beta0"], [(a["z"], a["alpha"]) for a in chart["atoms"]])
     spec = lf.DirichletSpec(dirichlet["R"], dirichlet["t1"], dirichlet["t2"])
     negative = scenarios.mollified(factor, spec, acfg["mollify_level"], acfg["eps_sequence"])
+    spec_e2 = lf.DirichletSpec(float(np.e**2), 0.0, 2.0)
     conical = scenarios.conical()
+    # alpha = -0.99 is integrable but too close to -1 for the rule to converge
+    near = lf.conical_factor(0.0, [((1.5, 0.0), -0.99), ((0.0, 1.2), -0.99)])
+    chart = lf.ConformalChart(lf.log_modulus_field(-0.99, (1.5, 0.0)), 1.0, 2.0)
+    grid = lf.inset_grid(0.0, 2.0, 24)
+    # the e^{3v} row of the level through an alpha = -0.5 cone point is capped
+    edge = lf.conical_factor(0.0, [((float(np.exp(grid[5])), 0.0), -0.5)])
     return [("conical mollified_lengths", lambda: conical.lengths.tolist()),
             ("conical singular_length", lambda: conical.limit),
             ("bic_negative_atom mollified_lengths", lambda: negative[0].tolist()),
-            ("bic_negative_atom singular_length", lambda: negative[1])]
+            ("bic_negative_atom singular_length", lambda: negative[1]),
+            ("capped conical_circle_length(r = 1.2)",
+             lambda: lf.conical_circle_length(near, 1.2)),
+            ("capped mollified_convergence(r = 1.5, eps 0.1, 1e-9, 1e-10)",
+             lambda: lf.mollified_convergence(near, spec_e2, float(np.log(1.5)),
+                                              [0.1, 1e-9, 1e-10]).tolist()),
+            ("capped singular chart length(r = 1.5)",
+             lambda: lf.length(lf.extract_level_curve(lf.catalog_field("log"), chart,
+                                                      -np.log(1.5), 256), chart)),
+            ("capped bic_length_profile aux_invgrad2",
+             lambda: lf.bic_length_profile(edge, spec_e2, grid).aux_invgrad2.tolist())]
 
 
 def _write_profiles(out: Path) -> None:
-    """Quadrature-path profile CSVs under out."""
+    """Quadrature-path profile CSVs and their log records under out."""
     import levelflow as lf
     from levelflow import scenarios
 
@@ -338,9 +411,12 @@ def _write_profiles(out: Path) -> None:
              ("sphere_cap", cap.u, cap.chart, cap.grid, 512),
              ("off_centre", lf.catalog_field("log"), off_centre, np.linspace(-0.1, 1.5, 8),
               512)]
+    records = []
     for name, u, chart, grid, n in cases:
-        lf.length_profile(u, chart, grid, n, method="quadrature").to_csv(
-            out / f"{name}_quadrature.csv")
+        with _log_records(lambda line, name=name: records.append(f"{name}: {line}")):
+            lf.length_profile(u, chart, grid, n, method="quadrature").to_csv(
+                out / f"{name}_quadrature.csv")
+    (out / "log_records.txt").write_text("".join(records))
 
 
 def _cli_cases():
@@ -391,6 +467,10 @@ def _cli_cases():
               ("residuals_arg", "residuals", {**flat_annulus, "field": {"catalog": "arg"}}),
               ("audit", "audit", audit),
               ("bic", "bic", conical), ("bic_negative_atom", "bic", negative),
+              # the singular length at the mollified level r = 1.25 is capped
+              ("bic_capped", "bic", {**conical, "chart": {
+                  "kind": "conical", "beta0": 0.0,
+                  "atoms": [{"z": [1.25, 0.0], "alpha": -0.99}]}}),
               ("convexity_conical", "convexity", conical),
               ("counterexample", "counterexample",
                {"analysis": {"factor_c": -0.1, "radii": [0.05, 0.01]}})]
@@ -422,17 +502,22 @@ def _write_cli(out: Path) -> None:
         for fmt in ("csv", "json"):
             where = out / f"{case}_{fmt}"
             where.mkdir()
-            stdout, stderr = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            stdout, stderr, records = io.StringIO(), io.StringIO(), []
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+                    _log_records(records.append):
                 try:
                     got = f"exit code: {cli.run(sub, str(config), out=str(where), fmt=fmt)}"
                 except Exception as exc:  # the class and message are the output
                     got = f"raises {type(exc).__name__}: {exc}"
             (where / "run.txt").write_text(f"{got}\n--- stdout\n{stdout.getvalue()}"
-                                           f"--- stderr\n{stderr.getvalue()}")
+                                           f"--- stderr\n{stderr.getvalue()}"
+                                           f"--- log records\n{''.join(records)}")
 
 
 def main(argv) -> int:
+    if argv[:1] == ["--child"] and len(argv) > 2:  # one run of _run
+        _child(argv[1], argv[2:])
+        return 0
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2
