@@ -171,11 +171,13 @@ def _conical_log_integrand(factor: ConicalFactor, radii, *powers):
     return log_f, angles
 
 
-def conical_circle_length(factor: ConicalFactor, r: float) -> float:
+def conical_circle_length(factor: ConicalFactor, r: float, *, capped: bool = False):
     """Length of the circle |z| = r in the metric e^{2v} g_0; a capped
-    integral keeps its finest-level value and is logged as a warning."""
-    return float(circle_lengths(*_conical_log_integrand(factor, [r], 1.0), [r],
-                                ["conical circle length"])[0])
+    integral keeps its finest-level value and is logged as a warning.
+    With ``capped=True`` returns ``(length, whether it is capped)``."""
+    (length,), (row_capped,) = circle_lengths(*_conical_log_integrand(factor, [r], 1.0), [r],
+                                              ["conical circle length"])
+    return (float(length), bool(row_capped)) if capped else float(length)
 
 
 def _level_radius(spec: DirichletSpec, t: float) -> float:
@@ -300,7 +302,7 @@ class MollifiedFactor:
         A capped integral keeps its finest-level value and is logged as a
         warning.
         """
-        return float(_mollified_circle_lengths(self.source, [self.eps], r)[0])
+        return float(_mollified_circle_lengths(self.source, [self.eps], r)[0][0])
 
 
 def _mollified_values(source: ConicalFactor, eps_values, x, y) -> np.ndarray:
@@ -326,9 +328,10 @@ def _mollifier_joints(source: ConicalFactor, eps: float, r: float) -> list:
     return joints
 
 
-def _mollified_circle_lengths(source: ConicalFactor, eps_values, r: float) -> np.ndarray:
-    """Lengths of |z| = r under the factors mollified at each eps of
-    ``eps_values``, one row each of one batched call.
+def _mollified_circle_lengths(source: ConicalFactor, eps_values,
+                              r: float) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths, capped)`` of |z| = r under the factors mollified at each
+    eps of ``eps_values``, one row each of one batched call.
 
     The rows are split at the union of their mollifier joints, and each
     level evaluates the distances to the atoms once for all rows.  Capped
@@ -353,15 +356,18 @@ def mollify(factor: ConicalFactor, eps: float) -> MollifiedFactor:
 
 
 def mollified_convergence(factor: ConicalFactor, spec: DirichletSpec, t: float,
-                          eps_sequence) -> np.ndarray:
+                          eps_sequence, *, capped: bool = False):
     """Level lengths under the mollified metrics for a decreasing eps list.
 
     For nonpositive-curvature factors the lengths decrease monotonically to
-    the singular-metric length of the level.
+    the singular-metric length of the level.  A capped length keeps its
+    finest-level value and is logged as a warning; with ``capped=True``
+    returns ``(lengths, capped flags)``.
     """
     eps_sequence = [float(e) for e in eps_sequence]
     if any(b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
         raise DomainError("eps sequence must be strictly decreasing")
     if any(e <= 0 for e in eps_sequence):
         raise DomainError("mollification radius must be positive")
-    return _mollified_circle_lengths(factor, eps_sequence, _level_radius(spec, t))
+    lengths, flags = _mollified_circle_lengths(factor, eps_sequence, _level_radius(spec, t))
+    return (lengths, flags) if capped else lengths

@@ -353,7 +353,7 @@ def cmd_bic(cfg, tol):
     acfg = cfg["analysis"]
     eps_seq = _number(acfg, "eps_sequence", "analysis", scenarios.EPS_SEQUENCE, length=0)
     t_probe = _number(acfg, "mollify_level", "analysis", 0.5 * (spec.t1 + spec.t2))
-    lengths, limit = scenarios.mollified(factor, spec, t_probe, eps_seq)
+    lengths, limit, capped, limit_capped = scenarios.mollified(factor, spec, t_probe, eps_seq)
     monotone, converged = _mollified_flags(lengths, limit, tol)
     ok = bool(monotone and converged and (conv.passed == factor.nonpositive_curvature))
     return ok, {
@@ -366,6 +366,8 @@ def cmd_bic(cfg, tol):
         "mollified_monotone": monotone,
         "mollified_converged": converged,
         "capped_levels": prof.meta["capped_levels"],
+        "capped_mollified_eps": [float(e) for e, c in zip(eps_seq, capped) if c],
+        "singular_length_capped": limit_capped,
         "passed": ok,
     }, prof
 

@@ -315,7 +315,7 @@ def _singular_circle_length(chart, curve) -> float:
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=-1)
         return chart.factor.jet(pts, 0).value[None, :]
 
-    return float(circle_lengths(log_f, angles, [r], ["singular circle length"])[0])
+    return float(circle_lengths(log_f, angles, [r], ["singular circle length"])[0][0])
 
 
 def _integrate_levels(u, chart, pts, weights, integrands, checked=True):

@@ -47,8 +47,9 @@ passed as contiguous spans anchored at the nearer singular angle.
 A row has converged when its relative change is at most :data:`REL_TOL`;
 tanh-sinh nodes span ``|tau| <= TAU_MAX``.  Every circle length (through
 cone points, mollified, through a singular chart factor) ends in
-:func:`circle_lengths`, which raises :class:`SolverError` on a diverged row
-and logs each capped row as a warning under its own name.
+:func:`circle_lengths`, which raises :class:`SolverError` on a diverged row,
+logs each capped row as a warning under its own name and returns the
+capped flags with the lengths.
 """
 
 from __future__ import annotations
@@ -291,16 +292,17 @@ def finite_lengths(radii, vals) -> np.ndarray:
     return np.asarray(radii, dtype=float) * vals
 
 
-def circle_lengths(log_f, angles, radii, names) -> np.ndarray:
-    """Lengths of the circles |z| = r of ``radii``, the rows of
+def circle_lengths(log_f, angles, radii, names) -> tuple[np.ndarray, np.ndarray]:
+    """``(lengths, capped)`` of the circles |z| = r of ``radii``, the rows of
     :func:`segmented_circle_integral` of ``log_f`` split at ``angles``, each
     of length element ``r exp(log_f) dtheta``.  Raises :class:`SolverError`
-    if a row diverged; a capped row keeps its finest-level value and is
-    logged as a warning naming its entry of ``names``."""
+    if a row diverged; a capped row keeps its finest-level value, is
+    flagged in ``capped`` and is logged as a warning naming its entry of
+    ``names``."""
     vals, capped = segmented_circle_integral(log_f, angles)
     lengths = finite_lengths(radii, vals)
     for what, r, row_capped in zip(names, radii, capped):
         if row_capped:
             logger.warning("%s at r = %r used every refinement level without reaching "
                            "rel_tol %g; finest-level value kept", what, float(r), REL_TOL)
-    return lengths
+    return lengths, capped

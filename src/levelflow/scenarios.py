@@ -92,9 +92,13 @@ def sphere_cap(c: float = -1.0, bounds=(1.0, np.e), levels: int = 50) -> Scenari
 
 def mollified(factor, spec, t: float, eps_sequence=EPS_SEQUENCE):
     """(lengths of the level t of ``spec`` under the metrics mollified at
-    each eps, the singular length of that level)."""
-    lengths = bic.mollified_convergence(factor, spec, t, eps_sequence)
-    return lengths, bic.conical_circle_length(factor, bic._level_radius(spec, t))
+    each eps, the singular length of that level, the capped flags of those
+    lengths, whether the singular length is capped); a capped length is its
+    finest-level estimate."""
+    lengths, capped = bic.mollified_convergence(factor, spec, t, eps_sequence, capped=True)
+    limit, limit_capped = bic.conical_circle_length(factor, bic._level_radius(spec, t),
+                                                    capped=True)
+    return lengths, limit, capped, limit_capped
 
 
 def conical(probe: float = float(np.log(1.25))) -> Scenario:
@@ -111,7 +115,7 @@ def conical(probe: float = float(np.log(1.25))) -> Scenario:
     spec = DirichletSpec(np.e**2, 0.0, 2.0)
     grid = ls.inset_grid(0.0, 2.0, 200)
     grid[np.argmin(np.abs(grid - np.log(1.2)))] = np.log(1.2)
-    lengths, limit = mollified(factor, spec, probe)
+    lengths, limit, _, _ = mollified(factor, spec, probe)
     negative = bic.conical_factor(0.0, [((1.3, 0.0), -0.5)])
     return Scenario(factor=factor, spec=spec, grid=grid,
                     profile=bic.bic_length_profile(factor, spec, grid),

@@ -237,7 +237,7 @@ def test_one_circle_lengths_log_a_capped_integral(caplog):
     assert caplog.records == []
     cases = [(lambda: conical_circle_length(factor, 1.5),
               quadrature.circle_lengths(*bic._conical_log_integrand(factor, [1.5], 1.0),
-                                        [1.5], ["conical circle length"])[0]),
+                                        [1.5], ["conical circle length"])[0][0]),
              (lambda: mollify(factor, 1e-9).circle_length(1.5), None),
              # the eps = 1e-9 row of a batch is capped, the eps = 0.1 row is not
              (lambda: mollified_convergence(factor, SPEC, float(np.log(1.5)), [0.1, 1e-9]),

@@ -177,6 +177,7 @@ def test_bic_subcommand(tmp_path):
     assert lengths[0] > lengths[1] > rep["singular_length"]
     assert rep["mollified_converged"]
     assert rep["capped_levels"] == []
+    assert rep["capped_mollified_eps"] == [] and rep["singular_length_capped"] is False
 
 
 def test_bic_subcommand_reports_capped_levels(tmp_path):
@@ -199,6 +200,25 @@ def test_bic_subcommand_reports_capped_levels(tmp_path):
     rep = json.loads((tmp_path / "conv" / "convexity_report.json").read_text())
     assert rep["capped_levels"] == [grid[20]]
     assert (tmp_path / "conv" / "profile.csv").read_text().splitlines()[1:] == rows
+
+
+def test_bic_subcommand_reports_capped_mollified_and_singular_lengths(tmp_path):
+    # alpha = -0.99 on the probe circle |z| = 1.5: integrable, but too close
+    # to -1 for the rule to converge on the singular and the eps = 1e-9
+    # circles; the eps = 0.1 circle converges
+    cfg = {**CONICAL_CONFIG,
+           "chart": {"kind": "conical", "beta0": 0.0,
+                     "atoms": [{"z": [1.5, 0.0], "alpha": -0.99}]},
+           "analysis": {"levels": 24, "eps_sequence": [0.1, 1e-9],
+                        "mollify_level": float(np.log(1.5))}}
+    code = main(["bic", "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")])
+    rep = json.loads((tmp_path / "out" / "bic_report.json").read_text())
+    assert rep["capped_mollified_eps"] == [1e-9]
+    assert rep["singular_length_capped"] is True
+    # the flags name the estimates and leave the verdict to the mollified
+    # checks: the capped eps = 1e-9 length is far from the singular one
+    assert not rep["mollified_converged"] and not rep["passed"] and code == 1
 
 
 def test_counterexample_subcommand(tmp_path):

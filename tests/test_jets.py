@@ -200,3 +200,87 @@ def test_jets_of_different_degrees_do_not_combine():
         jets.Taylor2.seeds(0.3, 0.2, 5)
     with pytest.raises(ValueError):
         ScalarField.from_expression(lambda x, y: x * y).jet((0.1, 0.2), 5)
+
+
+# ---------------------------------------------------------------------------
+# the two product kernels
+# ---------------------------------------------------------------------------
+
+SPECIALS = (0.0, -0.0, np.inf, -np.inf)
+
+
+def _table(rng, deg, points, specials=SPECIALS):
+    """A random coefficient table with ``specials`` among its entries,
+    nonzero above the triangle i + j <= deg too."""
+    c = rng.standard_normal((deg + 1, deg + 1) + points)
+    pick = rng.integers(0, 12, c.shape)
+    for k, v in enumerate(specials):
+        c[pick == k] = v
+    return c
+
+
+def _kernels_agree(a, b):
+    """Both kernels and the product give a's and b's product table bit for
+    bit, with zeros above the triangle.  Inputs holding NaN are compared
+    with NaN as a value: where two NaNs meet, the sign of the resulting NaN
+    depends on the order in which the machine adds them, which IEEE 754
+    leaves open."""
+    with np.errstate(all="ignore"):
+        looped, gathered = jets._mul_looped(a, b), jets._mul_gathered(a, b)
+        via_product = (jets.Taylor2(a) * jets.Taylor2(b)).c
+    deg = a.shape[0] - 1
+    above = np.add.outer(np.arange(deg + 1), np.arange(deg + 1)) > deg
+    nan = np.isnan(looped) if np.isnan(a).any() or np.isnan(b).any() else False
+    for got in (gathered, via_product):
+        assert got.shape == looped.shape and got.dtype == looped.dtype
+        assert np.array_equal(np.isnan(got), np.isnan(looped))
+        assert np.where(nan, 0.0, got).tobytes() == np.where(nan, 0.0, looped).tobytes()
+    assert not looped[above].any()
+
+
+def _crossover(deg):
+    """The most points of a degree-deg product that takes the gathered kernel."""
+    terms = sum((i + 1) * (j + 1) for i in range(deg + 1) for j in range(deg + 1 - i))
+    return jets.GATHER_MAX_ENTRIES // terms
+
+
+@pytest.mark.parametrize("deg", range(jets.DEG + 1))
+@pytest.mark.parametrize("points", [(), (1,), (258,), -1, 0, 1, (65536,)])
+def test_gathered_product_equals_looped_product_byte_for_byte(deg, points):
+    if isinstance(points, int):  # an offset from the degree's crossover
+        points = (_crossover(deg) + points,)
+    rng = np.random.default_rng([deg, len(points) and points[0]])
+    for specials in (SPECIALS, SPECIALS + (np.nan,)):
+        _kernels_agree(_table(rng, deg, points, specials), _table(rng, deg, points, specials))
+
+
+@pytest.mark.parametrize("deg", range(jets.DEG + 1))
+def test_product_takes_the_gathered_kernel_up_to_the_crossover(deg, monkeypatch):
+    taken = []
+    for name in ("_mul_gathered", "_mul_looped"):
+        kernel = getattr(jets, name)
+        monkeypatch.setattr(jets, name, lambda a, b, name=name, kernel=kernel:
+                            taken.append(name) or kernel(a, b))
+    for points in ((), (1,), (_crossover(deg),), (_crossover(deg) + 1,)):
+        x, y = jets.Taylor2.seeds(np.full(points, 0.3), 0.2, deg)
+        x * y
+    assert taken == ["_mul_gathered"] * 3 + ["_mul_looped"]
+
+
+@pytest.mark.parametrize("deg", range(jets.DEG + 1))
+@pytest.mark.parametrize("shapes", [((), (258,)), ((3,), (4, 3))])
+def test_kernels_agree_on_mixed_trailing_axes_in_both_orders(deg, shapes):
+    rng = np.random.default_rng(deg)
+    for specials in (SPECIALS, SPECIALS + (np.nan,)):
+        a, b = (_table(rng, deg, s, specials) for s in shapes)
+        _kernels_agree(a, b)
+        _kernels_agree(b, a)
+
+
+def test_products_of_signed_zeros_start_from_positive_zero():
+    # each coefficient sums its terms from 0.0, so -0.0 * 1 gives +0.0
+    a = np.full((3, 3, 4), -0.0)
+    b = np.ones((3, 3, 4))
+    for kernel in (jets._mul_looped, jets._mul_gathered):
+        out = kernel(a, b)
+        assert not np.signbit(out).any()

@@ -220,10 +220,11 @@ def test_capped_rows_log_one_warning_each_under_their_own_name(caplog):
     radii = [1.5, 1.3, 1.2]
     log_f, angles = bic._conical_log_integrand(factor, radii, 1.0)
     with caplog.at_level(logging.WARNING, logger="levelflow.quadrature"):
-        lengths = circle_lengths(log_f, angles, radii, ["outer", "middle", "inner"])
+        lengths, capped = circle_lengths(log_f, angles, radii, ["outer", "middle", "inner"])
     assert [r.getMessage() for r in caplog.records] == [
         f"{name} at r = {r!r} used every refinement level without reaching "
         "rel_tol 1e-10; finest-level value kept" for name, r in (("outer", 1.5), ("inner", 1.2))]
     assert all(r.levelname == "WARNING" for r in caplog.records)
+    assert capped.tolist() == [True, False, True]
     vals, _ = segmented_circle_integral(log_f, angles)
     assert lengths.tobytes() == (np.array(radii) * vals).tobytes()

@@ -36,7 +36,9 @@ OUT (created; it must not exist yet) receives
   polar-coordinate plane and on a round sphere (the inputs that fail),
   then one audit per chart kind on the default 256 x 256 grid (``log`` on
   a sphere cap and ``warped_arctan`` on a cosh cylinder, the shapes of the
-  benchmark's audits);
+  benchmark's audits) and one of the non-radial ``perturbed_log`` on the
+  sphere cap 0.5 < |z| < 2 on that grid, whose jet products are the
+  67,584-point ones of the large-batch product kernel;
 * ``bic_probe.txt``: the repr of the mollified lengths and the singular
   length of ``scenarios.conical()`` and of the CLI ``bic`` negative-atom
   case, one number list per line, so a diff names the probe numbers that
@@ -335,14 +337,19 @@ def _audit_calls():
                               n=n_interior, m=n_boundary:
                               lf.principle_audit(u, chart, domain, q, case, n, m).to_json()))
     # one audit per chart kind on the default 256 x 256 grid, shaped as the
-    # benchmark's pointwise_batteries audits
+    # benchmark's pointwise_batteries audits, and one of a non-radial field
     default_grid = [
         ("sphere_cap(c=0.1) 256x256", lf.catalog_field("log"),
          lf.ConformalChart(lf.sphere_cap_factor(0.1), 1.0, float(np.e)), (1.05, 1.45),
          "ln_abs_k", "min_abs_on_boundary"),
         ("cosh_cylinder 256x256", lf.catalog_field("warped_arctan"),
          lf.WarpedChart.cosh_cylinder(2.0 / (2 * np.pi), 0.1, 1.6), (0.2, 1.5),
-         "phi_k", "min_on_boundary_nonpos_K")]
+         "phi_k", "min_on_boundary_nonpos_K"),
+        # non-radial, so every one of its 67,584 points is evaluated: the
+        # Taylor2 products take the large-batch kernel
+        ("perturbed_log, cap 0.5..2 256x256", lf.catalog_field("perturbed_log"),
+         lf.ConformalChart(lf.sphere_cap_factor(0.1), 0.5, 2.0), (0.6, 1.8),
+         "phi_k", "min_on_boundary_nonneg_K")]
     for name, u, chart, domain, quantity, case in default_grid:
         calls.append((f"principle_audit({name}, {quantity}, {case})",
                       lambda u=u, chart=chart, domain=domain, q=quantity, case=case:
