@@ -24,10 +24,7 @@ tests for critical points against ``CRITICAL_GRAD``, the package's only
 critical-gradient floor.  The identity residuals read u to order 3 and the
 metric to order 2; :func:`local_geometry` reads u to order 2 and the metric
 to order 3 (for grad K), and builds from them k, h, K, the pairings and the
-pieces of the L' and L'' integrands.  On a warped chart u and the warp
-depend on t only, so :func:`local_geometry` evaluates both, and the
-geometry built from them, once per distinct t of its batch: a 256 x 256
-audit grid has 258 of them.
+pieces of the L' and L'' integrands, row by row on both chart kinds.
 
 All objects are immutable after construction and evaluation is pure.
 """
@@ -265,10 +262,7 @@ def local_geometry(u, chart, p) -> LocalGeometry:
     k = -div(grad u / |grad u|) is the geodesic curvature of the level
     curve, h = -div((u_2, -u_1) / |grad u|) that of the steepest-descent
     line.  Raises the chart's domain errors, then
-    :class:`CriticalPointError` as :func:`point_jets` does.  On warped
-    charts u, the warp and the geometry built from them are evaluated once
-    per distinct t of p (at the first point with that t) and indexed back
-    to every row; ``pts`` is still the whole of p.
+    :class:`CriticalPointError` as :func:`point_jets` does.
     """
     return _geometry(u, chart, chart.check_points(p))
 
@@ -279,39 +273,29 @@ def point_jets(u, chart, pts, order: int, metric_order: int):
     are not domain-checked here.  The geometry reads u to order 2 and the
     metric to order 3 (grad K); the identities read u to order 3 and the
     metric to order 2 (lap phi, w'').  Raises as :func:`_radial_on` does,
-    then :class:`CriticalPointError` where |grad_0 u| < CRITICAL_GRAD
-    (|u'(t)| on warped charts)."""
-    if _radial_on(u, chart) and chart.kind == "warped":
-        # the warp first, so that u's whole jet is not alive while it is built
-        metric = chart.warp_jet(pts[:, 0], metric_order)
-        ju = u.jet(pts, order)
-        critical = np.abs(ju.grad[:, 0]) < CRITICAL_GRAD
-    else:
-        ju = u.jet(pts, order)
-        metric = chart.factor.jet(pts, metric_order)
-        critical = ju.grad[:, 0] ** 2 + ju.grad[:, 1] ** 2 < CRITICAL_GRAD**2
-    if np.any(critical):
+    then :class:`CriticalPointError` where |grad_0 u| < CRITICAL_GRAD (for a
+    field of t, u_theta = 0 and this is |u'(t)|)."""
+    warped = _radial_on(u, chart) and chart.kind == "warped"
+    ju = u.jet(pts, order)
+    metric = (chart.warp_jet(pts[:, 0], metric_order) if warped
+              else chart.factor.jet(pts, metric_order))
+    if np.any(ju.grad[:, 0] ** 2 + ju.grad[:, 1] ** 2 < CRITICAL_GRAD**2):
         raise CriticalPointError("evaluation at a critical point of u")
     return ju, metric
 
 
 def _geometry(u, chart, pts) -> LocalGeometry:
     """:class:`LocalGeometry` at ``pts`` without the chart's domain check."""
+    ju, jp = point_jets(u, chart, pts, 2, 3)
     if chart.kind == "warped":
-        _, first, rows = np.unique(pts[:, 0], return_index=True, return_inverse=True)
-        ju, jp = point_jets(u, chart, pts[first], 2, 3)
         u1, u2 = ju.grad[:, 0], ju.hess[:, 0, 0]
         w, w1, w2, w3 = jp
         K, dK = chart._curvature(w, w1, w2, w3)
         dG = u2 * np.sign(u1)  # G = |u'(t)|, so G' = u'' sign(u')
-        # elementwise at the distinct t, then indexed back to every row
-        at_t = {"G": np.abs(u1), "k": -np.sign(u1) * w1 / w, "K": K, "gradK": dK,
-                "pairing": dK[:, 0] / u1, "lap_weight": w1 / w, "level_weight": w,
-                "pairing_G": u1 * dG, "grad_G_sq": dG**2}
-        return LocalGeometry(pts=pts, h=np.zeros(pts.shape[0]),
-                             pairing_star=np.zeros(pts.shape[0]),
-                             **{name: a.take(rows, axis=0) for name, a in at_t.items()})
-    ju, jp = point_jets(u, chart, pts, 2, 3)
+        return LocalGeometry(pts=pts, G=np.abs(u1), k=-np.sign(u1) * w1 / w,
+                             h=np.zeros_like(u1), K=K, gradK=dK, pairing=dK[:, 0] / u1,
+                             pairing_star=np.zeros_like(u1), lap_weight=w1 / w,
+                             level_weight=w, pairing_G=u1 * dG, grad_G_sq=dG**2)
     g = ju.grad
     q = g[:, 0] ** 2 + g[:, 1] ** 2
     g0 = np.sqrt(q)

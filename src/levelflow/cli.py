@@ -46,7 +46,7 @@ DEFAULT_TOLERANCES = {
     "mollified_monotone": 1e-6,
 }
 
-_TOP_KEYS = {"seed", "chart", "field", "analysis", "output"}
+_TOP_KEYS = {"seed", "chart", "field", "analysis"}
 _CHART_KEYS = {"kind", "factor", "inner_radius", "outer_radius", "profile",
                "scale", "t_min", "t_max", "beta0", "atoms"}
 _FIELD_KEYS = {"dirichlet", "catalog", "params"}
@@ -120,7 +120,6 @@ def load_config(path) -> dict:
     factor = _object(chart.get("factor", {}), "chart.factor", text, _FACTOR_KEYS)
     _object(field.get("dirichlet", {}), "field.dirichlet", text)
     _object(field.get("params", {}), "field.params", text)
-    _object(cfg.get("output", {}), "output", text)
     atoms = chart.get("atoms", [])
     if not isinstance(atoms, list):
         raise ConfigError(f"chart.atoms must be a list, got {atoms!r}")
@@ -134,7 +133,6 @@ def load_config(path) -> dict:
             raise ConfigError(f"{where}.{key} must be a string, got {section[key]!r}")
     cfg.setdefault("seed", 0)
     cfg.setdefault("analysis", {})
-    cfg.setdefault("output", {})
     return cfg
 
 

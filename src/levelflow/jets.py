@@ -19,7 +19,9 @@ A product of two degree-d jets sums, for each coefficient (i, j) with
 i + j <= d, its (i + 1)(j + 1) terms ``a[p, q] * b[i - p, j - q]`` in the
 order of p, then q, starting from 0.0; there are T = 1, 5, 14, 35, 70 terms
 in all at d = 0..4.  Two kernels form that same sum.  :func:`_mul_looped`
-goes one coefficient and one term at a time, about 2T numpy calls.
+goes one coefficient and one term at a time, about 2T numpy calls, each
+term multiplied into one reused buffer and added in place into its
+coefficient, so it makes no temporary per term.
 :func:`_mul_gathered` takes all T factor pairs from the flattened tables in
 one gather each, multiplies them in one call and adds them into a zeroed
 accumulator one term rank at a time; the coefficients are ordered by term
@@ -103,11 +105,11 @@ def _mul_looped(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Truncated product table of the coefficient tables a and b, one
     coefficient and one term at a time (the large-batch kernel)."""
     out = np.zeros_like(a if a.ndim >= b.ndim else b)
+    term = np.empty_like(out[0, 0, ...])
     for (i, j), terms in _MUL_TERMS[a.shape[0] - 1]:
-        acc = 0.0
+        acc = out[i, j, ...]  # a view, so that no term makes a fresh array
         for (p, q) in terms:
-            acc = acc + a[p, q] * b[i - p, j - q]
-        out[i, j] = acc
+            np.add(acc, np.multiply(a[p, q], b[i - p, j - q], out=term), out=acc)
     return out
 
 

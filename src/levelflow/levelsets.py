@@ -350,11 +350,12 @@ def _level_values(u, chart, ts, radii, n_samples=512, method="auto",
     (None for u not radial on the chart), from :func:`_integrate_levels`;
     it screens nothing, so callers check their levels first.
 
-    On the radial fast path (integrands and K constant on each level circle)
-    a level is the one unchecked point (r, 0) of weight 2 pi r (2 pi on
-    warped charts) and ``n_samples`` is ignored; otherwise each curve has
+    With ``method="auto"`` on the radial fast path (integrands and K
+    constant on each level circle) a level is the one unchecked point (r, 0)
+    of weight 2 pi r (2 pi on warped charts) and ``n_samples`` is ignored;
+    otherwise, ``method="quadrature"`` on any chart included, each curve has
     ``n_samples`` domain-checked points."""
-    if _constant_on_circles(u, chart) and (chart.kind == "warped" or method == "auto"):
+    if _constant_on_circles(u, chart) and method == "auto":
         return _integrate_levels(u, chart, *_circle_points(chart, radii, 1), integrands,
                                  checked=False)
     return _integrate_levels(u, chart, *_level_points(u, chart, ts, radii, n_samples),

@@ -252,6 +252,15 @@ def test_unknown_key_rejected_with_line_number(tmp_path, capsys):
         assert "line" in err
 
 
+def test_output_section_is_an_unknown_key(tmp_path, capsys):
+    cfg = {**FLAT_CONFIG, "output": {}}
+    code = main(["profile", "--config", write_config(tmp_path, cfg), "--out", str(tmp_path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'output' in config" in err
+    assert "line" in err
+
+
 def test_tolerance_override_is_reported(tmp_path):
     cfg = {**FLAT_CONFIG, "analysis": {**FLAT_CONFIG["analysis"],
                                        "tolerances": {"convexity": 1e-3}}}

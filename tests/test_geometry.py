@@ -158,6 +158,15 @@ def test_residuals_share_the_critical_gradient_floor(fn):
         fn(u, chart, (5e-11, 0.0))
 
 
+@pytest.mark.parametrize("t", [1.0, 1.0 + 1e-10])
+@pytest.mark.parametrize("fn", [level_curvature_k, kato_residual])
+def test_warped_fields_share_the_critical_gradient_floor(fn, t):
+    # u' = t - 1 is 0 at t = 1 and about 1e-10 just past it, under the floor
+    u = ScalarField.from_expression(lambda s, _th: 0.5 * (s - 1.0) ** 2, radial="t")
+    with pytest.raises(CriticalPointError):
+        fn(u, HYP, (t, 0.3))
+
+
 CLOSED_FORM_PAIRS = [
     ("flat_quadratic", catalog_field("re_poly", n=2), FLAT),
     ("flat_joukowski", catalog_field("joukowski", a=0.3), FLAT),

@@ -344,6 +344,20 @@ def test_profile_hyperbolic_lnLpp():
     assert rep.min_lnL_pp >= 1.0 - 1e-9
 
 
+def test_profile_hyperbolic_quadrature_path_matches_the_fast_path(field_evaluations):
+    # method="quadrature" samples each warped level circle at 512 points;
+    # the integrands are constant on it, so only rounding separates the two
+    hyp = scenarios.hyperbolic()
+    fast = length_profile(hyp.u, hyp.chart, hyp.grid)
+    field_evaluations.clear()
+    sampled = length_profile(hyp.u, hyp.chart, hyp.grid, method="quadrature")
+    # u and the warp at 512 points of each level t and t +- step
+    assert sum(field_evaluations) >= 2 * 3 * hyp.grid.size * 512
+    for col in ("L", "Lp", "Lpp", "lnL_pp", "aux_invgrad2"):
+        want = getattr(fast, col)
+        assert np.max(np.abs(getattr(sampled, col) - want) / np.abs(want)) <= 1e-13, col
+
+
 def test_convexity_check_fails_on_a_nan_outside_the_edge_rows():
     # only a grid_fd profile's meta["edge_rows"] are skipped as missing
     s = inset_grid(0.4, np.pi - 0.4, 50)

@@ -19,8 +19,9 @@ OUT (created; it must not exist yet) receives
   and sphere-cap scenarios;
 * ``profiles/<name>_quadrature.csv``: quadrature-path ``length_profile``
   CSVs of the flat Dirichlet field (at the default 512 samples and at
-  2048), of ``log`` on the sphere cap and of ``log`` on a chart whose
-  factor is centred off the origin;
+  2048), of ``log`` on the sphere cap, of ``log`` on a chart whose
+  factor is centred off the origin and of the hyperbolic scenario on its
+  warped chart;
 * ``symmetry.txt``: for every field constructor (the catalog entries, a
   Dirichlet solution, ``log_modulus_field`` on and off the origin,
   ``radial_log_field`` and ``constant_field``) on a flat annulus and on a
@@ -411,13 +412,14 @@ def _write_profiles(out: Path) -> None:
     import levelflow as lf
     from levelflow import scenarios
 
-    flat, cap = scenarios.flat(), scenarios.sphere_cap()
+    flat, cap, hyp = scenarios.flat(), scenarios.sphere_cap(), scenarios.hyperbolic()
     off_centre = lf.ConformalChart(lf.log_modulus_field(1.0, (1.5, 0.0)), 0.2, 1.2)
     cases = [("flat", flat.u, flat.chart, flat.grid, 512),
              ("flat_2048", flat.u, flat.chart, flat.grid, 2048),
              ("sphere_cap", cap.u, cap.chart, cap.grid, 512),
              ("off_centre", lf.catalog_field("log"), off_centre, np.linspace(-0.1, 1.5, 8),
-              512)]
+              512),
+             ("hyperbolic", hyp.u, hyp.chart, hyp.grid, 512)]
     records = []
     for name, u, chart, grid, n in cases:
         with _log_records(lambda line, name=name: records.append(f"{name}: {line}")):
