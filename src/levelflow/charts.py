@@ -240,6 +240,8 @@ class LocalGeometry:
     length (e^phi conformal, w warped, where radial levels run in theta).
     With G = |grad u|_g, ``pairing_G`` is <grad u, grad G>_g and
     ``grad_G_sq`` is |grad G|_g^2: the pieces of the L' and L'' integrands.
+    ``gradK_norm`` is |grad K|_g: e^{-phi} times the coordinate norm of
+    ``gradK`` conformal, that norm warped (g_tt = 1).
     """
 
     pts: np.ndarray
@@ -248,6 +250,7 @@ class LocalGeometry:
     h: np.ndarray
     K: np.ndarray
     gradK: np.ndarray
+    gradK_norm: np.ndarray
     pairing: np.ndarray
     pairing_star: np.ndarray
     lap_weight: np.ndarray
@@ -293,7 +296,8 @@ def _geometry(u, chart, pts) -> LocalGeometry:
         K, dK = chart._curvature(w, w1, w2, w3)
         dG = u2 * np.sign(u1)  # G = |u'(t)|, so G' = u'' sign(u')
         return LocalGeometry(pts=pts, G=np.abs(u1), k=-np.sign(u1) * w1 / w,
-                             h=np.zeros_like(u1), K=K, gradK=dK, pairing=dK[:, 0] / u1,
+                             h=np.zeros_like(u1), K=K, gradK=dK,
+                             gradK_norm=np.hypot(dK[:, 0], dK[:, 1]), pairing=dK[:, 0] / u1,
                              pairing_star=np.zeros_like(u1), lap_weight=w1 / w,
                              level_weight=w, pairing_G=u1 * dG, grad_G_sq=dG**2)
     g = ju.grad
@@ -302,7 +306,7 @@ def _geometry(u, chart, pts) -> LocalGeometry:
     div_unit = ju.laplacian() / g0 - _bilinear(g, ju.hess, g) / g0**3
     rot = np.stack([g[:, 1], -g[:, 0]], axis=-1)
     hrg = _bilinear(rot, ju.hess, g)
-    e_mphi = np.exp(-jp.value)
+    e_phi, e_mphi = np.exp(jp.value), np.exp(-jp.value)
     e2, K, dK = chart._curvature(jp)
     # grad_0 G for G = e^{-phi} g0; the metric pairs gradients with e^{-2 phi}
     grad_G = e_mphi[:, None] * (np.einsum("nij,nj->ni", ju.hess, g) / g0[:, None]
@@ -311,11 +315,11 @@ def _geometry(u, chart, pts) -> LocalGeometry:
         pts=pts, G=e_mphi * np.hypot(g[:, 0], g[:, 1]),
         k=-e_mphi * (div_unit + np.einsum("ni,ni->n", jp.grad, g) / g0),
         h=-e_mphi * (-hrg / g0**3 + np.einsum("ni,ni->n", jp.grad, rot) / g0),
-        K=K, gradK=dK,
+        K=K, gradK=dK, gradK_norm=np.hypot(dK[:, 0], dK[:, 1]) / e_phi,
         # the conformal factors of the metric pairing and |grad u|_g^2 cancel
         pairing=np.einsum("ni,ni->n", dK, g) / q,
         pairing_star=(dK[:, 0] * g[:, 1] - dK[:, 1] * g[:, 0]) / q,
-        lap_weight=e2, level_weight=np.exp(jp.value),
+        lap_weight=e2, level_weight=e_phi,
         pairing_G=e_mphi**2 * np.einsum("ni,ni->n", g, grad_G),
         grad_G_sq=e_mphi**2 * np.einsum("ni,ni->n", grad_G, grad_G))
 

@@ -37,7 +37,6 @@ DEFAULT_TOLERANCES = {
     "convexity": 1e-8,
     "convexity_conical": 1e-5,
     "residual_closed_form": 1e-6,
-    "residual_fd": 1e-4,
     "pde_fd": 1e-4,
     "gap_floor": 1e-6,
     "identity": 1e-6,
@@ -300,8 +299,7 @@ def cmd_residuals(cfg, tol):
     if seed < 0:
         raise ConfigError(f"config.seed must be non-negative, got {seed}")
     pts = quasi_random_points(chart, n, seed, min_gradient_field=u)
-    closed = u.derivative_source == "closed_form"
-    rtol = tol["residual_closed_form"] if closed else tol["residual_fd"]
+    rtol = tol["residual_closed_form"]
     res = {name: float(np.max(np.abs(r))) for name, r in
            zip(("kato", "bochner", "log_gradient"), idn.identity_residuals(u, chart, pts))}
     pde_pts = pts[: min(12, n)]
@@ -327,7 +325,7 @@ def cmd_residuals(cfg, tol):
         "subcommand": "residuals",
         "points": n,
         "seed": seed,
-        "derivative_source": u.derivative_source,
+        "derivative_source": "closed_form",
         "residuals": res,
         "passed": ok,
     }, None

@@ -439,7 +439,7 @@ def principle_audit(u, chart, domain_spec, quantity: str, corollary_case: str,
         verdict = "hypotheses_unmet"
     elif corollary_case == "interior_min_curvature_bound":
         Ky = float(geo.K[ii])
-        bound = None if Ky <= 0 else float(np.hypot(*geo.gradK[ii])) / Ky
+        bound = None if Ky <= 0 else float(geo.gradK_norm[ii]) / Ky
         if v_in >= v_bd - tol:
             notes = "minimum attained on the boundary; interior-minimum premise vacuous"
         elif bound is None:

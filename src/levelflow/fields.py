@@ -8,9 +8,7 @@ either by an ordinary formula evaluated in jet arithmetic
 (:mod:`levelflow.jets`, seeded at the requested degree) or by complex Taylor
 coefficients of a holomorphic function; both routes are exact up to
 roundoff, and a lower order gives the same bits as the leading entries of a
-higher one.  Arbitrary user callables fall back to nested central finite
-differences with one Richardson extrapolation level, evaluated only up to
-the requested order.
+higher one.
 """
 
 from __future__ import annotations
@@ -22,9 +20,6 @@ import numpy as np
 
 from . import jets
 from .jets import Taylor2
-
-CLOSED_FORM = "closed_form"
-FINITE_DIFFERENCE = "nested_finite_difference"
 
 
 def as_points(p) -> tuple[np.ndarray, bool]:
@@ -97,12 +92,10 @@ class ScalarField:
     """
 
     def __init__(self, jet_fn: Callable[[np.ndarray, int], FieldJet], *,
-                 source: str = CLOSED_FORM, radial: str | None = None,
-                 singular_points: Sequence = ()):
+                 radial: str | None = None, singular_points: Sequence = ()):
         if radial not in (None, "abs_z", "t"):
             raise ValueError(f"radial must be None, 'abs_z' or 't', got {radial!r}")
         self._jet_fn = jet_fn
-        self.derivative_source = source
         self.radial = radial
         self.singular_points = tuple(np.asarray(q, dtype=float) for q in singular_points)
         self.log_radial_coeffs = None
@@ -142,57 +135,6 @@ class ScalarField:
             return _jet_from_taylor(acc)
 
         return cls(jet_fn, radial=radial, singular_points=singular_points)
-
-    @classmethod
-    def from_callable(cls, f: Callable[[np.ndarray], np.ndarray], *,
-                      step: float | None = None, diameter: float = 1.0):
-        """Black-box field; derivatives by nested central differences.
-
-        The base step defaults to 1e-3 times the domain diameter and every
-        derivative level applies one Richardson extrapolation.  A jet of
-        order d evaluates the difference levels 0..d only: f is called
-        1, 9, 57, 313 and 1593 times for d = 0..4.
-        """
-        h = 1e-3 * diameter if step is None else step
-
-        def fd(g, axis):
-            e = np.zeros(2)
-            e[axis] = 1.0
-
-            def d(pts):
-                def delta(s):
-                    return (g(pts + s * e) - g(pts - s * e)) / (2.0 * s)
-                return (4.0 * delta(h / 2.0) - delta(h)) / 3.0
-
-            return d
-
-        def vec(pts):
-            return np.asarray(f(pts), dtype=float)
-
-        dx, dy = fd(vec, 0), fd(vec, 1)
-        dxx, dxy, dyy = fd(dx, 0), fd(dx, 1), fd(dy, 1)
-        d3 = [fd(dxx, 0), fd(dxx, 1), fd(dxy, 1), fd(dyy, 1)]
-        d4 = [fd(d3[0], 0), fd(d3[0], 1), fd(d3[1], 1), fd(d3[2], 1), fd(d3[3], 1)]
-
-        def jet_fn(pts: np.ndarray, order: int) -> FieldJet:
-            value = vec(pts)
-            if order == 0:
-                return FieldJet(value)
-            grad = np.stack([dx(pts), dy(pts)], axis=-1)
-            if order == 1:
-                return FieldJet(value, grad)
-            hess = np.empty(pts.shape[:1] + (2, 2))
-            hess[:, 0, 0] = dxx(pts)
-            hess[:, 0, 1] = hess[:, 1, 0] = dxy(pts)
-            hess[:, 1, 1] = dyy(pts)
-            if order == 2:
-                return FieldJet(value, grad, hess)
-            third = np.stack([d(pts) for d in d3], axis=-1)
-            if order == 3:
-                return FieldJet(value, grad, hess, third)
-            return FieldJet(value, grad, hess, third, np.stack([d(pts) for d in d4], axis=-1))
-
-        return cls(jet_fn, source=FINITE_DIFFERENCE)
 
     # -- evaluation ----------------------------------------------------------
 

@@ -7,10 +7,10 @@ Harmonicity in the surface metric coincides with Euclidean harmonicity in the
 chart coordinates on conformal charts (conformal invariance in two dimensions),
 so every conformal-chart entry in the catalog is an exact planar harmonic
 function.  Warped-chart entries are functions of t (``radial="t"``) and satisfy
-u'' + (w'/w) u' = 0 for their chart's warp.  Every constructor returns a
-:class:`~levelflow.fields.ScalarField`; fields a + b ln|z| are radial in |z|
-(``radial="abs_z"``) and set its ``log_radial_coeffs``, and the numeric
-solver's sets its ``grid_data``.
+u'' + (w'/w) u' = 0 for their chart's warp.  Every field constructor returns a
+closed-form :class:`~levelflow.fields.ScalarField`; fields a + b ln|z| are
+radial in |z| (``radial="abs_z"``) and set its ``log_radial_coeffs``.  The
+numeric solver returns its grid values, not a field.
 """
 
 from __future__ import annotations
@@ -249,15 +249,15 @@ def _bracketed_newton(fn, ts, a, b, fa, max_iter=60):
 # -- validation-only numeric solver ---------------------------------------------
 
 def solve_annulus_numeric(spec: DirichletSpec, grid: tuple[int, int] = (64, 128)
-                          ) -> ScalarField:
+                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Second-order polar-grid solution of the annulus Dirichlet problem.
 
     Validation-only cross-check of the closed form; analysis paths always use
-    :func:`solve_annulus_dirichlet`.  The returned field interpolates the grid
-    with a bicubic spline and exposes ``grid_data = (r, theta, values)``.
+    :func:`solve_annulus_dirichlet`.  Returns ``(r, theta, values)``: the
+    radii, the angles and the (n_r, n_theta) grid values, boundary rows
+    included.
     """
     from scipy import sparse  # the validation solver alone loads scipy here
-    from scipy.interpolate import RectBivariateSpline
     from scipy.sparse.linalg import spsolve
 
     n_r, n_t = grid
@@ -309,19 +309,4 @@ def solve_annulus_numeric(spec: DirichletSpec, grid: tuple[int, int] = (64, 128)
     values[0] = spec.t1
     values[-1] = spec.t2
     values[1:-1] = sol.reshape(n_int, n_t)
-
-    # periodic padding in theta so the spline is smooth across 0 == 2 pi
-    pad = 3
-    th = np.arange(-pad, n_t + pad + 1) * dt
-    vp = np.concatenate([values[:, -pad:], values, values[:, :pad + 1]], axis=1)
-    spline = RectBivariateSpline(r, th, vp, kx=3, ky=3)
-
-    def evaluate(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        rr = np.hypot(pts[:, 0], pts[:, 1])
-        tt = np.mod(np.arctan2(pts[:, 1], pts[:, 0]), 2.0 * np.pi)
-        return spline.ev(np.clip(rr, 1.0, spec.R), tt)
-
-    field = ScalarField.from_callable(evaluate, diameter=spec.R - 1.0)
-    field.grid_data = (r, np.arange(n_t) * dt, values)
-    return field
+    return r, np.arange(n_t) * dt, values

@@ -10,8 +10,8 @@ points:
 Each residual below is the left side minus the right side, computed with
 metric (covariant) quantities expressed in chart coordinates; for exact
 harmonic fields with closed-form derivatives the residuals sit at roundoff
-level.  The formulas keep the ``grad(lap u)`` terms so that fields that are
-only approximately harmonic (finite-difference backed) degrade gracefully.
+level.  The formulas keep the ``grad(lap u)`` terms rather than drop them by
+harmonicity, so a field that is not harmonic shows it in the residuals.
 
 The jets of u (to order 3) and of the metric (to order 2: the formulas read
 ``lap phi`` and ``w''``), and the critical-point test against

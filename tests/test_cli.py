@@ -1,6 +1,9 @@
 """CLI: configs, exit codes, determinism, output formats."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -296,6 +299,9 @@ MALFORMED = {
     "conical_audit": ("audit", _edit(CONICAL_CONFIG, "analysis", domain=[1.1, 2.0])),
     "unknown_tolerance": ("convexity",
                           _edit(FLAT_CONFIG, "analysis", tolerances={"bogus": 1})),
+    # no closed-form field reads a finite-difference residual tolerance
+    "residual_fd_tolerance": ("residuals",
+                              _edit(CAP_CONFIG, "analysis", tolerances={"residual_fd": 1e-4})),
     "tolerance_string": ("convexity",
                          _edit(FLAT_CONFIG, "analysis", tolerances={"convexity": "x"})),
     "catalog_param_string": ("residuals", {**FLAT_CONFIG, "field": {
@@ -329,6 +335,57 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, case):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith(("config error:", "error:"))
     assert not list(tmp_path.glob("*_report.json"))
+
+
+# With the tests above, each check kind exits 1 on a wrong input and 0 on a
+# correct one near its edge; this table holds the cases no other test runs.
+# The rest: profile passes near L' = 0 in
+# test_profile_cross_check_scales_by_the_largest_column_value, convexity
+# passes and fails in test_convexity_pass_and_fail_exit_codes, residuals
+# pass with k = 0 everywhere in test_residuals_batches_the_pde_stencils[arg],
+# bic passes 0.05 outside a vertex in test_bic_subcommand.  Where a config
+# can build no wrong field (profile, residuals, counterexample), the wrong
+# input is a tolerance below the achieved value, which shows that the gate
+# is live.
+CHECK_TABLE = {
+    # cross_check_scaled_Lp reads 2.6e-6
+    "profile_fail": ("profile",
+                     _edit(CAP_CONFIG, "analysis.tolerances", cross_check_rel=2e-6), 1),
+    # a conical profile: its edge rows, one-sided second differences, are NaN
+    "convexity_pass_conical": ("convexity", CONICAL_CONFIG, 0),
+    # the Bochner residual reads 1.1e-13
+    "residuals_fail": ("residuals", _edit(_edit(CAP_CONFIG, "analysis", points=40),
+                                          "analysis.tolerances", residual_closed_form=1e-14), 1),
+    # K = -1 misses the case's K >= 0 hypothesis: the exit 1 comes from the
+    # verdict hypotheses_unmet, not from a refuted claim, which no
+    # config-built harmonic field reaches
+    "audit_hypotheses_unmet": ("audit",
+                               _edit(AUDIT_CONFIG, "analysis", case="min_on_boundary_nonneg_K"), 1),
+    # K = 0 and phi_k constant, audited up to both chart boundaries
+    "audit_pass": ("audit", {"chart": {"kind": "conformal", "factor": {"name": "flat"},
+                                       "inner_radius": 1.0, "outer_radius": 3.0},
+                             "field": {"catalog": "log"},
+                             "analysis": {"quantity": "phi_k", "case": "min_on_boundary_nonneg_K",
+                                          "domain": [1.0, 3.0]}}, 0),
+    # the last mollifier (eps = 0.1) still reaches the probe circle
+    "bic_fail": ("bic", _edit(CONICAL_CONFIG, "analysis", eps_sequence=[0.2, 0.1]), 1),
+    # the defect at r = 0.01 is off by 1.9e-12 relative
+    "counterexample_fail": ("counterexample", {"analysis": {
+        "factor_c": -0.1, "radii": [0.05, 0.01], "tolerances": {"defect_rel": 1e-13}}}, 1),
+    # K(0) = 0.004, near flat: the defect is off by 5e-10 relative at r = 0.01
+    "counterexample_pass": ("counterexample",
+                            {"analysis": {"factor_c": -0.001, "radii": [0.3, 0.01]}}, 0),
+}
+
+
+@pytest.mark.parametrize("case", CHECK_TABLE)
+def test_every_check_kind_can_fail_and_pass(tmp_path, case):
+    sub, cfg, code = CHECK_TABLE[case]
+    assert main([sub, "--config", write_config(tmp_path, cfg),
+                 "--out", str(tmp_path / "out")]) == code
+    (report,) = (tmp_path / "out").glob("*_report.json")
+    rep = json.loads(report.read_text())
+    assert rep.get("passed", rep.get("verdict") == "pass") is (code == 0)
 
 
 @pytest.mark.parametrize("args,cfg", [
@@ -442,6 +499,21 @@ def test_conical_profile_json_is_strict_json(tmp_path):
     for col in ("Lpp", "L_fd_pp", "lnL_pp"):
         assert [i for i, v in enumerate(doc[col]) if v is None] == [0, 1, 58, 59]
     assert None not in doc["L"]
+
+
+def test_python_dash_m_entry(tmp_path):
+    import levelflow
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(levelflow.__file__))}
+
+    def levelflow_m(*args):
+        return subprocess.run([sys.executable, "-m", "levelflow", *args],
+                              capture_output=True, text=True, env=env)
+
+    proc = levelflow_m("examples", "flat", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads((tmp_path / "examples_flat_report.json").read_text())["passed"] is True
+    proc = levelflow_m("no_such_subcommand", "--out", str(tmp_path))
+    assert proc.returncode == 2 and proc.stderr
 
 
 def test_run_programmatic_entry(tmp_path):

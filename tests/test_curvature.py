@@ -387,6 +387,44 @@ def test_audit_verdicts_and_notes(u, chart, domain, case, verdict, notes):
         assert rep.tolerance > 0
 
 
+# Radial pairs whose phi_k has an interior minimum above |grad K|/K, on a
+# conformal chart and on a warped one with K > 0.  With ell the length of a
+# level circle per unit angle (r e^phi conformal, w warped) and
+# u = -atan(b ln(ell / ell0)) / b^2, phi_k = b (1 + b^2 ln(ell / ell0)^2).
+# The bound is the metric norm |grad K|_g over K: on the sphere cap,
+# phi = ln(1 - c r^2) and K = 4c / (1 - c r^2)^4, so it is
+# 8cr / (1 - c r^2)^2 (the coordinate norm gave 8cr / (1 - c r^2)); on the
+# warp w = t - t^3, K = 6 / (1 - t^2) and it is K'/K = 2t / (1 - t^2).
+def _ln_ell_cap(x, y):
+    r2 = x * x + y * y
+    return 0.5 * jets.log(r2) + jets.log(1.0 - 0.02 * r2)
+
+
+CURVATURE_BOUND_CASES = {
+    "sphere_cap": (ConformalChart(sphere_cap_factor(0.02), 1.0, 2.0), (1.1, 1.9), "abs_z",
+                   _ln_ell_cap, (1.5, 0.0), lambda r: 8 * 0.02 * r / (1 - 0.02 * r * r) ** 2),
+    "warped": (WarpedChart(0.1, 0.55, 1.0, ScalarField.from_expression(
+                   lambda t, _th: t - t * t * t, radial="t")), (0.2, 0.5), "t",
+               lambda t, _th: jets.log(t - t * t * t), (0.33, 0.0),
+               lambda t: 2 * t / (1 - t * t)),
+}
+
+
+@pytest.mark.parametrize("name", CURVATURE_BOUND_CASES)
+def test_audit_interior_min_bound_is_the_metric_norm_of_grad_K_over_K(name):
+    chart, domain, radial, ln_ell, p0, closed_form = CURVATURE_BOUND_CASES[name]
+    b, ln_ell0 = 3.0, ScalarField.from_expression(ln_ell).value(p0)
+    u = ScalarField.from_expression(
+        lambda x, y: -jets.atan((ln_ell(x, y) - ln_ell0) * b) / (b * b), radial=radial)
+    rep = principle_audit(u, chart, domain, "phi_k", "interior_min_curvature_bound",
+                          n_interior=(256, 4096), n_boundary=16)
+    (p, v_in) = rep.interior_extremum
+    assert rep.verdict == "fail" and v_in == pytest.approx(b, rel=1e-4)
+    bound = float(rep.notes.rsplit("= ", 1)[1])
+    assert bound == pytest.approx(closed_form(np.hypot(*p) if radial == "abs_z" else p[0]),
+                                  rel=1e-5)
+
+
 def test_audit_min_abs_reports_raw_extrema_when_unmet():
     # K = -1 fails the K >= 0 hypothesis, so the extrema stay those of the
     # signed phi_k = -sinh t, not of its absolute value

@@ -247,15 +247,6 @@ def test_identity_residuals_hyperbolic_halfplane_exact():
         assert abs(log_gradient_residual(u, HALF, p)) <= 1e-12
 
 
-def test_identity_residuals_fd_fallback_tolerance():
-    from levelflow import ScalarField
-    u = ScalarField.from_callable(
-        lambda p: -0.5 * np.log(p[:, 0] ** 2 + p[:, 1] ** 2), step=1e-3)
-    pts = quasi_random_points(FLAT, 20, seed=3)
-    for res in (kato_residual, bochner_residual, log_gradient_residual):
-        assert np.max(np.abs(res(u, FLAT, pts))) <= 1e-4
-
-
 def test_warp_must_be_positive():
     from levelflow import ScalarField
     from levelflow import jets as J

@@ -144,8 +144,7 @@ def test_numeric_solver_accuracy_and_order():
     spec = DirichletSpec(np.e, 0.0, 1.0)
     errs = {}
     for grid in [(64, 128), (128, 256)]:
-        f = solve_annulus_numeric(spec, grid)
-        r, th, vals = f.grid_data
+        r, th, vals = solve_annulus_numeric(spec, grid)
         exact = np.log(r)[:, None] * np.ones(th.size)[None, :]
         errs[grid] = np.abs(vals - exact).max()
     assert errs[(64, 128)] <= 5e-4
@@ -153,8 +152,7 @@ def test_numeric_solver_accuracy_and_order():
 
 
 def test_numeric_solver_constant_data_exact():
-    f = solve_annulus_numeric(DirichletSpec(2.0, 3.0, 3.0), (16, 32))
-    _, _, vals = f.grid_data
+    _, _, vals = solve_annulus_numeric(DirichletSpec(2.0, 3.0, 3.0), (16, 32))
     assert np.abs(vals - 3.0).max() <= 1e-12
 
 

@@ -74,19 +74,6 @@ def test_holomorphic_jets_log_and_monomial():
     assert m.c[0, 1][0] == pytest.approx(3.0, abs=1e-15)
 
 
-def test_fd_fallback_consistency():
-    f = ScalarField.from_callable(
-        lambda p: np.exp(p[:, 0]) * np.sin(p[:, 1]), step=1e-3)
-    g = ScalarField.from_expression(lambda x, y: jets.exp(x) * jets.sin(y))
-    pts = np.array([[0.2, 0.7], [1.1, -0.3]])
-    jf, jg = f.jet(pts), g.jet(pts)
-    assert np.allclose(jf.grad, jg.grad, atol=1e-10)
-    assert np.allclose(jf.hess, jg.hess, atol=1e-8)
-    assert np.allclose(jf.third, jg.third, atol=1e-5)
-    assert f.derivative_source == "nested_finite_difference"
-    assert g.derivative_source == "closed_form"
-
-
 def test_concurrent_evaluation_is_pure():
     # fields are immutable after construction; concurrent jet evaluation
     # must agree with the sequential result
@@ -135,8 +122,6 @@ def _order_cases():
         "half_plane": (half_plane_factor(), upper),
         "radial_log": (radial_log_field(0.3, -0.7, 0.4), annulus),
         "cosh_warp": (WarpedChart.cosh_cylinder(0.4, -2.0, 2.0).shape, strip),
-        "from_callable": (ScalarField.from_callable(
-            lambda p: np.exp(0.3 * p[:, 0]) * np.cos(p[:, 1]), step=1e-2), annulus),
     })
     return fields
 
@@ -169,22 +154,6 @@ def test_warp_jet_orders_are_the_leading_derivatives():
         assert [w.tobytes() for w in low] == [w.tobytes() for w in full[:order + 1]]
     with pytest.raises(ValueError):
         chart.warp_jet(t, 4)
-
-
-def test_from_callable_evaluates_only_the_requested_difference_levels():
-    calls = []
-
-    def f(p):
-        calls.append(1)
-        return p[:, 0] ** 3 * p[:, 1]
-
-    field = ScalarField.from_callable(f)
-    p = (0.4, 0.9)
-    for method, expected in ((field.value, 1), (field.gradient, 9), (field.hessian, 57),
-                             (lambda q: field.jet(q, 3), 313), (field.jet, 1593)):
-        calls.clear()
-        method(p)
-        assert len(calls) == expected
 
 
 def test_jets_of_different_degrees_do_not_combine():
