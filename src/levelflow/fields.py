@@ -87,8 +87,8 @@ class ScalarField:
     ``radial`` names the coordinate the field is a function of: ``"abs_z"``
     (|z|, radial on conformal charts), ``"t"`` (the first coordinate, radial
     on warped charts) or None.  The exact level-set paths need ``u.radial ==
-    chart.radial``.  ``log_radial_coeffs`` is (a, b) for a field a + b ln|z|,
-    whose levels invert in closed form.
+    chart.radial``.  ``radial_inverse`` is None or the field's exact level
+    inverse ``ts -> radii`` (|z| or t), set by its constructor.
     """
 
     def __init__(self, jet_fn: Callable[[np.ndarray, int], FieldJet], *,
@@ -98,7 +98,7 @@ class ScalarField:
         self._jet_fn = jet_fn
         self.radial = radial
         self.singular_points = tuple(np.asarray(q, dtype=float) for q in singular_points)
-        self.log_radial_coeffs = None
+        self.radial_inverse = None
 
     # -- constructors --------------------------------------------------------
 

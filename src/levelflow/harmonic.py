@@ -1,16 +1,16 @@
 """Harmonic fields: closed-form catalog, annulus Dirichlet solutions, critical
-points and a validation-only polar grid solver.  :func:`_bracketed_newton` is
-the package's one root solver, batched over its brackets: it locates level
-radii, tracer seeds and the critical points of fields of t.
+points and a validation-only polar grid solver.  :func:`_bracketed_newton`,
+batched over its brackets, is the package's one root solver: tracer seeds,
+critical points of fields of t, level radii of fields without an inverse.
 
 Harmonicity in the surface metric coincides with Euclidean harmonicity in the
 chart coordinates on conformal charts (conformal invariance in two dimensions),
 so every conformal-chart entry in the catalog is an exact planar harmonic
 function.  Warped-chart entries are functions of t (``radial="t"``) and satisfy
 u'' + (w'/w) u' = 0 for their chart's warp.  Every field constructor returns a
-closed-form :class:`~levelflow.fields.ScalarField`; fields a + b ln|z| are
-radial in |z| (``radial="abs_z"``) and set its ``log_radial_coeffs``.  The
-numeric solver returns its grid values, not a field.
+closed-form :class:`~levelflow.fields.ScalarField`; fields a + b ln|z|
+(``radial="abs_z"``) and ``warped_arctan`` set its ``radial_inverse``, their
+level radii in closed form.  The numeric solver returns its grid values.
 """
 
 from __future__ import annotations
@@ -51,8 +51,16 @@ def solve_annulus_dirichlet(spec: DirichletSpec) -> ScalarField:
         field = ScalarField.from_holomorphic_sum(
             [(jets.log_z_coeffs, "re", b)], constant=spec.t1,
             radial="abs_z", singular_points=[(0.0, 0.0)])
-    field.log_radial_coeffs = (spec.t1, b)
+    field.radial_inverse = _log_inverse(spec.t1, b)
     return field
+
+
+def _log_inverse(a, b):
+    def inverse(ts):  # the level radii of a + b ln|z|
+        if b == 0.0:
+            raise DomainError("constant field has no level curves")
+        return np.exp((ts - a) / b)
+    return inverse
 
 
 def catalog_field(name: str, **params) -> ScalarField:
@@ -69,7 +77,7 @@ def catalog_field(name: str, **params) -> ScalarField:
         field = ScalarField.from_holomorphic_sum(
             [(jets.log_z_coeffs, "re", c)], radial="abs_z",
             singular_points=[(0.0, 0.0)])
-        field.log_radial_coeffs = (0.0, c)
+        field.radial_inverse = _log_inverse(0.0, c)
         return field
     if name == "arg":
         _no_extra(params)
@@ -102,8 +110,10 @@ def catalog_field(name: str, **params) -> ScalarField:
             singular_points=[(0.0, 0.0)])
     if name == "warped_arctan":
         _no_extra(params)
-        return ScalarField.from_expression(
+        field = ScalarField.from_expression(
             lambda t, _th: 2.0 * jets.atan(jets.exp(t)), radial="t")
+        field.radial_inverse = lambda ts: np.log(np.tan(0.5 * ts))
+        return field
     raise DomainError(f"unknown catalog field {name!r}")
 
 

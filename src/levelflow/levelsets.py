@@ -79,11 +79,12 @@ def boundary_values(u: ScalarField, chart) -> tuple[float, float] | None:
     if not _radial_on(u, chart):
         return None
     if chart.kind == "warped":
-        return (float(u.value((chart.t_min, 0.0))), float(u.value((chart.t_max, 0.0))))
-    if chart.outer_radius is not None and chart.inner_radius > 0:
-        return (float(u.value((chart.inner_radius, 0.0))),
-                float(u.value((chart.outer_radius, 0.0))))
-    return None
+        ends = [[chart.t_min, 0.0], [chart.t_max, 0.0]]
+    elif chart.outer_radius is not None and chart.inner_radius > 0:
+        ends = [[chart.inner_radius, 0.0], [chart.outer_radius, 0.0]]
+    else:
+        return None
+    return tuple(float(v) for v in u.value(np.array(ends)))
 
 
 def level_radius(u: ScalarField, chart, t: float) -> float:
@@ -111,9 +112,10 @@ def _located_radii(u, chart, ts):
 def _level_radii(u, chart, ts, max_iter=60):
     """Radial coordinates of the levels {u = t}, one per entry of ``ts``.
 
-    Fields u = a + b ln|z| invert in closed form.  Otherwise one 256-point
-    sweep of the radial section brackets every level and a single batched
-    Newton solve polishes all brackets together.
+    A field's ``radial_inverse`` gives them in closed form (on a warped chart,
+    a radius not in [t_min, t_max] raises as the sweep does).  Otherwise one
+    256-point sweep of the radial section brackets every level, a constant u
+    raises, and one batched Newton solve polishes all brackets together.
     """
     if not _radial_on(u, chart):
         raise DomainError("level_radius needs a radial field")
@@ -123,15 +125,18 @@ def _level_radii(u, chart, ts, max_iter=60):
         lo, hi = 1e-8, 1e8
     else:
         lo, hi = chart.inner_radius or 1e-8, chart.outer_radius
-    coeffs = u.log_radial_coeffs  # set on fields radial in |z| only
-    if coeffs is not None:
-        a, b = coeffs
-        if b == 0.0:
-            raise DomainError("constant field has no level curves")
-        return np.exp((ts - a) / b)
+    if u.radial_inverse is not None:
+        with np.errstate(divide="ignore", invalid="ignore"):  # ln tan off (0, pi)
+            r = u.radial_inverse(ts)
+        on = (lo <= r) & (r <= hi)
+        if chart.kind == "warped" and not on.all():
+            raise DomainError(f"no level {ts[~on][0]} on the radial section")
+        return r
 
     rr = np.geomspace(lo, hi, 256) if chart.kind == "conformal" else np.linspace(lo, hi, 256)
     vals = u.value(np.stack([rr, np.zeros_like(rr)], axis=-1))[None, :] - ts[:, None]
+    if not vals.any(axis=1).all():
+        raise DomainError("constant field has no level curves")
     sign_change = vals[:, :-1] * vals[:, 1:] <= 0
     found = sign_change.any(axis=1)
     if not found.all():

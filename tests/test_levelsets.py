@@ -1,26 +1,32 @@
 """Level curves, the length functional and its derivative formulas."""
 
 import logging
+import re
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from levelflow import (ConformalChart, DirichletSpec, DomainError, NormalizationError,
-                       PreconditionError, SingularPointError, SolverError,
+                       PreconditionError, ScalarField, SingularPointError, SolverError,
                        TopologyError, WarpedChart, asymptotic_defect, catalog_field,
-                       d2length_integral, dlength_integral, extract_level_curve,
+                       constant_field, d2length_integral, dlength_integral,
+                       extract_level_curve,
                        flat_factor, inset_grid, length, length_profile, level_radius,
                        log_convexity_check, log_modulus_field, logL_slope_bound,
                        pinched_bound_check, radial_log_field,
                        second_divided_differences, sharp_bound_gap,
                        solve_annulus_dirichlet, sphere_cap_factor)
-from levelflow import levelsets, scenarios
+from levelflow import jets, levelsets, scenarios
 
 FLAT_BIG = ConformalChart(flat_factor(), 1.0, np.e**2)
 CANONICAL = solve_annulus_dirichlet(DirichletSpec(np.e**2, 0.0, -2.0))
 HYP = WarpedChart.cosh_cylinder(2.0 / (2 * np.pi), -3.0, 3.0)  # ln(lambda) = 2
 ARCTAN = catalog_field("warped_arctan")
+# the same u = 2 atan e^t without the closed-form inverse t = ln tan(s/2):
+# its levels go through the sweep and the batched Newton solve
+ARCTAN_NEWTON = ScalarField.from_expression(
+    lambda t, _th: 2.0 * jets.atan(jets.exp(t)), radial="t")
 
 
 def hyp_chart(lam):
@@ -131,6 +137,58 @@ def test_level_outside_the_chart_raises_on_both_radius_paths():
         for integral in (dlength_integral, d2length_integral):
             with pytest.raises(DomainError, match="not strictly between boundary values"):
                 integral(catalog_field("log"), chart, -5.0)
+
+
+def test_boundary_values_equal_one_point_reads():
+    # both boundary circles are read in one 2-point call
+    for u, chart, ends in ((ARCTAN, HYP, (HYP.t_min, HYP.t_max)),
+                           (CANONICAL, FLAT_BIG, (1.0, np.e**2))):
+        assert levelsets.boundary_values(u, chart) == tuple(u.value((e, 0.0)) for e in ends)
+
+
+def test_warped_closed_form_radii_match_newton():
+    lo, hi = levelsets.boundary_values(ARCTAN, HYP)
+    levels = np.linspace(lo, hi, 2002)[1:-1]
+    r = levelsets._level_radii(ARCTAN, HYP, levels)
+    newton = levelsets._level_radii(ARCTAN_NEWTON, HYP, levels)
+    assert np.max(np.abs(r - newton)) <= 4e-15
+    assert np.max(np.abs(2 * np.arctan(np.exp(r)) - levels)) <= 1e-15
+
+
+def test_warped_closed_form_raises_as_the_sweep_does():
+    # levels s <= 0 and s >= pi have no real ln tan(s/2) (tan <= 0, or
+    # tan(pi/2) = 1.6e16); 0.05 and 3.1 lie in (0, pi) but off t in [-3, 3]
+    lo, hi = levelsets.boundary_values(ARCTAN, HYP)
+    for u in (ARCTAN, ARCTAN_NEWTON):
+        for s in (-0.5, 0.0, 0.05, 3.1, np.pi, 3.5, np.inf, np.nan):
+            with pytest.raises(DomainError, match=re.escape(f"no level {s} on the radial section")):
+                level_radius(u, HYP, s)
+        # length_profile does not screen its t +- h levels: a step past the
+        # boundary value reaches the radius check
+        grid = inset_grid(0.4, np.pi - 0.4, 8)
+        first_off = (grid + 0.5)[grid + 0.5 > hi][0]
+        with pytest.raises(DomainError,
+                           match=re.escape(f"no level {first_off} on the radial section")):
+            length_profile(u, HYP, grid, fd_step=0.5)
+
+
+def test_log_inverse_of_a_constant_field_raises():
+    for u in (catalog_field("log", c=0.0),
+              solve_annulus_dirichlet(DirichletSpec(2.0, 1.0, 1.0))):
+        with pytest.raises(DomainError, match="constant field has no level curves"):
+            u.radial_inverse(np.array([0.0, 1.0]))
+        with pytest.raises(DomainError, match="constant field has no level curves"):
+            level_radius(u, ConformalChart(flat_factor(), 1.0, 2.0), 1.0)
+
+
+def test_constant_radial_field_without_an_inverse_has_no_level_radius():
+    # the sweep reads u - t = 0 at every sample; it used to return the
+    # section's inner end as the radius
+    for u, chart in ((constant_field(0.0), ConformalChart(flat_factor(), 1.0, 4.0)),
+                     (ScalarField.from_expression(lambda t, _th: t * 0.0, radial="t"), HYP)):
+        assert u.radial_inverse is None
+        with pytest.raises(DomainError, match="constant field has no level curves"):
+            level_radius(u, chart, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +302,18 @@ def test_derivative_formulas_fd_convergence_order():
     assert 1.8 <= order_pp <= 2.2
 
 
-# log_modulus_field is radial without log_radial_coeffs, so its levels go
-# through the Newton solve like the warped ones; on the off-centre factor the
-# 60 circles of 512 points (30,720) take more than one capped evaluation
+# warped_arctan's levels invert in closed form; log_modulus_field and
+# ARCTAN_NEWTON are radial without a radial_inverse, so their levels go
+# through the Newton solve; on the off-centre factor the 60 circles of 512
+# points (30,720) take more than one capped evaluation
 BATCHED_CASES = pytest.mark.parametrize("u, chart, grid", [
     (ARCTAN, HYP, inset_grid(0.4, np.pi - 0.4, 20)),
     (log_modulus_field(), ConformalChart(flat_factor(), 0.5, 3.0),
      inset_grid(np.log(0.5), np.log(3.0), 20)),
     (catalog_field("log"), ConformalChart(log_modulus_field(1.0, (1.5, 0.0)), 0.2, 1.2),
      inset_grid(-np.log(1.2), np.log(5.0), 20)),
-], ids=["warped_arctan", "flat_log_modulus", "off_centre_quadrature"])
+    (ARCTAN_NEWTON, HYP, inset_grid(0.4, np.pi - 0.4, 20)),
+], ids=["warped_arctan", "flat_log_modulus", "off_centre_quadrature", "warped_arctan_newton"])
 
 
 def one_level(u, chart, t):
@@ -289,9 +349,9 @@ def test_batched_profile_splits_into_halves_byte_for_byte(u, chart, grid):
 
 def test_batched_newton_reports_unconverged_levels():
     levels = np.array([0.7, np.pi / 2, 2.2])
-    assert np.all(np.isfinite(levelsets._level_radii(ARCTAN, HYP, levels)))
+    assert np.all(np.isfinite(levelsets._level_radii(ARCTAN_NEWTON, HYP, levels)))
     with pytest.raises(SolverError, match="after 1 iterations at levels"):
-        levelsets._level_radii(ARCTAN, HYP, levels, max_iter=1)
+        levelsets._level_radii(ARCTAN_NEWTON, HYP, levels, max_iter=1)
 
 
 def test_newton_keeps_a_converged_step_outside_the_bracket():
@@ -299,7 +359,7 @@ def test_newton_keeps_a_converged_step_outside_the_bracket():
     # steps and the next, sub-ulp step lands just outside the bracket; it
     # must end the solve rather than restart bisection (44 iterations)
     levels = np.linspace(0.1, np.pi - 0.1, 100)  # the criterion-6 grid
-    r = levelsets._level_radii(ARCTAN, HYP, levels, max_iter=10)
+    r = levelsets._level_radii(ARCTAN_NEWTON, HYP, levels, max_iter=10)
     assert np.max(np.abs(2 * np.arctan(np.exp(r)) - levels)) <= 1e-14
 
 

@@ -16,7 +16,9 @@ OUT (created; it must not exist yet) receives
   geometry evaluation takes), or the class and message of what they
   raise, likewise for raising ``length_profile`` calls, then the
   ``identity_max_err`` of ``logL_slope_bound`` for the flat, hyperbolic
-  and sphere-cap scenarios;
+  and sphere-cap scenarios, then ``level_radius`` of ``warped_arctan`` on
+  a cosh cylinder one ulp inside each boundary value, at their midpoint
+  and at a level off the chart;
 * ``profiles/<name>_quadrature.csv``: quadrature-path ``length_profile``
   CSVs of the flat Dirichlet field (at the default 512 samples and at
   2048), of ``log`` on the sphere cap, of ``log`` on a chart whose
@@ -258,6 +260,13 @@ def _level_calls():
     for name in ("flat", "hyperbolic", "sphere_cap"):
         calls.append((f"scenarios.{name}().slope.identity_max_err",
                       lambda name=name: getattr(scenarios, name)().slope.identity_max_err))
+    lo, hi = lf.levelsets.boundary_values(arctan, hyp)
+    for label, s in (("just above u(t_min)", np.nextafter(lo, hi)),
+                     ("midpoint", 0.5 * (lo + hi)),
+                     ("just below u(t_max)", np.nextafter(hi, lo)),
+                     ("off the chart", 3.1)):
+        calls.append((f"level_radius(arctan, hyp, {label} {float(s)!r})",
+                      lambda s=s: lf.level_radius(arctan, hyp, s)))
     return calls
 
 
