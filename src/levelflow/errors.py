@@ -18,7 +18,8 @@ class CriticalPointError(LevelFlowError, RuntimeError):
 
 
 class TopologyError(LevelFlowError, RuntimeError):
-    """A traced level curve left the domain instead of closing up."""
+    """A level curve is open: it leaves the chart instead of closing up, or
+    it is a level of a non-radial field without a level map."""
 
 
 class NormalizationError(LevelFlowError, ValueError):

@@ -31,6 +31,18 @@ def as_points(p) -> tuple[np.ndarray, bool]:
 
 
 @dataclass(frozen=True)
+class LevelMap:
+    """Closed levels of u = Re F, F's one multivalued part c log(z - a):
+    ``E(z)`` returns E = exp(F/c), single-valued, and E' at complex z, and
+    the level u = t is the preimage of the circle |E| = e^{t/c} about ``a``;
+    2 pi |c| is the flux of u through every level."""
+
+    a: complex
+    c: float
+    E: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+
+@dataclass(frozen=True)
 class FieldJet:
     """Pointwise derivative table of a scalar field up to some order.
 
@@ -88,7 +100,9 @@ class ScalarField:
     (|z|, radial on conformal charts), ``"t"`` (the first coordinate, radial
     on warped charts) or None.  The exact level-set paths need ``u.radial ==
     chart.radial``.  ``radial_inverse`` is None or the field's exact level
-    inverse ``ts -> radii`` (|z| or t), set by its constructor.
+    inverse ``ts -> radii`` (|z| or t), and ``level_map`` None or the
+    :class:`LevelMap` that parametrizes its closed levels; both are set by
+    its constructor.
     """
 
     def __init__(self, jet_fn: Callable[[np.ndarray, int], FieldJet], *,
@@ -99,6 +113,7 @@ class ScalarField:
         self.radial = radial
         self.singular_points = tuple(np.asarray(q, dtype=float) for q in singular_points)
         self.radial_inverse = None
+        self.level_map = None
 
     # -- constructors --------------------------------------------------------
 
@@ -195,7 +210,8 @@ def log_modulus_field(weight: float = 1.0, center=(0.0, 0.0)) -> ScalarField:
     def coeffs(z0, deg):
         return jets.log_z_coeffs(z0 - zc, deg)
 
-    singular = [(cx, cy)]
-    return ScalarField.from_holomorphic_sum(
+    field = ScalarField.from_holomorphic_sum(
         [(coeffs, "re", weight)], radial="abs_z" if cx == cy == 0.0 else None,
-        singular_points=singular)
+        singular_points=[(cx, cy)])
+    field.level_map = LevelMap(zc, weight, lambda z: (z - zc, np.ones_like(z)))
+    return field

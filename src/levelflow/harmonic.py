@@ -1,7 +1,7 @@
 """Harmonic fields: closed-form catalog, annulus Dirichlet solutions, critical
 points and a validation-only polar grid solver.  :func:`_bracketed_newton`,
-batched over its brackets, is the package's one root solver: tracer seeds,
-critical points of fields of t, level radii of fields without an inverse.
+batched over its brackets, is the package's one real root solver: critical
+points of fields of t, level radii of fields without an inverse.
 
 Harmonicity in the surface metric coincides with Euclidean harmonicity in the
 chart coordinates on conformal charts (conformal invariance in two dimensions),
@@ -10,7 +10,8 @@ function.  Warped-chart entries are functions of t (``radial="t"``) and satisfy
 u'' + (w'/w) u' = 0 for their chart's warp.  Every field constructor returns a
 closed-form :class:`~levelflow.fields.ScalarField`; fields a + b ln|z|
 (``radial="abs_z"``) and ``warped_arctan`` set its ``radial_inverse``, their
-level radii in closed form.  The numeric solver returns its grid values.
+level radii in closed form, and ``perturbed_log`` its ``level_map``.  The
+numeric solver returns its grid values.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from . import jets
 from .charts import CRITICAL_GRAD, _circle_points, _radial_on
 from .errors import DomainError, SolverError
-from .fields import ScalarField, constant_field
+from .fields import LevelMap, ScalarField, constant_field
 
 logger = logging.getLogger(__name__)
 
@@ -104,10 +105,17 @@ def catalog_field(name: str, **params) -> ScalarField:
     if name == "perturbed_log":
         eps = float(params.pop("eps", 0.1))
         _no_extra(params)
-        return ScalarField.from_holomorphic_sum(
+        field = ScalarField.from_holomorphic_sum(
             [(jets.log_z_coeffs, "re", -1.0),
              (lambda z0, deg: jets.monomial_coeffs(z0, 1, deg), "re", eps)],
             singular_points=[(0.0, 0.0)])
+
+        def level_map(z):  # exp(F/c) = z e^{-eps z} for c = -1, and its derivative
+            e = np.exp(-eps * z)
+            return z * e, e * (1.0 - eps * z)
+
+        field.level_map = LevelMap(0j, -1.0, level_map)
+        return field
     if name == "warped_arctan":
         _no_extra(params)
         field = ScalarField.from_expression(

@@ -19,20 +19,20 @@ flat annulus: u = -ln|z| gives L(t) = 2 pi e^{-t} and L'(t) = -2 pi e^{-t}.
 
 The integrands read G, <grad u, grad G>_g, |grad G|_g^2, K and the length
 element from the local geometry of :mod:`levelflow.charts`, which also
-applies the critical-point floor ``CRITICAL_GRAD`` that the tracer here uses.
+applies the critical-point floor ``CRITICAL_GRAD`` that level maps here use.
 
 :func:`_screen_levels` screens an array of levels (the boundary values read
 once, radial levels located in one batched solve).  :func:`_level_points`
-stacks the points and weights of all their curves (circles at the located
-radii, spectrally accurate; traced curves, second order, traced one at a
-time) and :func:`_integrate_levels` integrates them over blocks of whole
+gives the points and weights of their curves, spectrally accurate: circles
+at the located radii, or preimages of circles under a non-radial field's
+level map (:class:`~levelflow.fields.LevelMap`), all in one Newton solve.
+:func:`_level_values` builds and integrates them over blocks of whole
 levels of at most ``MAX_POINTS`` points.  The exact radial fast path
 (:func:`~levelflow.charts._constant_on_circles`) is its one-point case;
 its points skip the chart's domain check (the levels t +- h of a profile
 may lie just off the chart), those of a sampled curve are checked.
 Profiles, bound checks, the integral formulas and the slope identity of
-:func:`~levelflow.curvature_flow.logL_slope_bound` read them through
-:func:`_level_values`.
+:func:`~levelflow.curvature_flow.logL_slope_bound` read them.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from .quadrature import circle_lengths
 
 CSV_COLUMNS = ("t", "L", "Lp", "Lpp", "lnL_pp", "L_fd_p", "L_fd_pp", "aux_invgrad2")
 
-_LEVEL_TOL_FRAC = 1e-9
+#: Newton steps a level-map node may take before the solve raises
+_LEVEL_MAP_STEPS = 40
 
 #: most points of one geometry evaluation over a set of level curves
 MAX_POINTS = 1 << 14
@@ -153,13 +154,9 @@ def _level_radii(u, chart, ts, max_iter=60):
 
 def extract_level_curve(u: ScalarField, chart, t: float,
                         n_samples: int = 512) -> LevelCurve:
-    """Sampled closed curve on {u = t}.
-
-    Fields radial on the chart use the exact circle sampled uniformly; others
-    are traced by a predictor-corrector marcher and resampled.  Hitting a
-    critical point raises; a level that runs into the domain boundary raises
-    a topology error.
-    """
+    """Sampled closed curve on {u = t}: the exact circle for a field radial
+    on the chart, else the preimage of a circle under u's level map, both
+    uniform in a periodic parameter; raises as :func:`_level_points` does."""
     ts = np.array([t], dtype=float)
     pts, w = _level_points(u, chart, ts, _screen_levels(u, chart, ts), n_samples)
     return LevelCurve(ts[0], pts[0], w[0])
@@ -177,113 +174,51 @@ def _screen_levels(u, chart, ts):
     return _located_radii(u, chart, ts) if _radial_on(u, chart) else None
 
 
-def _level_points(u, chart, ts, radii, n_samples):
-    """(m, n_samples, 2) points and (m, n_samples) coordinate arclength
-    weights of the m level curves ``ts``: circles at ``radii``, or curves
-    traced one at a time and stacked when ``radii`` is None."""
-    if n_samples < 8:
+def _level_points(u, chart, ts, radii, n):
+    """(m, n, 2) points and (m, n) coordinate arclength weights of the m
+    level curves ``ts``: circles at ``radii``, or for ``radii`` None the
+    preimages of |E| = e^{t/c} under u's level map E, node k solving
+    E(z) = W = e^{t/c} e^{2 pi i k/n} by a complex Newton solve from a + W
+    (each node until its step is at most 1e-13 |z - a| + 1e-14 |z|, so no
+    node depends on its batch), weighted |W/E'(z)| 2 pi/n.  Raises
+    TopologyError for u without a level map (open levels), CriticalPointError
+    where |grad u| = |c E'/E| < CRITICAL_GRAD, SolverError for nodes moving
+    after ``_LEVEL_MAP_STEPS`` steps, then DomainError for the first level
+    wholly off the chart and TopologyError for one partly off it."""
+    if n < 8:
         raise DomainError("need at least 8 samples")
-    if radii is None:
-        curves = [_trace_level_curve(u, chart, t, n_samples) for t in ts]
-        return (np.reshape([c.points for c in curves], (-1, n_samples, 2)),
-                np.reshape([c.weights for c in curves], (-1, n_samples)))
-    return _circle_points(chart, radii, n_samples)
-
-
-def _seed_on_level(u, chart, t):
-    """A point of the level {u = t}: the first sign change of u - t on the
-    first of 16 rays from the origin that has one, solved on that ray.  When
-    no ray of the 16 has one (a small closed level between two rays), the
-    first of a fan of 256 rays that has one."""
-    r_lo = chart.inner_radius if chart.inner_radius > 0 else 1e-6
-    r_hi = chart.outer_radius
-    if r_hi is None:
-        raise DomainError("tracing needs a bounded chart")
-    rr = np.linspace(r_lo * 1.0001, r_hi * 0.9999, 64)
-    for n_rays in (16, 256):
-        ang = np.linspace(0.0, 2.0 * np.pi, n_rays, endpoint=False)
-        rays = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-        vals = u.value((rays[:, None] * rr[:, None]).reshape(-1, 2)).reshape(n_rays, -1) - t
-        change = vals[:, :-1] * vals[:, 1:] <= 0
-        hit = np.nonzero(change.any(axis=1))[0]
-        if hit.size:
-            k = hit[0]
-            e = rays[k]
-            j = np.nonzero(change[k])[0][:1]
-
-            def on_ray(r):  # (u, du/dr) at r e
-                jet = u.jet(r[:, None] * e, 1)
-                return jet.value, jet.grad @ e
-
-            return _bracketed_newton(on_ray, np.array([t]), rr[j], rr[j + 1], vals[k, j])[0] * e
-    raise DomainError(f"level {t} not found in the chart annulus")
-
-
-def _project_to_level(u, t, pts, max_iter=8):
-    """``pts`` moved onto {u = t} by Newton steps along grad u until |u - t|
-    <= 1e-11 max(1, |t|); SolverError if that takes more than ``max_iter``."""
-    pts = pts.copy()
-    tol = 0.01 * _LEVEL_TOL_FRAC * max(1.0, abs(t))
-    for _ in range(max_iter):
-        j = u.jet(pts, 1)
-        res = j.value - t
-        if np.all(np.abs(res) <= tol):
-            return pts
-        q = j.grad[:, 0] ** 2 + j.grad[:, 1] ** 2
-        if np.any(q < CRITICAL_GRAD**2):
-            raise CriticalPointError("level projection hit a critical point")
-        pts -= (res / q)[:, None] * j.grad
-    raise SolverError(f"level projection: |u - {t}| > {tol:g} after {max_iter} iterations")
-
-
-def _trace_level_curve(u, chart, t, n_samples):
-    from scipy.interpolate import CubicSpline  # loaded only when a level is traced
-
-    p0 = _seed_on_level(u, chart, t)
-    ds = 2.0 * np.pi * np.hypot(*p0) / max(1024, 2 * n_samples)
-    max_steps = 300000
-
-    def tangent(p):
-        g = u.jet(p[None, :], 1).grad[0]
-        n = np.hypot(g[0], g[1])
-        if n < CRITICAL_GRAD:
-            raise CriticalPointError(f"|grad u| < {CRITICAL_GRAD:g} while tracing")
-        return np.array([g[1], -g[0]]) / n
-
-    def in_domain(p):
-        r = np.hypot(p[0], p[1])
-        return chart.inner_radius <= r <= chart.outer_radius
-
-    pts = [p0]
-    p = p0
-    for step in range(max_steps):
-        k1 = tangent(p)
-        k2 = tangent(p + 0.5 * ds * k1)
-        k3 = tangent(p + 0.5 * ds * k2)
-        k4 = tangent(p + ds * k3)
-        p = p + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not in_domain(p):
-            raise TopologyError("level curve left the chart annulus (open level)")
-        p = _project_to_level(u, t, p[None, :])[0]
-        if step > 10 and np.hypot(*(p - p0)) < 1.5 * ds:
-            break
-        pts.append(p)
-    else:
-        raise TopologyError("level tracing did not close up")
-
-    raw = np.array(pts)
-    closed = np.vstack([raw, raw[:1]])
-    seg = np.hypot(*np.diff(closed, axis=0).T)
-    sigma = np.concatenate([[0.0], np.cumsum(seg)])
-    total = sigma[-1]
-    sx = CubicSpline(sigma, closed[:, 0], bc_type="periodic")
-    sy = CubicSpline(sigma, closed[:, 1], bc_type="periodic")
-    s_new = np.arange(n_samples) * (total / n_samples)
-    resampled = np.stack([sx(s_new), sy(s_new)], axis=-1)
-    resampled = _project_to_level(u, t, resampled)
-    chords_fwd = np.hypot(*(np.roll(resampled, -1, axis=0) - resampled).T)
-    w = 0.5 * (chords_fwd + np.roll(chords_fwd, 1))
-    return LevelCurve(t, resampled, w)
+    if radii is not None:
+        return _circle_points(chart, radii, n)
+    lm = u.level_map
+    if lm is None:
+        raise TopologyError("the field has no level map: its levels are not closed curves")
+    with np.errstate(all="ignore"):  # a diverging node ends non-finite and live
+        w = (np.exp(ts / lm.c)[:, None] * np.exp(2j * np.pi / n * np.arange(n))).ravel()
+        z, live = lm.a + w, np.arange(w.size)
+        for _ in range(_LEVEL_MAP_STEPS):
+            if not live.size:
+                break
+            e, de = lm.E(z[live])
+            if np.any(np.abs(lm.c * de) < CRITICAL_GRAD * np.abs(e)):
+                raise CriticalPointError("level map: |grad u| below the critical floor")
+            step = (e - w[live]) / de
+            z[live] -= step
+            zl = z[live]
+            live = live[~(np.abs(step) <= 1e-13 * np.abs(zl - lm.a) + 1e-14 * np.abs(zl))]
+    if live.size:
+        raise SolverError(f"level map Newton: step above 1e-13 |z - a| after {_LEVEL_MAP_STEPS} "
+                          f"steps at levels t = {ts[np.unique(live // n)].tolist()}")
+    if chart.outer_radius is not None:
+        r = np.abs(z).reshape(-1, n)
+        eps = 1e-12 * max(1.0, chart.outer_radius)
+        off = (r < chart.inner_radius - eps) | (r > chart.outer_radius + eps)
+        if off.any():
+            k = np.flatnonzero(off.any(axis=1))[0]
+            if off[k].all():
+                raise DomainError(f"level {ts[k]} not found in the chart annulus")
+            raise TopologyError(f"level {ts[k]} leaves the chart annulus (open level)")
+    weights = np.abs(w / lm.E(z)[1]) * (2.0 * np.pi / n)
+    return np.stack([z.real, z.imag], axis=-1).reshape(-1, n, 2), weights.reshape(-1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -323,27 +258,6 @@ def _singular_circle_length(chart, curve) -> float:
     return float(circle_lengths(log_f, angles, [r], ["singular circle length"])[0][0])
 
 
-def _integrate_levels(u, chart, pts, weights, integrands, checked=True):
-    """(L, the integral of each of ``integrands(geo)``, K_min, K_max) per
-    level of the (m, n, 2) points ``pts`` with (m, n) coordinate weights,
-    dH^1 = level_weight * weight.  The geometry is evaluated over blocks of
-    whole levels (one empty block if m = 0) of at most ``MAX_POINTS`` points
-    (one level if it alone has more), each domain-checked first if
-    ``checked``; a row depends only on its level."""
-    m, n = weights.shape
-    step = max(1, MAX_POINTS // n)
-    blocks = []
-    for i in range(0, max(m, 1), step):
-        p = pts[i:i + step].reshape(-1, 2)
-        geo = _geometry(u, chart, chart.check_points(p) if checked else p)
-        dh1 = geo.level_weight * weights[i:i + step].reshape(-1)
-        terms = (dh1, *(f * dh1 for f in integrands(geo)))
-        K = geo.K.reshape(-1, n)
-        blocks.append(np.array([a.reshape(-1, n).sum(axis=1) for a in terms]
-                               + [K.min(axis=1), K.max(axis=1)]))
-    return tuple(np.concatenate(blocks, axis=1))
-
-
 def _derivative_integrands(g):  # of L', L'' and 1/|grad u|^2
     return -g.pairing_G / g.G**3, g.grad_G_sq / g.G**4 - g.K / g.G**2, 1.0 / g.G**2
 
@@ -352,19 +266,35 @@ def _level_values(u, chart, ts, radii, n_samples=512, method="auto",
                   integrands=_derivative_integrands):
     """(L, the integral of each of ``integrands(geo)``, by default Lp, Lpp
     and aux, K_min, K_max) arrays, one entry per level of ``ts`` at ``radii``
-    (None for u not radial on the chart), from :func:`_integrate_levels`;
-    it screens nothing, so callers check their levels first.
+    (None for u not radial on the chart), dH^1 = level_weight * weight; it
+    screens nothing, so callers check their levels first.
 
     With ``method="auto"`` on the radial fast path (integrands and K
     constant on each level circle) a level is the one unchecked point (r, 0)
     of weight 2 pi r (2 pi on warped charts) and ``n_samples`` is ignored;
     otherwise, ``method="quadrature"`` on any chart included, each curve has
-    ``n_samples`` domain-checked points."""
-    if _constant_on_circles(u, chart) and method == "auto":
-        return _integrate_levels(u, chart, *_circle_points(chart, radii, 1), integrands,
-                                 checked=False)
-    return _integrate_levels(u, chart, *_level_points(u, chart, ts, radii, n_samples),
-                             integrands)
+    the ``n_samples`` domain-checked points of :func:`_level_points`.  Each
+    block of whole levels (one empty block if there are none) of at most
+    ``MAX_POINTS`` points (one level if it alone has more) builds its points
+    and evaluates its geometry in turn; a row depends only on its level."""
+    fast = _constant_on_circles(u, chart) and method == "auto"
+    n = 1 if fast else n_samples
+    step = max(1, MAX_POINTS // max(n, 1))
+    blocks = []
+    for i in range(0, max(ts.size, 1), step):
+        s = slice(i, i + step)
+        if fast:
+            pts, weights = _circle_points(chart, radii[s], 1)
+        else:
+            pts, weights = _level_points(u, chart, ts[s], None if radii is None else radii[s], n)
+        p = pts.reshape(-1, 2)
+        geo = _geometry(u, chart, p if fast else chart.check_points(p))
+        dh1 = geo.level_weight * weights.reshape(-1)
+        terms = (dh1, *(f * dh1 for f in integrands(geo)))
+        K = geo.K.reshape(-1, n)
+        blocks.append(np.array([a.reshape(-1, n).sum(axis=1) for a in terms]
+                               + [K.min(axis=1), K.max(axis=1)]))
+    return tuple(np.concatenate(blocks, axis=1))
 
 
 def _screened_values(u, chart, ts, n_samples=512):

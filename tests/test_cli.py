@@ -44,6 +44,14 @@ AUDIT_CONFIG = {
 }
 
 
+PLOG_CONFIG = {
+    "chart": {"kind": "conformal", "factor": {"name": "flat"},
+              "inner_radius": 0.5, "outer_radius": 2.0},
+    "field": {"catalog": "perturbed_log"},
+    "analysis": {"levels": 16, "t_range": [-0.3, 0.4]},
+}
+
+
 def write_config(tmp_path, cfg, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg, indent=1))
@@ -337,6 +345,10 @@ def test_malformed_config_exits_2_with_one_line(tmp_path, capsys, case):
     assert not list(tmp_path.glob("*_report.json"))
 
 
+# perturbed_log on the sphere-cap factor with c = -0.1, where K < 0
+PLOG_CAP_CONFIG = _edit(PLOG_CONFIG, "chart", factor={"name": "sphere_cap", "c": -0.1})
+
+
 # With the tests above, each check kind exits 1 on a wrong input and 0 on a
 # correct one near its edge; this table holds the cases no other test runs.
 # The rest: profile passes near L' = 0 in
@@ -375,6 +387,11 @@ CHECK_TABLE = {
     # K(0) = 0.004, near flat: the defect is off by 5e-10 relative at r = 0.01
     "counterexample_pass": ("counterexample",
                             {"analysis": {"factor_c": -0.001, "radii": [0.3, 0.01]}}, 0),
+    # closed non-radial levels, on the flat annulus and on a K < 0 cap
+    "profile_pass_perturbed_log_flat": ("profile", PLOG_CONFIG, 0),
+    "convexity_pass_perturbed_log_flat": ("convexity", PLOG_CONFIG, 0),
+    "profile_pass_perturbed_log_cap": ("profile", PLOG_CAP_CONFIG, 0),
+    "convexity_pass_perturbed_log_cap": ("convexity", PLOG_CAP_CONFIG, 0),
 }
 
 

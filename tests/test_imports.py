@@ -14,7 +14,6 @@ PACKAGE = Path(levelflow.__file__).parent
 # module -> every scipy name it imports; a new scipy import fails here
 SCIPY_IMPORTS = {
     "harmonic": {"scipy.sparse", "scipy.sparse.linalg.spsolve"},
-    "levelsets": {"scipy.interpolate.CubicSpline"},
 }
 
 

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from levelflow import (ConformalChart, DirichletSpec, DomainError, NormalizationError,
-                       PreconditionError, ScalarField, SingularPointError, SolverError,
-                       TopologyError, WarpedChart, asymptotic_defect, catalog_field,
-                       constant_field, d2length_integral, dlength_integral,
-                       extract_level_curve,
+from levelflow import (ConformalChart, CriticalPointError, DirichletSpec, DomainError,
+                       NormalizationError, PreconditionError, ScalarField,
+                       SingularPointError, SolverError, TopologyError, WarpedChart,
+                       asymptotic_defect, catalog_field, constant_field,
+                       d2length_integral, dlength_integral, extract_level_curve,
                        flat_factor, inset_grid, length, length_profile, level_radius,
                        log_convexity_check, log_modulus_field, logL_slope_bound,
                        pinched_bound_check, radial_log_field,
@@ -79,35 +79,114 @@ def test_extract_level_out_of_range():
 
 
 def test_trace_seed_searches_the_other_angles():
-    # the level circle |z - 2.5i| = 0.5 misses the ray theta = 0, so the
-    # tracer's seed comes from a later angle of its search
+    # the level circle |z - 2.5i| = 0.5 misses the ray theta = 0; the level
+    # map z - 2.5i places its nodes on it wherever it lies
     u = log_modulus_field(1.0, center=(0.0, 2.5))
     chart = ConformalChart(flat_factor(), 1.0, 4.0)
     curve = extract_level_curve(u, chart, np.log(0.5), 256)
-    assert length(curve, chart) == pytest.approx(np.pi, rel=1e-4)
+    assert length(curve, chart) == pytest.approx(np.pi, rel=1e-13)
     with pytest.raises(DomainError, match="level 5.0 not found in the chart annulus"):
         extract_level_curve(u, chart, 5.0, 64)
 
 
-def test_trace_seed_finds_a_small_level_between_the_16_rays(field_evaluations):
+def test_trace_seed_finds_a_small_level_between_the_16_rays():
     # the circle |z - c| = 0.1, |c| = 2.5, lies midway between the rays at 0
-    # and 22.5 degrees: no ray of the first fan meets it, one of the second does
+    # and 22.5 degrees, which a search along rays from the origin would miss
     a = np.deg2rad(11.25)
     u = log_modulus_field(1.0, center=(2.5 * np.cos(a), 2.5 * np.sin(a)))
     chart = ConformalChart(flat_factor(), 1.0, 4.0)
     curve = extract_level_curve(u, chart, np.log(0.1), 256)
-    assert length(curve, chart) == pytest.approx(0.2 * np.pi, rel=1e-3)
-    # each fan of rays is one batched evaluation of 64 points per ray
-    assert [n for n in field_evaluations if n >= 1024] == [16 * 64, 256 * 64]
+    assert length(curve, chart) == pytest.approx(0.2 * np.pi, rel=1e-13)
 
 
-def test_level_projection_reports_unconverged_points():
-    u = catalog_field("perturbed_log", eps=0.1)
-    pts = np.array([[1.2, 0.0], [0.0, -1.3]])  # off the level u = 0 (r near 1.1)
-    projected = levelsets._project_to_level(u, 0.0, pts)
-    assert np.max(np.abs(u.value(projected))) <= 1e-11
-    with pytest.raises(SolverError, match="after 1 iterations"):
-        levelsets._project_to_level(u, 0.0, pts, max_iter=1)
+# ln|z - 0.3i| has the level map z - 0.3i: its levels are the circles
+# |z - 0.3i| = e^t, here of radii 1.4 to 2.1, inside 1 < |z| < 2.5
+SHIFTED_LOG = log_modulus_field(1.0, (0.0, 0.3))
+SHIFTED_LEVELS = np.log(np.linspace(1.4, 2.1, 8))
+PLOG = catalog_field("perturbed_log", eps=0.1)
+PLOG_LEVELS = np.linspace(-0.3, 0.4, 8)
+PLOG_CHARTS = pytest.mark.parametrize("chart", [
+    ConformalChart(flat_factor(), 0.5, 2.0), ConformalChart(sphere_cap_factor(0.1), 0.5, 2.0)],
+    ids=["flat", "sphere_cap"])
+
+
+def cap_circle(c, a, rho, n=2048):
+    """L, L', L'' of the levels |z - a| = rho = e^t of ln|z - a| in the
+    metric (1 - c|z|^2)^2 |dz|^2: the trapezoid rule on the exact circle."""
+    w = rho * np.exp(2j * np.pi * np.arange(n) / n)
+    z = a + w
+    q = 1.0 - c * np.abs(z) ** 2        # e^phi
+    zw = (z.conj() * w).real
+    g = -2.0 * c * zw / q               # d(ln e^phi)/dt on the circle
+    dg = g - 2.0 * c * rho**2 / q - 4.0 * c**2 * zw**2 / q**2
+    return [2.0 * np.pi * np.mean(rho * q * k) for k in (1.0, 1.0 + g, (1.0 + g) ** 2 + dg)]
+
+
+def test_shifted_log_levels_are_exact_on_the_flat_annulus():
+    chart = ConformalChart(flat_factor(), 1.0, 4.0)
+    want = 2.0 * np.pi * np.exp(SHIFTED_LEVELS)
+    for got in levelsets._screened_values(SHIFTED_LOG, chart, SHIFTED_LEVELS, 64)[:3]:
+        assert np.max(np.abs(got - want) / want) <= 1e-13
+
+
+def test_shifted_log_levels_match_the_exact_circle_on_a_sphere_cap():
+    chart = ConformalChart(sphere_cap_factor(0.1), 1.0, 2.5)
+    got = levelsets._screened_values(SHIFTED_LOG, chart, SHIFTED_LEVELS, 64)[:3]
+    want = np.transpose([cap_circle(0.1, 0.3j, np.exp(t)) for t in SHIFTED_LEVELS])
+    assert np.max(np.abs(np.array(got) - want) / np.abs(want)) <= 1e-13
+
+
+@PLOG_CHARTS
+def test_perturbed_log_levels_converge_geometrically(chart):
+    coarse = np.array(levelsets._screened_values(PLOG, chart, PLOG_LEVELS, 32)[:3])
+    fine = np.array(levelsets._screened_values(PLOG, chart, PLOG_LEVELS, 1024)[:3])
+    assert np.max(np.abs(coarse - fine) / np.abs(fine)) <= 1e-13
+    curve = extract_level_curve(PLOG, chart, 0.2, 64)
+    assert np.max(np.abs(PLOG.value(curve.points) - 0.2)) <= 1e-15
+
+
+@pytest.mark.parametrize("u, chart, levels, flux", [
+    (SHIFTED_LOG, ConformalChart(flat_factor(), 1.0, 4.0), SHIFTED_LEVELS, 2.0 * np.pi),
+    (log_modulus_field(-2.5, (0.0, 0.3)), ConformalChart(sphere_cap_factor(0.1), 1.0, 2.5),
+     -2.5 * SHIFTED_LEVELS, 5.0 * np.pi),
+    (PLOG, ConformalChart(flat_factor(), 0.5, 2.0), PLOG_LEVELS, 2.0 * np.pi),
+    (PLOG, ConformalChart(sphere_cap_factor(0.1), 0.5, 2.0), PLOG_LEVELS, 2.0 * np.pi),
+], ids=["shifted_log_flat", "weighted_log_cap", "perturbed_log_flat", "perturbed_log_cap"])
+def test_the_flux_through_every_level_is_2pi_abs_c(u, chart, levels, flux):
+    got = levelsets._level_values(u, chart, levels, None, 64, integrands=lambda g: (g.G,))[1]
+    assert np.max(np.abs(got - flux)) <= 1e-12 * flux
+
+
+def test_slope_identity_on_perturbed_log_levels():
+    chart = ConformalChart(sphere_cap_factor(0.1), 0.5, 2.0)
+    prof = length_profile(PLOG, chart, PLOG_LEVELS)
+    assert logL_slope_bound(PLOG, chart, prof).identity_max_err <= 1e-12
+
+
+def test_level_map_errors():
+    chart = ConformalChart(flat_factor(), 1.0, 4.0)
+    # the circle |z - 2.5i| = 2 crosses |z| = 1: the level is open in the chart
+    with pytest.raises(TopologyError, match="level 0.69.* leaves the chart annulus"):
+        extract_level_curve(log_modulus_field(1.0, (0.0, 2.5)), chart, np.log(2.0), 64)
+    # |z e^{-z/10}| <= 10/e on the positive real axis: the node theta = 0 of
+    # |E| = e^2 has no root there, and its iterates never settle
+    with pytest.raises(SolverError, match=re.escape(
+            f"after {levelsets._LEVEL_MAP_STEPS} steps at levels t = [-2.0]")):
+        dlength_integral(PLOG, ConformalChart(flat_factor(), 0.5, 2.0), -2.0)
+    # the level of perturbed_log (eps = 1/2) through its saddle z = 2: Newton
+    # slows to linear at the node theta = 0 and |grad u| reaches the floor
+    with pytest.raises(CriticalPointError, match="below the critical floor"):
+        dlength_integral(catalog_field("perturbed_log", eps=0.5),
+                         ConformalChart(flat_factor(), 0.4, 3.0), 1.0 - np.log(2.0), 64)
+
+
+def test_level_map_nodes_do_not_depend_on_the_batch():
+    chart = ConformalChart(sphere_cap_factor(0.1), 0.5, 2.0)
+    pts, w = levelsets._level_points(PLOG, chart, PLOG_LEVELS, None, 64)
+    for k in range(PLOG_LEVELS.size):
+        one = levelsets._level_points(PLOG, chart, PLOG_LEVELS[k:k + 1], None, 64)
+        assert one[0].tobytes() == pts[k:k + 1].tobytes()
+        assert one[1].tobytes() == w[k:k + 1].tobytes()
 
 
 def test_level_outside_the_chart_raises_on_both_radius_paths():
